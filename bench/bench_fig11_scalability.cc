@@ -5,24 +5,25 @@
 //        (paper: 90 % below 50 ms, mean ~25 ms);
 //  11c — CDF of the full feedback-loop delay (paper: 80 % below 200 ms).
 //
-// 11a runs under google-benchmark for stable timing. In addition, an
-// optimization-ablation sweep times the controller decision across
-// 10^4..10^6 blocks with each hot-path optimization toggled independently
-// (baseline / incremental FPTAS / path cache / thread pool / all) and can
-// emit the results as machine-readable JSON for the perf-regression check:
+// 11a runs under google-benchmark for stable timing. In addition, a
+// fleet-scale shard sweep times one commodity-rich cycle (many concurrent
+// jobs, up to 10^7 outstanding blocks) at shard counts 1, 4 and 8, asserts
+// that every shard count makes the bit-identical decision of the unsharded
+// controller, and can emit the results as machine-readable JSON for the
+// perf-regression check:
 //
 //   bench_fig11_scalability --json=BENCH_controller.json   # full sweep
 //   bench_fig11_scalability --smoke --json=out.json        # reduced scale
 //
-// --smoke keeps only the small block counts and skips the google-benchmark
+// --smoke keeps only the small fleet size and skips the google-benchmark
 // section and the delay CDFs, so it finishes in seconds (used by the
 // `bench-smoke` ctest label).
 //
-// A steady-cycles section always runs after the sweeps: N consecutive
+// A steady-cycles section always runs after the sweep: N consecutive
 // decision cycles on one long-lived controller with ~5% job churn between
-// cycles and every cross-cycle cache on (incremental candidates, FPTAS warm
-// start, contended-group splitting — DESIGN.md §9.7). Its cold/warm CPU and
-// candidate reuse rate land in the JSON's "steady_cycles" section, gated by
+// cycles and the cross-cycle caches on (delta candidate build and FPTAS warm
+// start — DESIGN.md §9.7). Its cold/warm CPU and candidate reuse rate land
+// in the JSON's "steady_cycles" section, gated by
 // tools/check_bench_regression.py's amortized mode. --steady-cycles runs
 // only that section.
 
@@ -90,190 +91,32 @@ BENCHMARK(BM_ControllerDecision)
     ->Arg(600'000)
     ->Arg(1'000'000);
 
-// ---------------------------------------------------------------------------
-// Optimization-ablation sweep.
-
-struct SweepConfig {
-  const char* name;
-  bool incremental_fptas;
-  bool path_cache;
-  bool sched_early_exit;
-  int num_threads;
-  int num_shards;
-  // Relaxed-parity knob (DESIGN.md §9.7): a config with it set is excluded
-  // from the bit-identical cross-check against "baseline" and asserted
-  // repetition-stable instead.
-  bool split_contended;
-};
-
-// "baseline" turns every knob off, reproducing the pre-optimization
-// controller; "all" is the shipping default plus the thread pool; the
-// "shards*" rows add the fleet-scale sharded controller on top (decisions
-// must still be bit-identical — the sweep checks the fingerprints).
-// "all_shards4" additionally splits contended FPTAS commodity groups across
-// shards (relaxed parity: still deterministic, no longer bitwise-equal).
-constexpr SweepConfig kSweepConfigs[] = {
-    {"baseline", false, false, false, 1, 1, false},
-    {"incremental_fptas", true, false, false, 1, 1, false},
-    {"path_cache", false, true, false, 1, 1, false},
-    {"sched_early_exit", false, false, true, 1, 1, false},
-    {"threads4", false, false, false, 4, 1, false},
-    {"all", true, true, true, 4, 1, false},
-    {"shards4", true, true, true, 1, 4, false},
-    {"all_shards4", true, true, true, 4, 4, true},
-};
-
-struct SweepPoint {
-  int64_t blocks = 0;
-  // Wall / process-CPU seconds per Decide(), min over repetitions, keyed
-  // like kSweepConfigs. The regression gate compares the CPU column: the
-  // decision is deterministic, so its CPU time is stable run-to-run, while
-  // wall time on a shared runner swings with whatever else is scheduled.
-  double seconds[std::size(kSweepConfigs)] = {};
-  double cpu_seconds[std::size(kSweepConfigs)] = {};
-};
-
 double ProcessCpuSeconds() {
   timespec ts;
   BDS_CHECK(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0);
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-void TimeDecide(ControllerAlgorithm& algorithm, const ReplicaState& state,
-                const std::vector<Rate>& residual, int reps, uint64_t* fingerprint,
-                double* wall_out, double* cpu_out) {
-  double best_wall = 0.0;
-  double best_cpu = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    double cpu_start = ProcessCpuSeconds();
-    auto start = std::chrono::steady_clock::now();
-    CycleDecision decision = algorithm.Decide(0, state, residual, {});
-    auto stop = std::chrono::steady_clock::now();
-    double cpu = ProcessCpuSeconds() - cpu_start;
-    double seconds = std::chrono::duration<double>(stop - start).count();
-    if (r == 0 || seconds < best_wall) {
-      best_wall = seconds;
-    }
-    if (r == 0 || cpu < best_cpu) {
-      best_cpu = cpu;
-    }
-    // Every config — including the relaxed-parity ones — must be
-    // repetition-stable: same state, same cycle, same decision bits.
-    const uint64_t fp = decision.Fingerprint();
-    if (r == 0) {
-      *fingerprint = fp;
-    } else {
-      BDS_CHECK_MSG(fp == *fingerprint, "decision not repetition-stable");
-    }
-  }
-  *wall_out = best_wall;
-  *cpu_out = best_cpu;
-}
-
-std::vector<SweepPoint> RunConfigSweep(bool smoke) {
-  // Smoke skips the smallest point, not the largest of its pair: the very
-  // first decisions of a fresh process run cold (allocator, page cache) and
-  // their sub-100 ms timings are the noisiest in the sweep.
-  std::vector<int64_t> block_counts =
-      smoke ? std::vector<int64_t>{30'000, 100'000}
-            : std::vector<int64_t>{10'000, 30'000, 100'000, 300'000, 1'000'000};
-  // Min-of-5 in both modes: the regression gate compares min-of-reps
-  // ratios, and fewer reps leaves too much scheduling noise in the min.
-  const int reps = 5;
-
-  GeoTopologyOptions topo_options;
-  topo_options.num_dcs = 10;
-  topo_options.servers_per_dc = 100;
-  topo_options.server_up = MBps(20.0);
-  topo_options.server_down = MBps(20.0);
-  auto topo = BuildGeoTopology(topo_options).value();
-  auto routing = WanRoutingTable::Build(topo, 3).value();
-  std::vector<Rate> residual;
-  residual.reserve(static_cast<size_t>(topo.num_links()));
-  for (const Link& l : topo.links()) {
-    residual.push_back(l.capacity);
-  }
-
-  bench::PrintHeader("Figure 11a (ablation)", "decision time per optimization config",
-                     "same deployment; each hot-path optimization toggled independently "
-                     "(times are min over repetitions; decisions must be bit-identical)");
-  std::printf("%10s", "blocks");
-  for (const SweepConfig& c : kSweepConfigs) {
-    std::printf("  %18s", c.name);
-  }
-  std::printf("  %9s\n", "speedup");
-
-  std::vector<SweepPoint> points;
-  for (int64_t num_blocks : block_counts) {
-    ReplicaState replica_state(&topo);
-    MulticastJob job =
-        MakeJob(0, 0, {1, 2}, MB(2.0) * static_cast<double>(num_blocks), MB(2.0)).value();
-    BDS_CHECK(replica_state.AddJob(job).ok());
-
-    {
-      // One untimed warmup decision per point so the first timed config
-      // doesn't pay the process/point cold-start (page faults, allocator).
-      ControllerAlgorithm warmup(&topo, &routing, ControllerAlgorithmOptions{});
-      CycleDecision d = warmup.Decide(0, replica_state, residual, {});
-      BDS_CHECK(d.scheduled_blocks > 0);
-    }
-
-    SweepPoint point;
-    point.blocks = num_blocks;
-    uint64_t baseline_fp = 0;
-    for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-      const SweepConfig& c = kSweepConfigs[ci];
-      ControllerAlgorithmOptions options;
-      options.use_incremental_fptas = c.incremental_fptas;
-      options.use_path_cache = c.path_cache;
-      options.use_sched_early_exit = c.sched_early_exit;
-      options.num_threads = c.num_threads;
-      options.num_shards = c.num_shards;
-      options.split_contended = c.split_contended;
-      ControllerAlgorithm algorithm(&topo, &routing, options);
-      uint64_t fp = 0;
-      TimeDecide(algorithm, replica_state, residual, reps, &fp, &point.seconds[ci],
-                 &point.cpu_seconds[ci]);
-      if (ci == 0) {
-        baseline_fp = fp;
-      } else if (!c.split_contended) {
-        BDS_CHECK_MSG(fp == baseline_fp,
-                      "optimization config changed the cycle decision");
-      }
-    }
-    std::printf("%10lld", static_cast<long long>(num_blocks));
-    for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-      std::printf("  %15.1f ms", point.seconds[ci] * 1e3);
-    }
-    std::printf("  %8.2fx\n", point.seconds[0] / point.seconds[std::size(kSweepConfigs) - 1]);
-    points.push_back(point);
-  }
-  return points;
-}
-
 // ---------------------------------------------------------------------------
 // Fleet-scale shard sweep: many concurrent jobs (one commodity-rich cycle)
 // instead of one huge job. 10^4 jobs x 10^3 blocks = 10^7 outstanding blocks
-// with 10^4+ concurrent transfers in a single all-on sharded cycle — the
+// with 10^4+ concurrent transfers in a single sharded cycle — the
 // fleet acceptance target is that cycle staying under the paper's 3 s cycle
 // length in CPU time (min over repetitions).
 
 struct FleetConfig {
   const char* name;
   int num_shards;
-  bool split_contended;  // Relaxed parity — see SweepConfig.
 };
 
-// Every fleet config runs all-on (incremental FPTAS + path cache + early
-// exit + 4 threads); only the shard count varies. "baseline" is the point's
-// reference config for the regression gate (config-relative ratios), here
-// meaning "all-on, unsharded". The sharded fleet configs split contended
-// commodity groups by default (DESIGN.md §9.7): repetition-stable but no
-// longer bitwise-equal to the unsharded cycle.
+// Every fleet config runs with 4 threads; only the shard count varies.
+// "baseline" is the unsharded controller: the reference config for the
+// regression gate and the decision every sharded config must reproduce bit
+// for bit (the oracle-parity assertion below).
 constexpr FleetConfig kFleetConfigs[] = {
-    {"baseline", 1, false},
-    {"fleet_shards4", 4, true},
-    {"fleet_shards8", 8, true},
+    {"baseline", 1},
+    {"fleet_shards4", 4},
+    {"fleet_shards8", 8},
 };
 
 struct FleetPoint {
@@ -316,9 +159,9 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
     residual.push_back(l.capacity);
   }
 
-  bench::PrintHeader("Fleet-scale shard sweep", "one all-on cycle, shard count varied",
-                     "many concurrent jobs; sharded configs split contended groups "
-                     "(relaxed parity, repetition-stable); "
+  bench::PrintHeader("Fleet-scale shard sweep", "one cycle, shard count varied",
+                     "many concurrent jobs; every shard count must make the unsharded "
+                     "decision bit for bit; "
                      "acceptance: the sharded 10^7-block cycle under 3 s CPU");
   std::printf("%12s %8s", "blocks", "jobs");
   for (const FleetConfig& c : kFleetConfigs) {
@@ -350,7 +193,6 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
       ControllerAlgorithmOptions options;
       options.num_threads = 4;
       options.num_shards = kFleetConfigs[ci].num_shards;
-      options.split_contended = kFleetConfigs[ci].split_contended;
       ControllerAlgorithm algorithm(&topo, &routing, options);
       uint64_t fp = 0;
       for (int r = 0; r < reps; ++r) {
@@ -380,7 +222,7 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
       }
       if (ci == 0) {
         baseline_fp = fp;
-      } else if (!kFleetConfigs[ci].split_contended) {
+      } else {
         BDS_CHECK_MSG(fp == baseline_fp, "shard count changed the cycle decision");
       }
       last_groups = point.shard_groups[ci];
@@ -398,9 +240,8 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
 
 // ---------------------------------------------------------------------------
 // Steady-cycles mode: N consecutive Decide() cycles on one long-lived
-// controller + replica state with ~5% job churn between cycles, everything
-// on (4 threads, 4 shards, incremental candidates, FPTAS warm start,
-// contended-group splitting). This is the workload the cross-cycle caches
+// controller + replica state with ~5% job churn between cycles, 4 threads,
+// 4 shards and FPTAS warm start on. This is the workload the cross-cycle caches
 // (DESIGN.md §9.7) exist for: the first cycle runs cold, every later cycle
 // re-prices only the churned slice of the candidate array and warm-starts
 // the routing FPTAS. The acceptance target is the amortized warm-cycle CPU
@@ -463,7 +304,6 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   options.num_threads = 4;
   options.num_shards = 4;
   options.warm_start = true;
-  options.split_contended = true;
   ControllerAlgorithm algorithm(&topo, &routing, options);
 
   SteadyCyclesStats stats;
@@ -475,7 +315,7 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   stats.num_threads = options.num_threads;
   stats.num_shards = options.num_shards;
 
-  bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn, all caches on",
+  bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn, warm start on",
                      "one long-lived controller; warm cycles re-price only churned "
                      "candidates and warm-start the FPTAS (DESIGN.md §9.7)");
   std::printf("%6s %10s %10s %10s %10s %10s %8s %8s %6s %7s\n", "cycle", "cpu (ms)",
@@ -538,10 +378,8 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   return stats;
 }
 
-void WriteSweepJson(const std::vector<SweepPoint>& points,
-                    const std::vector<FleetPoint>& fleet_points,
-                    const SteadyCyclesStats& steady, bool smoke,
-                    const std::string& path) {
+void WriteSweepJson(const std::vector<FleetPoint>& fleet_points,
+                    const SteadyCyclesStats& steady, bool smoke, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   BDS_CHECK_MSG(f != nullptr, "cannot open --json output path");
   std::fprintf(f, "{\n  \"benchmark\": \"controller_decision\",\n");
@@ -552,46 +390,25 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
                bds::telemetry::Enabled() ? "true" : "false");
   std::fprintf(f, "  \"flight_recorder_enabled\": %s,\n",
                bds::telemetry::FlightRecorder::Global().active() ? "true" : "false");
-  // The ablation and fleet sweeps time cold single-cycle decisions; warm
-  // start only applies in the steady_cycles section, which carries its own
-  // stamp. Regression checks require this header stamp to match between
-  // baseline and fresh runs.
+  // The fleet sweep times cold single-cycle decisions; warm start only
+  // applies in the steady_cycles section, which carries its own stamp.
+  // Regression checks require this header stamp to match between baseline
+  // and fresh runs.
   std::fprintf(f, "  \"warm_start\": false,\n");
   std::fprintf(f, "  \"configs\": [");
-  for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-    std::fprintf(f, "%s\"%s\"", ci == 0 ? "" : ", ", kSweepConfigs[ci].name);
+  for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
+    std::fprintf(f, "%s\"%s\"", ci == 0 ? "" : ", ", kFleetConfigs[ci].name);
   }
-  // Shard-count stamp per config name (fleet configs included), so readers
-  // of the JSON never have to parse shard counts out of config names.
+  // Shard-count stamp per config name, so readers of the JSON never have to
+  // parse shard counts out of config names.
   std::fprintf(f, "],\n  \"config_shards\": {");
-  for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-    std::fprintf(f, "%s\"%s\": %d", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
-                 kSweepConfigs[ci].num_shards);
-  }
-  for (size_t ci = 1; ci < std::size(kFleetConfigs); ++ci) {
-    std::fprintf(f, ", \"%s\": %d", kFleetConfigs[ci].name, kFleetConfigs[ci].num_shards);
+  for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
+    std::fprintf(f, "%s\"%s\": %d", ci == 0 ? "" : ", ", kFleetConfigs[ci].name,
+                 kFleetConfigs[ci].num_shards);
   }
   std::fprintf(f, "},\n  \"points\": [\n");
-  const bool more_after_points = !fleet_points.empty();
-  for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f, "    {\"blocks\": %lld, \"seconds\": {",
-                 static_cast<long long>(points[i].blocks));
-    for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-      std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
-                   points[i].seconds[ci]);
-    }
-    std::fprintf(f, "}, \"cpu_seconds\": {");
-    for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-      std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
-                   points[i].cpu_seconds[ci]);
-    }
-    std::fprintf(f, "}}%s\n",
-                 i + 1 == points.size() && !more_after_points ? "" : ",");
-  }
-  // Fleet points share the array (the gate is per-(size, config); the fleet
-  // config names are distinct, so medians never mix the two sections). Each
-  // carries the workload shape, the shard stamp, and the per-phase CPU
-  // split per config.
+  // Each fleet point carries the workload shape, the shard stamp, and the
+  // per-phase CPU split per config.
   for (size_t i = 0; i < fleet_points.size(); ++i) {
     const FleetPoint& p = fleet_points[i];
     std::fprintf(f,
@@ -624,8 +441,7 @@ void WriteSweepJson(const std::vector<SweepPoint>& points,
   std::fprintf(f,
                "  \"steady_cycles\": {\"jobs\": %lld, \"blocks_per_job\": %lld, "
                "\"blocks\": %lld, \"cycles\": %d, \"churn_jobs\": %lld, "
-               "\"num_threads\": %d, \"num_shards\": %d, \"warm_start\": true, "
-               "\"split_contended\": true,\n",
+               "\"num_threads\": %d, \"num_shards\": %d, \"warm_start\": true,\n",
                static_cast<long long>(steady.jobs), static_cast<long long>(steady.blocks_per_job),
                static_cast<long long>(steady.blocks), steady.cycles,
                static_cast<long long>(steady.churn_jobs), steady.num_threads, steady.num_shards);
@@ -709,7 +525,7 @@ int main(int argc, char** argv) {
       sweep_only = true;
     } else if (std::strcmp(argv[i], "--steady-cycles") == 0) {
       // Only the cross-cycle steady-state section (fast iteration on the
-      // warm-start path). The emitted JSON has empty sweep sections, so it
+      // warm-start path). The emitted JSON has an empty sweep section, so it
       // is not a valid regression baseline.
       steady_only = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -727,15 +543,13 @@ int main(int argc, char** argv) {
     ::benchmark::Initialize(&argc, argv);
     ::benchmark::RunSpecifiedBenchmarks();
   }
-  std::vector<bds::SweepPoint> points;
   std::vector<bds::FleetPoint> fleet_points;
   if (!steady_only) {
-    points = bds::RunConfigSweep(smoke);
     fleet_points = bds::RunFleetSweep(smoke);
   }
   bds::SteadyCyclesStats steady = bds::RunSteadyCycles(smoke);
   if (!json_path.empty()) {
-    bds::WriteSweepJson(points, fleet_points, steady, smoke, json_path);
+    bds::WriteSweepJson(fleet_points, steady, smoke, json_path);
   }
   if (!smoke && !sweep_only && !steady_only) {
     bds::PrintDelayCdfs();

@@ -2,16 +2,15 @@
 // DCs over a small geo-distributed deployment, and print what happened.
 //
 //   ./quickstart [--dcs N] [--servers N] [--size-gb X] [--cycle S] [--verbose]
-//               [--threads N] [--shards K] [--warm-start] [--split-contended]
+//               [--threads N] [--shards K] [--warm-start]
 //               [--duration S] [--arrival-rate JOBS_PER_HOUR]
 //               [--trace-json PATH] [--summary-jsonl PATH]
 //               [--flight-recorder PATH] [--timeseries-dt S] [--slo-json PATH]
 //
 // --threads and --shards exercise the fleet-scale controller (DESIGN.md
 // "Sharded controller"); either may be raised without changing any decision.
-// --warm-start and --split-contended are the relaxed-parity cross-cycle
-// knobs (DESIGN.md §9.7): still deterministic, no longer bitwise-equal to
-// the cold/unsharded solve.
+// --warm-start is the relaxed-parity cross-cycle knob (DESIGN.md §9.7):
+// still deterministic, no longer bitwise-equal to the cold solve.
 //
 // With --duration the one-shot job is replaced by the long-running service
 // mode (DESIGN.md "Overload and graceful degradation"): open-loop arrivals
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
   int threads = 1;
   int shards = 1;
   bool warm_start = false;
-  bool split_contended = false;
   double duration = 0.0;
   double arrival_rate = 600.0;
   bool verbose = false;
@@ -70,8 +68,6 @@ int main(int argc, char** argv) {
   flags.AddInt("shards", &shards, "controller shards (selection + FPTAS groups)");
   flags.AddBool("warm-start", &warm_start,
                 "seed each cycle's routing FPTAS from the previous cycle (relaxed parity)");
-  flags.AddBool("split-contended", &split_contended,
-                "split contended FPTAS commodity groups across shards (relaxed parity)");
   flags.AddDouble("duration", &duration,
                   "steady-state mode: simulated seconds of open-loop arrivals (0 = one-shot)");
   flags.AddDouble("arrival-rate", &arrival_rate, "steady-state mode: jobs per hour");
@@ -119,7 +115,6 @@ int main(int argc, char** argv) {
   options.num_threads = std::max(1, threads);
   options.num_shards = std::max(1, shards);
   options.warm_start = warm_start;
-  options.split_contended = split_contended;
   auto service = bds::BdsService::Create(std::move(topo).value(), options);
   if (!service.ok()) {
     std::fprintf(stderr, "service: %s\n", service.status().ToString().c_str());

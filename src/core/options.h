@@ -32,13 +32,11 @@ struct BdsOptions {
   int num_threads = 1;
   int num_shards = 1;
   // Cross-cycle incrementality (DESIGN.md §9.7). warm_start seeds each
-  // cycle's routing FPTAS from the previous cycle's converged flows;
-  // split_contended splits giant contended commodity groups across shards.
-  // Both are relaxed-parity knobs: decisions stay feasible and
-  // deterministic for any thread/shard count, but are no longer
-  // bitwise-equal to the cold/unsharded solve. Off by default.
+  // cycle's routing FPTAS from the previous cycle's converged flows. A
+  // relaxed-parity knob: decisions stay feasible and deterministic for any
+  // thread/shard count, but are no longer bitwise-equal to the cold solve.
+  // Off by default.
   bool warm_start = false;
-  bool split_contended = false;
 
   // Control plane.
   DcId controller_dc = 0;

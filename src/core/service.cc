@@ -15,7 +15,6 @@ ControllerOptions ToControllerOptions(const BdsOptions& options) {
   c.algorithm.num_threads = options.num_threads;
   c.algorithm.num_shards = options.num_shards;
   c.algorithm.warm_start = options.warm_start;
-  c.algorithm.split_contended = options.split_contended;
   c.separation.safety_threshold = options.safety_threshold;
   c.separation.bulk_rate_cap = options.bulk_rate_cap;
   c.fallback.visibility = options.fallback_visibility;

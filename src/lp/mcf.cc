@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "src/common/status.h"
@@ -14,7 +13,6 @@
 namespace bds {
 
 using mcf_internal::FlatMcf;
-using mcf_internal::FlatPath;
 using mcf_internal::FlattenMcf;
 using mcf_internal::FptasWorkspace;
 
@@ -94,99 +92,14 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
   return result;
 }
 
-McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
-  BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
-  BDS_TIMED_SCOPE("fptas.reference");
-  McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
-  const FlatMcf flat = FlattenMcf(instance);
-  const std::vector<double>& cap = flat.cap;
-  const std::vector<FlatPath>& paths = flat.paths;
-  result.ok = true;
-  if (paths.empty()) {
-    return result;  // Nothing can flow.
-  }
-
-  const size_t num_edges = flat.num_edges();
-  const double delta = mcf_internal::FptasDelta(flat, epsilon);
-  std::vector<double> length(num_edges);
-  for (size_t l = 0; l < num_edges; ++l) {
-    length[l] = delta / cap[l];
-  }
-  std::vector<double> raw_flow(paths.size(), 0.0);
-
-  auto path_length = [&](const FlatPath& p) {
-    double s = 0.0;
-    for (int l : p.links) {
-      s += length[static_cast<size_t>(l)];
-    }
-    return s;
-  };
-
-  // Fleischer's phase structure [17]: instead of a global shortest-path
-  // search per push (Garg-Koenemann), iterate the commodities round-robin
-  // against a threshold alpha that grows by (1 + eps) per phase. A
-  // commodity keeps pushing along its cheapest path while that path is
-  // shorter than min(1, alpha * (1 + eps)); when every commodity's cheapest
-  // path reaches 1 the algorithm stops.
-  const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
-  int64_t pushes = 0;
-  int64_t phases = 0;
-  double alpha = delta * static_cast<double>(flat.max_len);
-  while (alpha < 1.0 && pushes < max_pushes) {
-    ++phases;
-    double threshold = std::min(1.0, alpha * (1.0 + epsilon));
-    for (size_t c = 0; c < flat.commodity_paths.size() && pushes < max_pushes; ++c) {
-      for (;;) {
-        // Cheapest of this commodity's paths.
-        int best = -1;
-        double best_len = threshold;
-        for (int pi : flat.commodity_paths[c]) {
-          double len = path_length(paths[static_cast<size_t>(pi)]);
-          if (len < best_len) {
-            best_len = len;
-            best = pi;
-          }
-        }
-        if (best < 0) {
-          break;  // Nothing under the threshold; next commodity.
-        }
-        const FlatPath& p = paths[static_cast<size_t>(best)];
-        double bottleneck = std::numeric_limits<double>::infinity();
-        for (int l : p.links) {
-          bottleneck = std::min(bottleneck, cap[static_cast<size_t>(l)]);
-        }
-        raw_flow[static_cast<size_t>(best)] += bottleneck;
-        for (int l : p.links) {
-          length[static_cast<size_t>(l)] *=
-              1.0 + epsilon * bottleneck / cap[static_cast<size_t>(l)];
-        }
-        if (++pushes >= max_pushes) {
-          break;
-        }
-      }
-    }
-    alpha *= 1.0 + epsilon;
-  }
-
-  BDS_TELEMETRY_COUNT("fptas.reference.solves", 1);
-  BDS_TELEMETRY_COUNT("fptas.reference.pushes", pushes);
-  BDS_TELEMETRY_COUNT("fptas.reference.phases", phases);
-  telemetry::TraceInstant("fptas.reference", "lp",
-                          {{"commodities", static_cast<double>(flat.commodity_paths.size())},
-                           {"paths", static_cast<double>(paths.size())},
-                           {"pushes", static_cast<double>(pushes)},
-                           {"phases", static_cast<double>(phases)}});
-  mcf_internal::FinalizeFptas(flat, epsilon, delta, raw_flow, result);
-  return result;
-}
-
 // The tuned solver: Fleischer's phase structure over a flat CSR form with
 // incrementally maintained lower bounds. The loop itself lives in
 // mcf_internal::RunFptasPushLoop, parameterized by the commodity subset it
 // may push for, so the sharded solver (mcf_shard.cc) runs the identical code
 // over link-disjoint subsets; here the subset is every commodity. The push
-// sequence — and therefore every per-path flow — is bit-identical to
-// SolveMcfFptasReference (see the parity property tests): when a commodity
+// sequence — and therefore every per-path flow — is bit-identical to the
+// straightforward Fleischer loop (tests/oracles.cc, checked by the parity
+// property tests): when a commodity
 // IS consulted, its path lengths are recomputed by fresh scans in link order
 // (the identical floating-point sums), the structured-shape fast kinds only
 // reorder provably-equal arithmetic (sentinel adds of 0.0, hoisted shared

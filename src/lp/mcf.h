@@ -65,8 +65,9 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // branch-free unrolled scans and a post-push last-link bound that skips the
 // confirmation rescan; a per-commodity cached minimum retires or skips
 // commodities whole phases at a time. The push sequence — and therefore
-// every per-path flow — is bit-identical to SolveMcfFptasReference (see the
-// parity property tests).
+// every per-path flow — is bit-identical to the straightforward Fleischer
+// loop kept as a test oracle (tests/oracles.h; see the parity property
+// tests).
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1);
 
 // Warm-start seed for the FPTAS solvers: a previous solve's *finalized*
@@ -76,10 +77,9 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1);
 // a commodity's current demand are clamped proportionally by the seeder.
 //
 // Warm solves obey the relaxed-parity contract (DESIGN.md §9.7): the result
-// is feasible, deterministic for any thread count (and, without
-// split_contended, bitwise-invariant to the shard count), and the objective
-// stays within (1 + epsilon) of the cold solve's — but it is NOT bitwise
-// equal to the cold solve.
+// is feasible, deterministic for any thread count, bitwise-invariant to the
+// shard count, and the objective stays within (1 + epsilon) of the cold
+// solve's — but it is NOT bitwise equal to the cold solve.
 struct McfWarmSeed {
   std::vector<std::vector<double>> flows;
 
@@ -99,12 +99,6 @@ struct McfWarmInfo {
 // empty seed degenerates to the cold solver above, bit for bit.
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon,
                         const McfWarmSeed* warm, McfWarmInfo* warm_info = nullptr);
-
-// The original straightforward Fleischer loop (full rescan of a commodity's
-// path lengths per push, every commodity visited every phase). Retained as
-// the ground truth the incremental solver must match exactly; used by the
-// parity property tests and the bench ablation.
-McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon = 0.1);
 
 // Validation helper shared by tests: largest relative link-capacity
 // violation of `result` against `instance` (0 = fully feasible).

@@ -1,9 +1,10 @@
 // Shared internals of the Fleischer/Garg–Könemann FPTAS solvers.
 //
-// SolveMcfFptas, SolveMcfFptasReference, and SolveMcfFptasSharded all run the
-// same multiplicative-weights dynamics over the same flattened instance; this
-// header exposes the pieces they share so the sharded solver (mcf_shard.cc)
-// can be bit-compatible with the global one by construction:
+// SolveMcfFptas, SolveMcfFptasSharded, and the reference loop kept as a test
+// oracle (tests/oracles.cc) all run the same multiplicative-weights dynamics
+// over the same flattened instance; this header exposes the pieces they share
+// so the sharded solver (mcf_shard.cc) can be bit-compatible with the global
+// one by construction:
 //
 //  * FlatMcf / FlattenMcf — the flattened form (demands reduced to virtual
 //    edges, dead paths dropped). Every derived constant of the algorithm —
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/huge_alloc.h"
 #include "src/lp/mcf.h"
 
 namespace bds {
@@ -86,9 +86,6 @@ void FinalizeFptas(const FlatMcf& flat, double epsilon, double delta,
 // CSR layout, per-path bottlenecks/factors, structured-shape detection and
 // padded fast rows). Pure function of (flat, epsilon); read-only during the
 // loop, so one workspace serves any number of concurrent per-shard loops.
-// The CSR buffers are HugeVectors: at the fleet scale the push loop streams
-// them every phase, and transparent hugepages cut the TLB pressure; on
-// kernels without anon THP the allocator falls back silently.
 struct FptasWorkspace {
   FptasWorkspace(const FlatMcf& flat, double epsilon);
 
@@ -96,25 +93,25 @@ struct FptasWorkspace {
   size_t num_paths = 0;
   size_t num_commodities = 0;
   // CSR: path i's links at path_links[path_off[i] .. path_off[i+1]).
-  HugeVector<int32_t> path_off;
-  HugeVector<int32_t> path_links;
-  HugeVector<double> path_factor;  // Per-link length multiplier of a push.
-  HugeVector<double> path_bneck;   // Static bottleneck capacity per path.
+  std::vector<int32_t> path_off;
+  std::vector<int32_t> path_links;
+  std::vector<double> path_factor;  // Per-link length multiplier of a push.
+  std::vector<double> path_bneck;   // Static bottleneck capacity per path.
   // CSR: commodity c's path ids at cp_ids[cp_off[c] .. cp_off[c+1]).
-  HugeVector<int32_t> cp_off;
-  HugeVector<int32_t> cp_ids;
+  std::vector<int32_t> cp_off;
+  std::vector<int32_t> cp_ids;
   // Structured-shape tables (shared first/penultimate/last links; see
   // SolveMcfFptas's commentary).
-  HugeVector<int32_t> com_first;
-  HugeVector<int32_t> com_penult;
-  HugeVector<int32_t> com_last;
-  HugeVector<uint8_t> com_kind;  // kGeneric/kStructured/kFast3/kFast1.
-  HugeVector<int32_t> mid_off;
-  HugeVector<int32_t> mid_links;
-  HugeVector<int32_t> fm_base;
-  HugeVector<int32_t> fast_mids;
-  HugeVector<int32_t> push5_ids;
-  HugeVector<double> push5_fac;
+  std::vector<int32_t> com_first;
+  std::vector<int32_t> com_penult;
+  std::vector<int32_t> com_last;
+  std::vector<uint8_t> com_kind;  // kGeneric/kStructured/kFast3/kFast1.
+  std::vector<int32_t> mid_off;
+  std::vector<int32_t> mid_links;
+  std::vector<int32_t> fm_base;
+  std::vector<int32_t> fast_mids;
+  std::vector<int32_t> push5_ids;
+  std::vector<double> push5_fac;
 
   static constexpr uint8_t kGeneric = 0, kStructured = 1, kFast3 = 2, kFast1 = 3;
 };

@@ -176,49 +176,6 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
     for (Group& g : groups) {
       std::sort(g.commodities.begin(), g.commodities.end());
     }
-
-    if (options.split_contended) {
-      // Contended instances collapse into few giant components; split the
-      // heaviest groups into contiguous commodity ranges until every shard
-      // has work. Each piece runs against the full capacities and the merge
-      // normalization restores feasibility — deterministic, but no longer
-      // bitwise-equal to the unsharded solve.
-      int64_t total_weight = 0;
-      for (const Group& g : groups) {
-        total_weight += g.weight;
-      }
-      const int64_t target = total_weight / options.num_shards + 1;
-      while (static_cast<int>(groups.size()) < options.num_shards) {
-        size_t heaviest = 0;
-        for (size_t g = 1; g < groups.size(); ++g) {
-          if (groups[g].weight > groups[heaviest].weight) {
-            heaviest = g;
-          }
-        }
-        Group& heavy = groups[heaviest];
-        if (heavy.weight <= target || heavy.commodities.size() < 2) {
-          break;
-        }
-        // Split at the weight midpoint, keeping both halves contiguous (and
-        // therefore ascending).
-        Group tail;
-        int64_t acc = 0;
-        size_t cut = 1;
-        for (; cut < heavy.commodities.size(); ++cut) {
-          acc += com_weight[static_cast<size_t>(heavy.commodities[cut - 1])];
-          if (acc * 2 >= heavy.weight) {
-            break;
-          }
-        }
-        tail.commodities.assign(heavy.commodities.begin() + static_cast<ptrdiff_t>(cut),
-                                heavy.commodities.end());
-        heavy.commodities.resize(cut);
-        tail.weight = heavy.weight - acc;
-        heavy.weight = acc;
-        groups.push_back(std::move(tail));
-        st.split_mode_used = true;
-      }
-    }
   }
   st.num_groups = static_cast<int>(groups.size());
 
@@ -233,8 +190,8 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
 
   // Warm start: seed raw flow / lengths / cached minima / the alpha-ladder
   // entry ONCE from the global instance. Every group starts from a private
-  // copy of the seeded length vector, so (without split_contended) the warm
-  // result stays bitwise-invariant to the shard count.
+  // copy of the seeded length vector, so the warm result stays
+  // bitwise-invariant to the shard count.
   const bool use_warm = warm != nullptr && !warm->empty();
   mcf_internal::FptasWarmState wstate;
   if (use_warm) {
@@ -282,9 +239,8 @@ McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
     for (size_t g = begin; g < end; ++g) {
       // Private length vector per group (plus the sentinel slot, pinned to
       // 0.0): initialized exactly like the unsharded solver's, and since the
-      // group's commodities are link-disjoint from every other group's (in
-      // parity mode), the entries it reads evolve identically to the global
-      // run's.
+      // group's commodities are link-disjoint from every other group's, the
+      // entries it reads evolve identically to the global run's.
       std::vector<double> length;
       init_length(length);
       mcf_internal::FptasLoopControl control;

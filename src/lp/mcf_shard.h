@@ -26,19 +26,14 @@
 // Because groups are link-disjoint, step 4's pushes are bit-identical to the
 // unsharded loop's (RunFptasPushLoop's parity contract) and step 5 consumes
 // a bitwise-equal raw-flow array — so the returned result equals
-// SolveMcfFptas's bit for bit, for ANY shard count and thread count. The one
-// documented exception: the per-group push budget is counted per group, so a
-// run wedged against MaxPushes (never observed outside adversarial inputs)
-// may cut off at a different push than the global counter would.
+// SolveMcfFptas's bit for bit, for ANY shard count and thread count. The
+// per-group push budget is counted per group, so a run whose summed pushes
+// reach MaxPushes (never observed outside adversarial inputs) is discarded
+// and redone as one serial loop, which keeps even wedged runs bit-identical.
 //
 // When the instance is one giant component (heavily contended links
 // everywhere), link-disjoint decomposition yields a single group and the
-// solve is effectively unsharded. Options::split_contended trades the parity
-// guarantee for parallelism there: oversized groups are split into
-// contiguous commodity ranges that each run against the full budget, and the
-// merge normalization enforces feasibility of the combined flow. Still fully
-// deterministic — just no longer bitwise-equal to the unsharded path — and
-// off by default.
+// solve is effectively unsharded.
 
 #ifndef BDS_SRC_LP_MCF_SHARD_H_
 #define BDS_SRC_LP_MCF_SHARD_H_
@@ -52,11 +47,6 @@ namespace bds {
 
 struct McfShardOptions {
   int num_shards = 1;
-  // Split link-sharing components larger than (total weight / num_shards)
-  // into contiguous commodity ranges to recover parallelism on contended
-  // instances. Deterministic but NOT bitwise-equal to the unsharded solver;
-  // the merge normalization keeps the combined flow feasible.
-  bool split_contended = false;
   // Test seam: replaces the MaxPushes-derived push budget when > 0, forcing
   // the wedge path on small instances. 0 = the real budget.
   int64_t max_pushes_override = 0;
@@ -66,7 +56,6 @@ struct McfShardStats {
   int num_components = 0;    // Link-sharing components found.
   int num_groups = 0;        // Groups actually solved (<= num_shards).
   int largest_group_paths = 0;
-  bool split_mode_used = false;
   // The summed group pushes reached the global budget, so the sharded run
   // was discarded and redone as one serial loop (bitwise equal to the
   // unsharded solver's wedged run).
@@ -79,15 +68,14 @@ struct McfShardStats {
 };
 
 // Drop-in replacement for SolveMcfFptas(instance, epsilon): same result, bit
-// for bit, when options.split_contended is false (see file commentary).
-// `pool` may be null (serial). `stats` is optional.
+// for bit (see file commentary). `pool` may be null (serial). `stats` is
+// optional.
 //
 // `warm` (optional) seeds every group's multiplicative-weights state from a
 // previous solve's finalized flows (see McfWarmSeed in mcf.h). The seed and
 // the alpha-ladder entry are computed ONCE from the global instance, so a
-// warm solve without split_contended remains bitwise-invariant to the shard
-// count — though not bitwise-equal to the cold solve (relaxed parity,
-// DESIGN.md §9.7).
+// warm solve remains bitwise-invariant to the shard count — though not
+// bitwise-equal to the cold solve (relaxed parity, DESIGN.md §9.7).
 McfResult SolveMcfFptasSharded(const McfInstance& instance, double epsilon,
                                const McfShardOptions& options, ParallelRunner* pool,
                                McfShardStats* stats = nullptr,

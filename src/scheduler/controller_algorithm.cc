@@ -169,264 +169,184 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   const SchedulingPolicy policy = options_.policy;
   const int num_shards = options_.num_shards;
   // The candidate build touches every pending delivery (up to 10^7 at the
-  // fleet scale). Three builders, byte-identical output:
-  //  * Incremental (the default): the previous cycle's slot array is patched
-  //    — clean (job, 64-block chunk) units are memcpy'd with their packed
-  //    job position adjusted, and only units ReplicaState stamped dirty
-  //    since the last build are re-priced and re-filled. Amortized cost is
-  //    O(churn), not O(pending) (DESIGN.md §9.7).
-  //  * Unsharded from-scratch: one streaming pass emits packed keys and
-  //    duplicate counts in discovery order; the salt hashes — the
-  //    arithmetic bulk — are either fused into the same pass (serial) or
-  //    filled in by the pool over pre-sized slots (thread-count-invariant).
-  //    kSequential's salt is the key itself: packed coordinates sort exactly
-  //    like pending indices.
-  //  * Sharded from-scratch (num_shards > 1): (job, block-chunk) units are
-  //    priced with CountOwedInRange (one popcount per block, in parallel),
-  //    prefix-summed into exact slots of the global array, and filled in
-  //    parallel with ForEachOwedInRange + fused salts. Slots reproduce
-  //    ForEachOwed order exactly, so the array — and everything downstream —
-  //    is identical.
-  CandVec& initial = cand_work_;
-  initial.clear();
-  if (options_.incremental_candidates) {
-    CandidateCache& cache = cand_cache_;
-    // The cache may only be patched forward when it describes the previous
-    // cycle of this exact ReplicaState object under the same policy; any
-    // mismatch (fresh state copy, skipped cycle, explicit invalidation)
-    // degrades to an all-dirty build that refills it.
-    const bool warm = cache.valid && cache.state_uid == state.state_uid() &&
-                      cache.policy == policy && cycle == cache.last_cycle + 1;
-    constexpr int64_t kUnitBlocks = ReplicaState::kDirtyChunkBlocks;
-    // New unit list: one unit per (job, chunk), in ForEachOwed order.
-    std::vector<CandidateUnit> units;
-    {
-      size_t total_units = 0;
-      for (const MulticastJob* job : jobs_by_pos) {
-        total_units += static_cast<size_t>((job->num_blocks() + kUnitBlocks - 1) / kUnitBlocks);
+  // fleet scale), so it is a delta build: the previous cycle's slot array is
+  // patched — clean (job, 64-block chunk) units are memcpy'd with their
+  // packed job position adjusted, and only units ReplicaState stamped dirty
+  // since the last build are re-priced (CountOwedInRange, one popcount per
+  // block) and re-filled (ForEachOwedInRange with fused salts, in parallel
+  // over exact prefix-summed slots). Amortized cost is O(churn), not
+  // O(pending) (DESIGN.md §9.7). With a cold cache every unit is dirty, which
+  // makes the same code the from-scratch build. Slots reproduce ForEachOwed
+  // order exactly; kSequential's salt is the key itself, since packed
+  // coordinates sort exactly like pending indices.
+  CandidateCache& cache = cand_cache_;
+  // The cache may only be patched forward when it describes the previous
+  // cycle of this exact ReplicaState object under the same policy; any
+  // mismatch (fresh state copy, skipped cycle, explicit invalidation)
+  // degrades to an all-dirty build that refills it.
+  const bool warm = cache.valid && cache.state_uid == state.state_uid() &&
+                    cache.policy == policy && cycle == cache.last_cycle + 1;
+  constexpr int64_t kUnitBlocks = ReplicaState::kDirtyChunkBlocks;
+  // New unit list: one unit per (job, chunk), in ForEachOwed order.
+  std::vector<CandidateUnit> units;
+  {
+    size_t total_units = 0;
+    for (const MulticastJob* job : jobs_by_pos) {
+      total_units += static_cast<size_t>((job->num_blocks() + kUnitBlocks - 1) / kUnitBlocks);
+    }
+    units.reserve(total_units);
+  }
+  for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
+    const MulticastJob* job = jobs_by_pos[jp];
+    const int64_t nblocks = job->num_blocks();
+    for (int64_t b0 = 0; b0 < nblocks; b0 += kUnitBlocks) {
+      CandidateUnit u;
+      u.job = job->id;
+      u.b0 = b0;
+      u.jp = static_cast<uint32_t>(jp);
+      units.push_back(u);
+    }
+  }
+  // Old-unit lookup: a job's units are contiguous and chunk-aligned in
+  // both lists, so old unit = (job's first old unit) + chunk index. Job
+  // retirement only shifts positions — the fill pass patches the packed
+  // jp bit field of reused slots directly.
+  std::vector<int64_t> old_first(jobs_by_pos.size(), -1);
+  if (warm) {
+    std::unordered_map<JobId, int64_t> first_by_job;
+    first_by_job.reserve(jobs_by_pos.size() * 2);
+    for (size_t u = 0; u < cache.units.size(); ++u) {
+      if (u == 0 || cache.units[u].job != cache.units[u - 1].job) {
+        first_by_job.emplace(cache.units[u].job, static_cast<int64_t>(u));
       }
-      units.reserve(total_units);
     }
     for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-      const MulticastJob* job = jobs_by_pos[jp];
-      const int64_t nblocks = job->num_blocks();
-      for (int64_t b0 = 0; b0 < nblocks; b0 += kUnitBlocks) {
-        CandidateUnit u;
-        u.job = job->id;
-        u.b0 = b0;
-        u.jp = static_cast<uint32_t>(jp);
-        units.push_back(u);
+      auto it = first_by_job.find(jobs_by_pos[jp]->id);
+      if (it != first_by_job.end()) {
+        old_first[jp] = it->second;
       }
     }
-    // Old-unit lookup: a job's units are contiguous and chunk-aligned in
-    // both lists, so old unit = (job's first old unit) + chunk index. Job
-    // retirement only shifts positions — the fill pass patches the packed
-    // jp bit field of reused slots directly.
-    std::vector<int64_t> old_first(jobs_by_pos.size(), -1);
-    if (warm) {
-      std::unordered_map<JobId, int64_t> first_by_job;
-      first_by_job.reserve(jobs_by_pos.size() * 2);
-      for (size_t u = 0; u < cache.units.size(); ++u) {
-        if (u == 0 || cache.units[u].job != cache.units[u - 1].job) {
-          first_by_job.emplace(cache.units[u].job, static_cast<int64_t>(u));
+  }
+  // Classify + price pass: clean units keep their cached count; dirty
+  // units are re-priced with one popcount per block.
+  const uint64_t seen = cache.seen_epoch;
+  std::vector<int64_t> unit_count(units.size(), 0);
+  std::vector<int64_t> unit_old(units.size(), -1);  // Old unit idx if clean.
+  pool_.For(units.size(), [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      const CandidateUnit& cu = units[u];
+      const int64_t chunk = cu.b0 / kUnitBlocks;
+      if (warm && old_first[cu.jp] >= 0) {
+        const size_t oi = static_cast<size_t>(old_first[cu.jp] + chunk);
+        if (oi < cache.units.size() && cache.units[oi].job == cu.job &&
+            cache.units[oi].b0 == cu.b0 && state.ChunkVersion(cu.jp, chunk) <= seen) {
+          unit_count[u] = cache.units[oi].count;
+          unit_old[u] = static_cast<int64_t>(oi);
+          continue;
         }
       }
-      for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-        auto it = first_by_job.find(jobs_by_pos[jp]->id);
-        if (it != first_by_job.end()) {
-          old_first[jp] = it->second;
-        }
-      }
+      unit_count[u] = state.CountOwedInRange(cu.jp, cu.b0, cu.b0 + kUnitBlocks);
     }
-    // Classify + price pass: clean units keep their cached count; dirty
-    // units are re-priced with one popcount per block.
-    const uint64_t seen = cache.seen_epoch;
-    std::vector<int64_t> unit_count(units.size(), 0);
-    std::vector<int64_t> unit_old(units.size(), -1);  // Old unit idx if clean.
-    pool_.For(units.size(), [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        const CandidateUnit& cu = units[u];
-        const int64_t chunk = cu.b0 / kUnitBlocks;
-        if (warm && old_first[cu.jp] >= 0) {
-          const size_t oi = static_cast<size_t>(old_first[cu.jp] + chunk);
-          if (oi < cache.units.size() && cache.units[oi].job == cu.job &&
-              cache.units[oi].b0 == cu.b0 && state.ChunkVersion(cu.jp, chunk) <= seen) {
-            unit_count[u] = cache.units[oi].count;
-            unit_old[u] = static_cast<int64_t>(oi);
-            continue;
-          }
-        }
-        unit_count[u] = state.CountOwedInRange(cu.jp, cu.b0, cu.b0 + kUnitBlocks);
-      }
-    });
-    int64_t units_reused = 0, slots_reused = 0;
-    uint64_t total = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-      units[u].offset = total;
-      units[u].count = static_cast<uint32_t>(unit_count[u]);
-      total += static_cast<uint64_t>(unit_count[u]);
+  });
+  int64_t units_reused = 0, slots_reused = 0;
+  uint64_t total = 0;
+  for (size_t u = 0; u < units.size(); ++u) {
+    units[u].offset = total;
+    units[u].count = static_cast<uint32_t>(unit_count[u]);
+    total += static_cast<uint64_t>(unit_count[u]);
+    if (unit_old[u] >= 0) {
+      ++units_reused;
+      slots_reused += unit_count[u];
+    }
+  }
+  BDS_CHECK(total == static_cast<uint64_t>(state.num_pending()));
+  // Fill pass into the double buffer: clean units are copied from the old
+  // array with the packed jp field patched (kSequential's salt IS the
+  // key, so it is re-derived); dirty units stream ForEachOwedInRange with
+  // fused salts.
+  CandVec& out = cache.scratch;
+  out.resize(static_cast<size_t>(total));
+  pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      const CandidateUnit& cu = units[u];
       if (unit_old[u] >= 0) {
-        ++units_reused;
-        slots_reused += unit_count[u];
-      }
-    }
-    BDS_CHECK(total == static_cast<uint64_t>(state.num_pending()));
-    // Fill pass into the double buffer: clean units are copied from the old
-    // array with the packed jp field patched (kSequential's salt IS the
-    // key, so it is re-derived); dirty units stream ForEachOwedInRange with
-    // fused salts, exactly like the from-scratch builders.
-    CandVec& out = cache.scratch;
-    out.resize(static_cast<size_t>(total));
-    pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        const CandidateUnit& cu = units[u];
-        if (unit_old[u] >= 0) {
-          const CandidateUnit& old = cache.units[static_cast<size_t>(unit_old[u])];
-          const Candidate* src = cache.slots.data() + old.offset;
-          Candidate* dst = out.data() + cu.offset;
-          std::copy(src, src + cu.count, dst);
-          if (old.jp != cu.jp) {
-            // Two's-complement delta: the jp field occupies the top 16 bits,
-            // and the low 48 bits are unchanged, so adding the (possibly
-            // negative) difference shifted into place never borrows across.
-            const uint64_t jp_delta =
-                (static_cast<uint64_t>(cu.jp) - static_cast<uint64_t>(old.jp)) << 48;
-            for (uint32_t i = 0; i < cu.count; ++i) {
-              dst[i].key += jp_delta;
-              if (policy == SchedulingPolicy::kSequential) {
-                dst[i].salt = dst[i].key;
-              }
+        const CandidateUnit& old = cache.units[static_cast<size_t>(unit_old[u])];
+        const Candidate* src = cache.slots.data() + old.offset;
+        Candidate* dst = out.data() + cu.offset;
+        std::copy(src, src + cu.count, dst);
+        if (old.jp != cu.jp) {
+          // Two's-complement delta: the jp field occupies the top 16 bits,
+          // and the low 48 bits are unchanged, so adding the (possibly
+          // negative) difference shifted into place never borrows across.
+          const uint64_t jp_delta =
+              (static_cast<uint64_t>(cu.jp) - static_cast<uint64_t>(old.jp)) << 48;
+          for (uint32_t i = 0; i < cu.count; ++i) {
+            dst[i].key += jp_delta;
+            if (policy == SchedulingPolicy::kSequential) {
+              dst[i].salt = dst[i].key;
             }
           }
-        } else {
-          size_t w = static_cast<size_t>(cu.offset);
-          state.ForEachOwedInRange(
-              cu.jp, cu.b0, cu.b0 + kUnitBlocks,
-              [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc,
-                  int dups) {
-                const uint64_t key = pack_key(jp, block, dp);
-                out[w++] = Candidate{
-                    policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-                    policy == SchedulingPolicy::kSequential ? key
-                                                            : candidate_salt(job.id, block, dc),
-                    key};
-              });
-          BDS_CHECK(w == static_cast<size_t>(cu.offset) + cu.count);
         }
-      }
-    });
-    std::swap(cache.slots, cache.scratch);
-    cache.units = std::move(units);
-    cache.valid = true;
-    cache.state_uid = state.state_uid();
-    cache.seen_epoch = state.dirty_epoch();
-    cache.last_cycle = cycle;
-    cache.policy = policy;
-    if (options_.debug_verify_incremental) {
-      // From-scratch reference stream, compared slot by slot.
-      size_t idx = 0;
-      bool match = true;
-      state.ForEachOwed(
-          [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
-            const uint64_t key = pack_key(jp, block, dp);
-            const Candidate ref{
-                policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-                policy == SchedulingPolicy::kSequential ? key : candidate_salt(job.id, block, dc),
-                key};
-            const Candidate& got = cache.slots[idx++];
-            if (got.eff_dup != ref.eff_dup || got.salt != ref.salt || got.key != ref.key) {
-              match = false;
-            }
-          });
-      BDS_CHECK_MSG(match && idx == static_cast<size_t>(total),
-                    "incremental candidate build diverged from the from-scratch reference");
-    }
-    // The selection loop permutes its array, so it works on a copy and the
-    // cache keeps the pristine slots for the next cycle's patch pass.
-    initial.resize(static_cast<size_t>(total));
-    pool_.For(initial.size(), [&](size_t begin, size_t end) {
-      std::copy(cache.slots.begin() + static_cast<ptrdiff_t>(begin),
-                cache.slots.begin() + static_cast<ptrdiff_t>(end),
-                initial.begin() + static_cast<ptrdiff_t>(begin));
-    });
-    decision.cand_units_reused = units_reused;
-    decision.cand_units_repriced = static_cast<int64_t>(cache.units.size()) - units_reused;
-    decision.cand_slots_reused = slots_reused;
-    decision.cand_slots_repriced = static_cast<int64_t>(total) - slots_reused;
-    BDS_TELEMETRY_COUNT("scheduler.cand_units_reused", decision.cand_units_reused);
-    BDS_TELEMETRY_COUNT("scheduler.cand_units_repriced", decision.cand_units_repriced);
-    BDS_TELEMETRY_COUNT("scheduler.cand_slots_reused", decision.cand_slots_reused);
-    BDS_TELEMETRY_COUNT("scheduler.cand_slots_repriced", decision.cand_slots_repriced);
-  } else if (num_shards > 1) {
-    struct BuildUnit {
-      size_t jp = 0;
-      int64_t b0 = 0, b1 = 0;
-      size_t offset = 0;
-    };
-    constexpr int64_t kBuildChunk = int64_t{1} << 16;
-    std::vector<BuildUnit> units;
-    for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-      const int64_t nblocks = jobs_by_pos[jp]->num_blocks();
-      for (int64_t b0 = 0; b0 < nblocks; b0 += kBuildChunk) {
-        units.push_back(BuildUnit{jp, b0, std::min(nblocks, b0 + kBuildChunk), 0});
-      }
-    }
-    std::vector<int64_t> unit_count(units.size(), 0);
-    pool_.For(units.size(), [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        unit_count[u] = state.CountOwedInRange(units[u].jp, units[u].b0, units[u].b1);
-      }
-    });
-    size_t total = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-      units[u].offset = total;
-      total += static_cast<size_t>(unit_count[u]);
-    }
-    BDS_CHECK(total == static_cast<size_t>(state.num_pending()));
-    initial.resize(total);
-    pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
-      for (size_t u = begin; u < end; ++u) {
-        size_t w = units[u].offset;
+      } else {
+        size_t w = static_cast<size_t>(cu.offset);
         state.ForEachOwedInRange(
-            units[u].jp, units[u].b0, units[u].b1,
+            cu.jp, cu.b0, cu.b0 + kUnitBlocks,
             [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc,
                 int dups) {
               const uint64_t key = pack_key(jp, block, dp);
-              initial[w++] = Candidate{
+              out[w++] = Candidate{
                   policy == SchedulingPolicy::kRarestFirst ? dups : 0,
                   policy == SchedulingPolicy::kSequential ? key
                                                           : candidate_salt(job.id, block, dc),
                   key};
             });
-        BDS_CHECK(w == units[u].offset + static_cast<size_t>(unit_count[u]));
+        BDS_CHECK(w == static_cast<size_t>(cu.offset) + cu.count);
       }
-    });
-  } else {
-    const bool parallel_salt =
-        pool_.num_threads() > 1 && policy != SchedulingPolicy::kSequential;
-    initial.reserve(static_cast<size_t>(state.num_pending()));
+    }
+  });
+  std::swap(cache.slots, cache.scratch);
+  cache.units = std::move(units);
+  cache.valid = true;
+  cache.state_uid = state.state_uid();
+  cache.seen_epoch = state.dirty_epoch();
+  cache.last_cycle = cycle;
+  cache.policy = policy;
+  if (options_.debug_verify_incremental) {
+    // From-scratch reference stream, compared slot by slot.
+    size_t idx = 0;
+    bool match = true;
     state.ForEachOwed(
         [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
           const uint64_t key = pack_key(jp, block, dp);
-          uint64_t salt = key;
-          if (policy != SchedulingPolicy::kSequential) {
-            salt = parallel_salt ? 0 : candidate_salt(job.id, block, dc);
+          const Candidate ref{
+              policy == SchedulingPolicy::kRarestFirst ? dups : 0,
+              policy == SchedulingPolicy::kSequential ? key : candidate_salt(job.id, block, dc),
+              key};
+          const Candidate& got = cache.slots[idx++];
+          if (got.eff_dup != ref.eff_dup || got.salt != ref.salt || got.key != ref.key) {
+            match = false;
           }
-          initial.push_back(
-              Candidate{policy == SchedulingPolicy::kRarestFirst ? dups : 0, salt, key});
         });
-    if (parallel_salt) {
-      pool_.For(initial.size(), [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const uint64_t key = initial[i].key;
-          const MulticastJob* job = jobs_by_pos[key >> 48];
-          initial[i].salt =
-              candidate_salt(job->id, static_cast<int64_t>((key >> 6) & kBlockMask),
-                             job->dest_dcs[key & 63]);
-        }
-      });
-    }
+    BDS_CHECK_MSG(match && idx == static_cast<size_t>(total),
+                  "incremental candidate build diverged from the from-scratch reference");
   }
+  // The selection loop permutes its array, so it works on a copy and the
+  // cache keeps the pristine slots for the next cycle's patch pass.
+  CandVec& cands = cand_work_;
+  cands.resize(static_cast<size_t>(total));
+  pool_.For(cands.size(), [&](size_t begin, size_t end) {
+    std::copy(cache.slots.begin() + static_cast<ptrdiff_t>(begin),
+              cache.slots.begin() + static_cast<ptrdiff_t>(end),
+              cands.begin() + static_cast<ptrdiff_t>(begin));
+  });
+  decision.cand_units_reused = units_reused;
+  decision.cand_units_repriced = static_cast<int64_t>(cache.units.size()) - units_reused;
+  decision.cand_slots_reused = slots_reused;
+  decision.cand_slots_repriced = static_cast<int64_t>(total) - slots_reused;
+  BDS_TELEMETRY_COUNT("scheduler.cand_units_reused", decision.cand_units_reused);
+  BDS_TELEMETRY_COUNT("scheduler.cand_units_repriced", decision.cand_units_repriced);
+  BDS_TELEMETRY_COUNT("scheduler.cand_slots_reused", decision.cand_slots_reused);
+  BDS_TELEMETRY_COUNT("scheduler.cand_slots_repriced", decision.cand_slots_repriced);
 
   // Candidate queue. Pops always extract the global minimum of the remaining
   // candidates under the strict total order (eff_dup, salt, index) — indices
@@ -434,34 +354,23 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   // the identical sequence. That is the whole parity argument for sharding
   // the queue: K per-shard queues over contiguous ranges of the array plus a
   // K-way merge at pop time still return the global minimum every time.
-  // Implementations (selected by the early-exit knob and num_shards):
-  //  * heap: O(P) heapify up front (never per-push insertion — at 10^6
-  //    outstanding blocks that alone would blow Fig 11a's budget). With
-  //    K > 1, one min-heap per shard range, heapified in parallel.
-  //  * chunked (with the early-exit knob): nth_element carves the kChunk
-  //    smallest candidates out of the shard's unsorted tail and sorts just
-  //    those; stale re-pushes go to a small global side heap merged at pop
-  //    time. Every tail element is >= every carved element of its shard, so
-  //    min(shard run fronts, side top) is the global minimum. The early exit
-  //    keeps the pop count in the thousands, so one carve per shard usually
-  //    suffices. With K > 1 the initial carves run in parallel (each shard's
-  //    carve touches only its own range); re-carves happen lazily in-pop.
-  const bool chunked = options_.use_sched_early_exit;
+  // Each shard is chunked: nth_element carves the kChunk smallest candidates
+  // out of the shard's unsorted tail and sorts just those; stale re-pushes go
+  // to a small global side heap merged at pop time. Every tail element is >=
+  // every carved element of its shard, so min(shard run fronts, side top) is
+  // the global minimum. The early exit keeps the pop count in the thousands,
+  // so one carve per shard usually suffices. With K > 1 the initial carves
+  // run in parallel (each shard's carve touches only its own range);
+  // re-carves happen lazily in-pop.
   constexpr size_t kChunk = 16384;
   auto cand_less = [](const Candidate& a, const Candidate& b) { return b > a; };
-  auto cand_greater = [](const Candidate& a, const Candidate& b) { return a > b; };
   struct ShardQueue {
     size_t begin = 0, end = 0;        // This shard's slice of cands.
-    size_t run_pos = 0, run_end = 0;  // Chunked: sorted run.
-    size_t tail = 0;                  // Chunked: unsorted remainder start.
-    size_t heap_end = 0;              // Heap mode: min-heap over [begin, heap_end).
-    size_t chunk = kChunk;            // Chunked: next carve size (doubles).
+    size_t run_pos = 0, run_end = 0;  // Sorted run.
+    size_t tail = 0;                  // Unsorted remainder start.
+    size_t chunk = kChunk;            // Next carve size (doubles).
   };
-  CandVec& cands = cand_work_;  // Alias: the build above filled it in place.
-  std::vector<ShardQueue> shards;
   std::priority_queue<Candidate, CandVec, std::greater<Candidate>> side;
-  // Legacy K == 1 heap mode keeps the single priority_queue path untouched.
-  const bool shard_queues = chunked || num_shards > 1;
   auto carve = [&](ShardQueue& sh) {  // Pre: sh.tail < sh.end.
     const size_t k = std::min(sh.chunk, sh.end - sh.tail);
     // Each re-carve pays an nth_element pass over the shard's whole
@@ -479,45 +388,30 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
     sh.run_end = sh.tail + k;
     sh.tail = sh.run_end;
   };
-  if (shard_queues) {
-    const size_t n = cands.size();
-    const size_t S = static_cast<size_t>(num_shards);
-    shards.resize(S);
-    for (size_t s = 0; s < S; ++s) {
-      ShardQueue& sh = shards[s];
-      sh.begin = n * s / S;
-      sh.end = n * (s + 1) / S;
-      sh.run_pos = sh.run_end = sh.tail = sh.begin;
-      sh.heap_end = sh.end;
-    }
-    if (!chunked) {
-      pool_.For(S, [&](size_t b, size_t e) {
-        for (size_t s = b; s < e; ++s) {
-          std::make_heap(cands.begin() + static_cast<ptrdiff_t>(shards[s].begin),
-                         cands.begin() + static_cast<ptrdiff_t>(shards[s].end), cand_greater);
+  const size_t n = cands.size();
+  const size_t S = static_cast<size_t>(num_shards);
+  std::vector<ShardQueue> shards(S);
+  for (size_t s = 0; s < S; ++s) {
+    ShardQueue& sh = shards[s];
+    sh.begin = n * s / S;
+    sh.end = n * (s + 1) / S;
+    sh.run_pos = sh.run_end = sh.tail = sh.begin;
+  }
+  if (S > 1) {
+    pool_.For(S, [&](size_t b, size_t e) {
+      for (size_t s = b; s < e; ++s) {
+        if (shards[s].tail < shards[s].end) {
+          carve(shards[s]);
         }
-      });
-    } else if (S > 1) {
-      pool_.For(S, [&](size_t b, size_t e) {
-        for (size_t s = b; s < e; ++s) {
-          if (shards[s].tail < shards[s].end) {
-            carve(shards[s]);
-          }
-        }
-      });
-    }
-  } else {
-    // Heap mode takes ownership of the working array; the next cycle's
-    // build simply re-grows the moved-from member.
-    side = std::priority_queue<Candidate, CandVec, std::greater<Candidate>>(
-        std::greater<Candidate>{}, std::move(cand_work_));
+      }
+    });
   }
   auto queue_empty = [&] {
     if (!side.empty()) {
       return false;
     }
     for (const ShardQueue& sh : shards) {
-      if (chunked ? (sh.run_pos < sh.run_end || sh.tail < sh.end) : (sh.begin < sh.heap_end)) {
+      if (sh.run_pos < sh.run_end || sh.tail < sh.end) {
         return false;
       }
     }
@@ -528,37 +422,20 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
     size_t best_s = 0;
     for (size_t s = 0; s < shards.size(); ++s) {
       ShardQueue& sh = shards[s];
-      if (chunked) {
-        if (sh.run_pos == sh.run_end) {
-          if (sh.tail >= sh.end) {
-            continue;
-          }
-          carve(sh);
-        }
-        const Candidate& front = cands[sh.run_pos];
-        if (best == nullptr || *best > front) {
-          best = &front;
-          best_s = s;
-        }
-      } else {
-        if (sh.begin >= sh.heap_end) {
+      if (sh.run_pos == sh.run_end) {
+        if (sh.tail >= sh.end) {
           continue;
         }
-        const Candidate& front = cands[sh.begin];
-        if (best == nullptr || *best > front) {
-          best = &front;
-          best_s = s;
-        }
+        carve(sh);
+      }
+      const Candidate& front = cands[sh.run_pos];
+      if (best == nullptr || *best > front) {
+        best = &front;
+        best_s = s;
       }
     }
     if (best != nullptr && (side.empty() || side.top() > *best)) {
-      ShardQueue& sh = shards[best_s];
-      if (chunked) {
-        return cands[sh.run_pos++];
-      }
-      std::pop_heap(cands.begin() + static_cast<ptrdiff_t>(sh.begin),
-                    cands.begin() + static_cast<ptrdiff_t>(sh.heap_end), cand_greater);
-      return cands[--sh.heap_end];
+      return cands[shards[best_s].run_pos++];
     }
     Candidate c = side.top();
     side.pop();
@@ -615,7 +492,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
       break;
     }
     if (static_cast<int64_t>(saturated_dests.size()) >= owed_servers ||
-        (options_.use_sched_early_exit && num_src_exhausted >= holder_universe) ||
+        num_src_exhausted >= holder_universe ||
         failures_since_success > failure_patience) {
       early_exit = true;
       break;
@@ -777,19 +654,14 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
   subtask_paths_.resize(num_subtasks);
 
   // Degradation rung kCachedPaths and above: route every subtask over its
-  // single best cached per-DC-pair path — no alternate-route exploration,
-  // and the cache is used even in the enumerate-per-subtask ablation mode.
-  const bool use_path_cache =
-      options_.use_path_cache || rung_ >= DegradationRung::kCachedPaths;
+  // single best cached per-DC-pair path — no alternate-route exploration.
   const int route_cap =
       rung_ >= DegradationRung::kCachedPaths ? 1 : options_.max_wan_routes;
 
-  if (use_path_cache) {
-    // Serial pre-pass so the parallel materialization below only performs
-    // read-only cache lookups.
-    for (const Subtask& st : subtasks) {
-      path_cache_.EnsurePair(topo_->server(st.src).dc, topo_->server(st.dst).dc);
-    }
+  // Serial pre-pass so the parallel materialization below only performs
+  // read-only cache lookups.
+  for (const Subtask& st : subtasks) {
+    path_cache_.EnsurePair(topo_->server(st.src).dc, topo_->server(st.dst).dc);
   }
 
   // Per-subtask path materialization and commodity build: independent work
@@ -798,11 +670,7 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     for (size_t i = begin; i < end; ++i) {
       const Subtask& st = subtasks[i];
       std::vector<ServerPath>& paths = subtask_paths_[i];
-      if (use_path_cache) {
-        path_cache_.MaterializePaths(st.src, st.dst, &paths);
-      } else {
-        paths = EnumerateServerPaths(*topo_, *routing_, st.src, st.dst);
-      }
+      path_cache_.MaterializePaths(st.src, st.dst, &paths);
       if (static_cast<int>(paths.size()) > route_cap) {
         paths.resize(static_cast<size_t>(route_cap));
       }
@@ -820,10 +688,10 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     }
   });
 
-  // Solver dispatch. The sharded solver requires the incremental FPTAS (it
-  // is that solver's push loop run per link-disjoint group) — exact-LP and
-  // reference-FPTAS runs ignore num_shards. Rung kCoarseEpsilon and above
-  // trades routing precision for running time by coarsening epsilon.
+  // Solver dispatch. The sharded solver is the FPTAS push loop run per
+  // link-disjoint group — exact-LP runs ignore num_shards. Rung
+  // kCoarseEpsilon and above trades routing precision for running time by
+  // coarsening epsilon.
   const double fptas_epsilon =
       rung_ >= DegradationRung::kCoarseEpsilon
           ? std::min(0.5, options_.fptas_epsilon * options_.degraded_epsilon_factor)
@@ -837,11 +705,11 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
   // and unchanged effective epsilon / route cap (covers degradation-rung
   // moves). A commodity whose path count differs from its key's simply gets
   // no seed.
-  const bool fptas_path = !options_.use_exact_lp && options_.use_incremental_fptas;
+  const bool warm_path = !options_.use_exact_lp && options_.warm_start;
   McfWarmSeed warm_seed;
   McfWarmInfo warm_info;
   const McfWarmSeed* warm_ptr = nullptr;
-  if (fptas_path && options_.warm_start) {
+  if (warm_path) {
     const RouteWarmCache& rc = route_warm_;
     if (rc.valid && cycle == rc.last_cycle + 1 &&
         rc.path_cache_invalidations == path_cache_.stats().invalidations &&
@@ -881,12 +749,9 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
   McfResult flows;
   if (options_.use_exact_lp) {
     flows = SolveMcfSimplex(instance);
-  } else if (!options_.use_incremental_fptas) {
-    flows = SolveMcfFptasReference(instance, fptas_epsilon);
   } else if (options_.num_shards > 1) {
     McfShardOptions shard_options;
     shard_options.num_shards = options_.num_shards;
-    shard_options.split_contended = options_.split_contended;
     flows = SolveMcfFptasSharded(instance, fptas_epsilon, shard_options, &pool_,
                                  &shard_stats, warm_ptr, &warm_info);
     decision.num_shard_components = shard_stats.num_components;
@@ -909,7 +774,7 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
 
   // Carry this cycle's finalized flows as the next cycle's warm seed,
   // accumulated per (src DC, dst DC, job) in subtask order (deterministic).
-  if (fptas_path && options_.warm_start) {
+  if (warm_path) {
     RouteWarmCache& rc = route_warm_;
     rc.flows.clear();
     for (size_t i = 0; i < num_subtasks; ++i) {

@@ -21,7 +21,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/huge_alloc.h"
 #include "src/common/parallel.h"
 #include "src/common/types.h"
 #include "src/lp/mcf.h"
@@ -90,16 +89,6 @@ struct ControllerAlgorithmOptions {
   double budget_fraction = 0.9;
   // Optional hard cap on deliveries scheduled per cycle; 0 = capacity-driven.
   int64_t max_deliveries_per_cycle = 0;
-  // Hot-path optimization knobs. All default on; the off positions exist
-  // for the Fig 11a ablation bench and the parity tests — every combination
-  // produces bit-identical decisions.
-  bool use_incremental_fptas = true;  // false: SolveMcfFptasReference.
-  bool use_path_cache = true;         // false: EnumerateServerPaths per subtask.
-  // false: keep popping candidates until the failure-patience heuristic
-  // trips, as the pre-optimization selection loop did. The early exit fires
-  // once every possible source's upload budget is provably spent, which
-  // cannot change the selected set (budgets only decrease within a cycle).
-  bool use_sched_early_exit = true;
   // Worker threads for the per-subtask and per-candidate passes. 1 (the
   // default) runs everything on the calling thread; higher values fan the
   // independent work out over a small pool. Decisions are byte-identical
@@ -125,27 +114,15 @@ struct ControllerAlgorithmOptions {
   // with max_deliveries_per_cycle by min when both are set):
   int64_t shed_deliveries_cap = 4096;
   // --- Cross-cycle incrementality (DESIGN.md §9.7) ---
-  // Delta candidate build: keep the previous cycle's candidate slot array
-  // and re-price only the (job, 64-block chunk) units ReplicaState marked
-  // dirty since; clean units are memcpy'd with their packed job position
-  // patched. Byte-identical to the from-scratch builders on every cycle
-  // (cold or warm), so it is safe as the universal default. `false` falls
-  // back to the always-from-scratch builders.
-  bool incremental_candidates = true;
   // FPTAS warm start: seed each cycle's routing solve from the previous
   // cycle's converged per-commodity flows when the topology and path set
   // are unchanged. Relaxed parity: feasible, deterministic for any
   // thread/shard count, objective within (1 + fptas_epsilon) of the cold
   // solve — but NOT bitwise equal to it. Off by default.
   bool warm_start = false;
-  // Forwarded to McfShardOptions::split_contended (num_shards > 1 only):
-  // splits giant contended commodity groups for parallelism. Deterministic
-  // but not bitwise-equal to the unsharded solve — gate it together with
-  // warm_start under the relaxed-parity contract.
-  bool split_contended = false;
-  // Debug cross-check: after every incremental candidate build, rebuild
-  // from scratch and BDS_CHECK the arrays are identical. O(pending) extra
-  // work per cycle; test-suite only.
+  // Debug cross-check: after every delta candidate build, rebuild from
+  // scratch and BDS_CHECK the arrays are identical. O(pending) extra work
+  // per cycle; test-suite only.
   bool debug_verify_incremental = false;
 };
 
@@ -218,11 +195,7 @@ class ControllerAlgorithm {
       return key > o.key;
     }
   };
-  // Candidate arrays live in transparent-hugepage-backed storage: at the
-  // fleet scale the build and carve stream hundreds of megabytes of slots,
-  // and 4 KiB pages make the TLB the bottleneck. Falls back silently to
-  // plain pages (and, below the size threshold, to plain operator new).
-  using CandVec = HugeVector<Candidate>;
+  using CandVec = std::vector<Candidate>;
 
   // One kDirtyChunkBlocks-aligned slice of one job's candidate slots in the
   // previous cycle's array (the delta build's unit of reuse).
@@ -237,8 +210,8 @@ class ControllerAlgorithm {
   // Previous cycle's candidate array plus the unit index needed to patch it
   // (DESIGN.md §9.7). Valid only against the exact ReplicaState object it
   // was built from (state uid), the next cycle (last_cycle + 1), and the
-  // same policy; anything else falls back to an all-dirty (cold) build that
-  // refills the cache.
+  // same policy; anything else falls back to an all-dirty (cold) build —
+  // which is the from-scratch build — that refills the cache.
   struct CandidateCache {
     bool valid = false;
     uint64_t state_uid = 0;

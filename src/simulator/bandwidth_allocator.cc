@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/common/status.h"
-
 namespace bds {
 
 void BandwidthAllocator::EnsureScratch(size_t num_links) {
@@ -15,33 +13,6 @@ void BandwidthAllocator::EnsureScratch(size_t num_links) {
     load_.resize(num_links, 0.0);
     active_count_.resize(num_links, 0);
     link_saturated_.resize(num_links, 0);
-    member_stamp_.resize(num_links, 0);
-    member_begin_.resize(num_links, 0);
-    member_fill_.resize(num_links, 0);
-  }
-}
-
-void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, FlowSoA& soa,
-                                        const int32_t* slots, size_t n) {
-  sub_off_.clear();
-  sub_links_.clear();
-  sub_pinned_.resize(n);
-  sub_rate_.resize(n);
-  for (size_t fi = 0; fi < n; ++fi) {
-    int32_t slot = slots[fi];
-    const FlowMeta& m = soa.meta[static_cast<size_t>(slot)];
-    sub_off_.push_back(static_cast<int32_t>(sub_links_.size()));
-    const LinkId* links = soa.path_links.data() + m.path.begin;
-    for (int32_t i = 0; i < m.path.len; ++i) {
-      sub_links_.push_back(links[i]);
-    }
-    sub_pinned_[fi] = m.pinned_rate;
-  }
-  sub_off_.push_back(static_cast<int32_t>(sub_links_.size()));
-  AllocateSubset(capacities, n, sub_off_.data(), sub_links_.data(), sub_pinned_.data(),
-                 sub_rate_.data());
-  for (size_t fi = 0; fi < n; ++fi) {
-    soa.current_rate[static_cast<size_t>(slots[fi])] = sub_rate_[fi];
   }
 }
 
@@ -182,248 +153,6 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
         --remaining_flows;
         for (int32_t j = offsets[fi]; j < offsets[fi + 1]; ++j) {
           --active_count_[static_cast<size_t>(links[j])];
-        }
-      }
-    }
-  }
-}
-
-void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities,
-                                        const std::vector<Flow*>& flows) {
-  // Shim: round-trip through a scratch SoA so tests exercise the exact
-  // slot-array code path the simulator runs. Completed flows never touch
-  // links or join a phase, so filtering them here is arithmetic-identical to
-  // skipping them inline.
-  scratch_.Clear();
-  scratch_slots_.clear();
-  scratch_flows_.clear();
-  for (Flow* f : flows) {
-    if (f->completed()) {
-      f->current_rate = 0.0;
-      continue;
-    }
-    int32_t slot = scratch_.Allocate(f->id, f->links.data(),
-                                     static_cast<int32_t>(f->links.size()));
-    scratch_.meta[static_cast<size_t>(slot)].pinned_rate = f->pinned_rate;
-    scratch_slots_.push_back(slot);
-    scratch_flows_.push_back(f);
-  }
-  AllocateSubset(capacities, scratch_, scratch_slots_.data(), scratch_slots_.size());
-  for (size_t i = 0; i < scratch_flows_.size(); ++i) {
-    scratch_flows_[i]->current_rate =
-        scratch_.current_rate[static_cast<size_t>(scratch_slots_[i])];
-  }
-}
-
-void BandwidthAllocator::Allocate(const std::vector<Rate>& capacities,
-                                  std::vector<Flow*>& flows) {
-  EnsureScratch(capacities.size());
-
-  // Build link -> member-flow adjacency for the live flows as a flat CSR
-  // arena: one counting pass, a prefix sum over the links actually used this
-  // epoch, one fill pass. Stamped rows, so the cost is O(flows * path), not
-  // O(topology links).
-  ++member_gen_;
-  member_links_.clear();
-  for (Flow* f : flows) {
-    if (f->completed()) {
-      f->current_rate = 0.0;
-      continue;
-    }
-    for (LinkId l : f->links) {
-      size_t li = static_cast<size_t>(l);
-      if (member_stamp_[li] != member_gen_) {
-        member_stamp_[li] = member_gen_;
-        member_begin_[li] = 0;  // Reused as a count until the prefix sum.
-        member_links_.push_back(li);
-      }
-      ++member_begin_[li];
-    }
-  }
-  int32_t offset = 0;
-  for (size_t li : member_links_) {
-    int32_t count = member_begin_[li];
-    member_begin_[li] = offset;
-    member_fill_[li] = offset;
-    offset += count;
-  }
-  member_arena_.resize(static_cast<size_t>(offset));
-  for (size_t i = 0; i < flows.size(); ++i) {
-    Flow* f = flows[i];
-    if (f->completed()) {
-      continue;
-    }
-    for (LinkId l : f->links) {
-      member_arena_[static_cast<size_t>(member_fill_[static_cast<size_t>(l)]++)] =
-          static_cast<int32_t>(i);
-    }
-  }
-
-  // BFS each link-connected component and solve it in isolation, flows
-  // ordered by id — the same canonical subsets the simulator's incremental
-  // path recomputes one at a time.
-  visited_.assign(flows.size(), 0);
-  for (size_t i = 0; i < flows.size(); ++i) {
-    if (visited_[i] || flows[i]->completed()) {
-      continue;
-    }
-    comp_queue_.clear();
-    comp_queue_.push_back(i);
-    visited_[i] = 1;
-    for (size_t head = 0; head < comp_queue_.size(); ++head) {
-      Flow* f = flows[comp_queue_[head]];
-      for (LinkId l : f->links) {
-        size_t li = static_cast<size_t>(l);
-        int32_t row_end = member_fill_[li];
-        for (int32_t p = member_begin_[li]; p < row_end; ++p) {
-          size_t j = static_cast<size_t>(member_arena_[static_cast<size_t>(p)]);
-          if (!visited_[j]) {
-            visited_[j] = 1;
-            comp_queue_.push_back(j);
-          }
-        }
-      }
-    }
-    comp_flows_.clear();
-    for (size_t j : comp_queue_) {
-      comp_flows_.push_back(flows[j]);
-    }
-    std::sort(comp_flows_.begin(), comp_flows_.end(),
-              [](const Flow* a, const Flow* b) { return a->id < b->id; });
-    AllocateSubset(capacities, comp_flows_);
-  }
-}
-
-void BandwidthAllocator::AllocateReference(const std::vector<Rate>& capacities,
-                                           std::vector<Flow*>& flows) {
-  size_t num_links = capacities.size();
-  std::vector<Rate> residual(num_links, 0.0);
-  for (size_t l = 0; l < num_links; ++l) {
-    residual[l] = std::max(0.0, capacities[l]);
-  }
-
-  // --- Phase 1: pinned flows. ---
-  // Start each at its pinned rate, then repeatedly scale down the flows
-  // crossing the most oversubscribed link until everything fits.
-  std::vector<Flow*> pinned;
-  std::vector<Flow*> fair;
-  for (Flow* f : flows) {
-    if (f->completed()) {
-      f->current_rate = 0.0;
-      continue;
-    }
-    if (f->pinned()) {
-      f->current_rate = f->pinned_rate;
-      pinned.push_back(f);
-    } else {
-      f->current_rate = 0.0;
-      fair.push_back(f);
-    }
-  }
-
-  if (!pinned.empty()) {
-    // Fixed-point: find the worst oversubscription factor and shrink the
-    // flows on that link. Each iteration permanently satisfies one link, so
-    // this terminates in at most num_links rounds.
-    std::vector<Rate> load(num_links, 0.0);
-    for (int round = 0; round < static_cast<int>(num_links) + 1; ++round) {
-      std::fill(load.begin(), load.end(), 0.0);
-      for (Flow* f : pinned) {
-        for (LinkId l : f->links) {
-          load[static_cast<size_t>(l)] += f->current_rate;
-        }
-      }
-      double worst_factor = 1.0;
-      size_t worst_link = num_links;
-      for (size_t l = 0; l < num_links; ++l) {
-        if (load[l] > residual[l] * (1.0 + kFluidEpsilon) && load[l] > 0.0) {
-          double factor = residual[l] / load[l];
-          if (factor < worst_factor) {
-            worst_factor = factor;
-            worst_link = l;
-          }
-        }
-      }
-      if (worst_link == num_links) {
-        break;  // Feasible.
-      }
-      for (Flow* f : pinned) {
-        for (LinkId l : f->links) {
-          if (static_cast<size_t>(l) == worst_link) {
-            f->current_rate *= worst_factor;
-            break;
-          }
-        }
-      }
-    }
-    // Subtract the pinned load from the residual available to fair flows.
-    for (Flow* f : pinned) {
-      for (LinkId l : f->links) {
-        residual[static_cast<size_t>(l)] =
-            std::max(0.0, residual[static_cast<size_t>(l)] - f->current_rate);
-      }
-    }
-  }
-
-  // --- Phase 2: max-min fair filling for unpinned flows. ---
-  if (fair.empty()) {
-    return;
-  }
-  std::vector<int> active_count(num_links, 0);
-  std::vector<char> link_saturated(num_links, 0);
-  std::vector<char> frozen(fair.size(), 0);
-  std::vector<size_t> used_links;
-  for (Flow* f : fair) {
-    for (LinkId l : f->links) {
-      if (active_count[static_cast<size_t>(l)]++ == 0) {
-        used_links.push_back(static_cast<size_t>(l));
-      }
-    }
-  }
-
-  size_t remaining_flows = fair.size();
-  // Each round saturates at least one used link (or freezes all flows).
-  for (size_t round = 0; round < used_links.size() + 1 && remaining_flows > 0; ++round) {
-    // Largest uniform increment every active flow can take.
-    double inc = std::numeric_limits<double>::infinity();
-    for (size_t l : used_links) {
-      if (active_count[l] > 0 && !link_saturated[l]) {
-        inc = std::min(inc, residual[l] / active_count[l]);
-      }
-    }
-    if (!std::isfinite(inc)) {
-      break;  // No capacity constraint binds (shouldn't happen in practice).
-    }
-    for (size_t i = 0; i < fair.size(); ++i) {
-      if (!frozen[i]) {
-        fair[i]->current_rate += inc;
-      }
-    }
-    for (size_t l : used_links) {
-      if (active_count[l] > 0 && !link_saturated[l]) {
-        residual[l] -= inc * active_count[l];
-        if (residual[l] <= kFluidEpsilon * std::max(1.0, capacities[l])) {
-          link_saturated[l] = 1;
-        }
-      }
-    }
-    // Freeze flows crossing newly saturated links.
-    for (size_t i = 0; i < fair.size(); ++i) {
-      if (frozen[i]) {
-        continue;
-      }
-      bool hit = false;
-      for (LinkId l : fair[i]->links) {
-        if (link_saturated[static_cast<size_t>(l)]) {
-          hit = true;
-          break;
-        }
-      }
-      if (hit) {
-        frozen[i] = 1;
-        --remaining_flows;
-        for (LinkId l : fair[i]->links) {
-          --active_count[static_cast<size_t>(l)];
         }
       }
     }

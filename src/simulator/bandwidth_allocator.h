@@ -9,23 +9,17 @@
 //     flows grow at the same rate until a link saturates; flows through
 //     saturated links freeze; repeat.
 //
-// The canonical entry points are component-scoped. Rates under progressive
-// filling decompose by connected components of the flow-link incidence
-// graph, so `Allocate` partitions the flow set into components and solves
-// each with `AllocateSubset` (flows ordered by id). The hot-path overload of
-// `AllocateSubset` operates directly on the simulator's FlowSoA pool — the
-// waterfill reads/writes parallel slot arrays and scans paths out of the
-// shared CSR arena, so the inner loops touch contiguous memory only. The
-// Flow*-based overloads are thin shims that round-trip through a scratch
-// FlowSoA, so the randomized property suite that checks `Allocate` against
-// `AllocateReference` (the original whole-network solver, rates agree to
-// floating-point reassociation noise, ~1e-12 relative) exercises the exact
-// SoA code path the simulator runs.
+// Rates under progressive filling decompose by connected components of the
+// flow-link incidence graph, so the simulator solves one component at a time
+// (flows ordered by id) and calls AllocateSubset on flat arrays it gathered
+// from its struct-of-arrays pool. The randomized property suite checks the
+// simulator's per-component rates against the whole-network reference solver
+// in tests/oracles.cc (rates agree to floating-point reassociation noise,
+// ~1e-12 relative).
 //
-// Scratch state is generation-stamped per link (including the flat
-// link->member-flow adjacency arena used by the component partition), so a
-// solve costs O(component links + flows), not O(topology links), with no
-// per-call clears or allocations at steady state.
+// Scratch state is generation-stamped per link, so a solve costs
+// O(component links + flows), not O(topology links), with no per-call
+// clears or allocations at steady state.
 
 #ifndef BDS_SRC_SIMULATOR_BANDWIDTH_ALLOCATOR_H_
 #define BDS_SRC_SIMULATOR_BANDWIDTH_ALLOCATOR_H_
@@ -35,45 +29,23 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/simulator/flow.h"
-#include "src/simulator/flow_soa.h"
 
 namespace bds {
 
 class BandwidthAllocator {
  public:
-  // `capacities[l]` is the residual capacity of link l (already net of
-  // background traffic). Writes Flow::current_rate for every flow in
-  // `flows`. Completed flows get rate 0. Component-decomposed: equivalent to
-  // calling AllocateSubset on every link-connected component.
-  void Allocate(const std::vector<Rate>& capacities, std::vector<Flow*>& flows);
-
-  // Solves one flow pool as a single progressive-filling instance, touching
-  // only the links the pool crosses. Callers pass one link-connected
-  // component, sorted by flow id, for canonical (reproducible) results.
-  void AllocateSubset(const std::vector<Rate>& capacities,
-                      const std::vector<Flow*>& flows);
-
-  // Solves the `n` in-flight flows in `slots` (one link-connected component,
-  // sorted by flow id) on the SoA pool, writing soa.current_rate. Every slot
-  // must be live and un-completed — the simulator's pool only holds in-flight
-  // flows. Gathers into contiguous scratch and defers to the flat overload.
-  void AllocateSubset(const std::vector<Rate>& capacities, FlowSoA& soa,
-                      const int32_t* slots, size_t n);
-
-  // Hot-path core: the same progressive filling on caller-gathered flat
-  // arrays. Flow fi's path is links[offsets[fi]..offsets[fi+1]); pinned[fi]
-  // is its pinned rate (0 = fair share); rate[fi] receives the result. The
-  // component's slots are scattered across the pool, so solving on a
-  // component-local contiguous copy keeps every waterfill pass inside a few
-  // cache lines instead of re-missing per slot per round.
+  // Solves one flow set as a single progressive-filling instance, touching
+  // only the links it crosses. Callers pass one link-connected component,
+  // sorted by flow id, for canonical (reproducible) results. `capacities[l]`
+  // is the residual capacity of link l (already net of background traffic).
+  // Flow fi's path is links[offsets[fi]..offsets[fi+1]); pinned[fi] is its
+  // pinned rate (0 = fair share); rate[fi] receives the result. The
+  // component's slots are scattered across the simulator's pool, so solving
+  // on a component-local contiguous copy keeps every waterfill pass inside a
+  // few cache lines instead of re-missing per slot per round.
   void AllocateSubset(const std::vector<Rate>& capacities, size_t n,
                       const int32_t* offsets, const LinkId* links, const Rate* pinned,
                       Rate* rate);
-
-  // The original whole-network solver (single global filling pass over all
-  // links), retained as the semantic reference for the parity suite.
-  void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& flows);
 
  private:
   void EnsureScratch(size_t num_links);
@@ -91,31 +63,6 @@ class BandwidthAllocator {
   std::vector<int32_t> pinned_;
   std::vector<int32_t> fair_;
   std::vector<char> frozen_;
-
-  // Gather scratch backing the slot-based AllocateSubset overload.
-  std::vector<int32_t> sub_off_;
-  std::vector<LinkId> sub_links_;
-  std::vector<Rate> sub_pinned_;
-  std::vector<Rate> sub_rate_;
-
-  // Component-partition scratch for Allocate(): a flat CSR arena mapping
-  // link -> member-flow indices, rebuilt per call via generation stamps
-  // (member_stamp_) with two counting passes — no per-link vectors, no
-  // per-call clears.
-  uint64_t member_gen_ = 0;
-  std::vector<uint64_t> member_stamp_;
-  std::vector<size_t> member_links_;   // Links used this epoch.
-  std::vector<int32_t> member_begin_;  // Row offset into member_arena_.
-  std::vector<int32_t> member_fill_;   // Next write position per row.
-  std::vector<int32_t> member_arena_;  // Flow indices, grouped by link.
-  std::vector<char> visited_;
-  std::vector<size_t> comp_queue_;
-  std::vector<Flow*> comp_flows_;
-
-  // Scratch pool backing the Flow*-based AllocateSubset shim.
-  FlowSoA scratch_;
-  std::vector<int32_t> scratch_slots_;
-  std::vector<Flow*> scratch_flows_;
 };
 
 }  // namespace bds

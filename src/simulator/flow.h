@@ -10,8 +10,8 @@
 //
 // NetworkSimulator does not store Flow objects: active flows live in a
 // struct-of-arrays pool (FlowSoA) and are observed through FlowView. The
-// Flow struct remains the allocator's standalone input type (reference
-// solver, property tests).
+// Flow struct remains the input type of the whole-network reference
+// allocator the property tests compare against (tests/oracles.h).
 
 #ifndef BDS_SRC_SIMULATOR_FLOW_H_
 #define BDS_SRC_SIMULATOR_FLOW_H_

@@ -72,27 +72,6 @@ void FlowSoA::Free(int32_t slot) {
   --num_live_;
 }
 
-void FlowSoA::Clear() {
-  remaining.clear();
-  anchor_time.clear();
-  current_rate.clear();
-  rate_epoch.clear();
-  heap_epoch.clear();
-  meta.clear();
-  total_bytes.clear();
-  start_time.clear();
-  tag.clear();
-  tag2.clear();
-  reported_rate.clear();
-  path_links.clear();
-  incidence_pos.clear();
-  path_cap_.clear();
-  live_.clear();
-  free_slots_.clear();
-  num_live_ = 0;
-  arena_dead_ = 0;
-}
-
 void FlowSoA::MaybeCompactArena() {
   int64_t attached = static_cast<int64_t>(path_links.size()) - arena_dead_;
   if (arena_dead_ <= attached + 1024) {
@@ -100,8 +79,8 @@ void FlowSoA::MaybeCompactArena() {
   }
   // Rewrite every slot's row (live or free-with-row) contiguously, trimming
   // each to its current length; free slots keep nothing.
-  HugeVector<LinkId> new_links;
-  HugeVector<int32_t> new_pos;
+  std::vector<LinkId> new_links;
+  std::vector<int32_t> new_pos;
   new_links.reserve(static_cast<size_t>(attached));
   new_pos.reserve(static_cast<size_t>(attached));
   for (size_t s = 0; s < meta.size(); ++s) {
@@ -130,19 +109,19 @@ void FlowSoA::CompactAndReorder(const int32_t* order, int32_t n,
   BDS_CHECK(n == num_live_);
   old_to_new->assign(meta.size(), -1);
   size_t un = static_cast<size_t>(n);
-  HugeVector<Bytes> new_remaining;
-  HugeVector<SimTime> new_anchor;
-  HugeVector<Rate> new_rate;
-  HugeVector<uint32_t> new_repoch;
-  HugeVector<uint32_t> new_hepoch;
-  HugeVector<FlowMeta> new_meta;
-  HugeVector<Bytes> new_total;
-  HugeVector<SimTime> new_start;
-  HugeVector<int64_t> new_tag;
-  HugeVector<int64_t> new_tag2;
-  HugeVector<Rate> new_reported;
-  HugeVector<LinkId> new_links;
-  HugeVector<int32_t> new_pos;
+  std::vector<Bytes> new_remaining;
+  std::vector<SimTime> new_anchor;
+  std::vector<Rate> new_rate;
+  std::vector<uint32_t> new_repoch;
+  std::vector<uint32_t> new_hepoch;
+  std::vector<FlowMeta> new_meta;
+  std::vector<Bytes> new_total;
+  std::vector<SimTime> new_start;
+  std::vector<int64_t> new_tag;
+  std::vector<int64_t> new_tag2;
+  std::vector<Rate> new_reported;
+  std::vector<LinkId> new_links;
+  std::vector<int32_t> new_pos;
   std::vector<int32_t> new_cap;
   new_remaining.reserve(un);
   new_anchor.reserve(un);

@@ -36,7 +36,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/common/huge_alloc.h"
 #include "src/common/types.h"
 
 namespace bds {
@@ -86,12 +85,6 @@ class FlowSoA {
   // once their slot field is remapped through old_to_new.
   void CompactAndReorder(const int32_t* order, int32_t n, std::vector<int32_t>* old_to_new);
 
-  // Drops every slot and arena row but keeps the vectors' capacity, so a
-  // scratch pool (e.g. the allocator's Flow-based shim) can be refilled
-  // without reallocating. Resets rate_epoch history — do not use on a pool
-  // whose epochs are referenced externally (the simulator never clears).
-  void Clear();
-
   int32_t capacity() const { return static_cast<int32_t>(meta.size()); }
   int32_t num_live() const { return num_live_; }
   bool live(int32_t slot) const { return live_[static_cast<size_t>(slot)] != 0; }
@@ -109,35 +102,32 @@ class FlowSoA {
     return incidence_pos.data() + meta[static_cast<size_t>(slot)].path.begin;
   }
 
-  // --- Parallel arrays, indexed by slot. HugeVector marks each column's
-  // buffer MADV_HUGEPAGE (a component's slots are scattered across the pool,
-  // so on 4K pages every touch is its own TLB entry; on kernels that honor
-  // the madvise the working set collapses to a handful of entries). ---
+  // --- Parallel arrays, indexed by slot. ---
   // Hot: touched by every reallocation of a component containing the slot.
-  HugeVector<Bytes> remaining;      // As of anchor_time (lazy progress).
-  HugeVector<SimTime> anchor_time;
-  HugeVector<Rate> current_rate;
-  HugeVector<uint32_t> rate_epoch;  // Monotonic per slot, survives reuse.
-  HugeVector<uint32_t> heap_epoch;  // rate_epoch at last completion-heap
-                                    // push; == rate_epoch means a valid
-                                    // entry is already in the heap.
-  HugeVector<FlowMeta> meta;  // id / path row / pinned rate / visit stamp.
+  std::vector<Bytes> remaining;      // As of anchor_time (lazy progress).
+  std::vector<SimTime> anchor_time;
+  std::vector<Rate> current_rate;
+  std::vector<uint32_t> rate_epoch;  // Monotonic per slot, survives reuse.
+  std::vector<uint32_t> heap_epoch;  // rate_epoch at last completion-heap
+                                     // push; == rate_epoch means a valid
+                                     // entry is already in the heap.
+  std::vector<FlowMeta> meta;  // id / path row / pinned rate / visit stamp.
   // Cold: read at start/completion/query only.
-  HugeVector<Bytes> total_bytes;
-  HugeVector<SimTime> start_time;
-  HugeVector<int64_t> tag;
-  HugeVector<int64_t> tag2;
+  std::vector<Bytes> total_bytes;
+  std::vector<SimTime> start_time;
+  std::vector<int64_t> tag;
+  std::vector<int64_t> tag2;
   // Rate last handed to the rate observer (0 until the first report). Only
   // touched when an observer is installed; lets the changepoint test be a
   // band check against precomputed semantics (see ReallocateComponent)
   // instead of per-update fabs/max arithmetic, and makes slow drift
   // reportable where a compare-to-previous test would sleep through it.
-  HugeVector<Rate> reported_rate;
+  std::vector<Rate> reported_rate;
 
   // --- Shared CSR arena. incidence_pos[i] is the position of path_links[i]
   // in LinkFlowIndex's per-link row (kept in sync by its swap-erase). ---
-  HugeVector<LinkId> path_links;
-  HugeVector<int32_t> incidence_pos;
+  std::vector<LinkId> path_links;
+  std::vector<int32_t> incidence_pos;
 
  private:
   std::vector<int32_t> path_cap_;  // Arena row capacity owned by each slot.

@@ -1,11 +1,11 @@
 // Bit-exactness property tests for the incremental FPTAS.
 //
-// SolveMcfFptas is a performance rewrite of SolveMcfFptasReference: same
-// Fleischer phase structure, same push sequence, different bookkeeping (CSR
-// layout, shared-structure scan unrolling, post-push lower-bound skips). Its
-// contract is that every per-path flow is bit-identical to the reference —
-// not merely close — because the controller's decision fingerprints hash raw
-// rate doubles and the ablation bench asserts equality across solver knobs.
+// SolveMcfFptas is a performance rewrite of SolveMcfFptasReference (the
+// test oracle in tests/oracles.h): same Fleischer phase structure, same push
+// sequence, different bookkeeping (CSR layout, shared-structure scan
+// unrolling, post-push lower-bound skips). Its contract is that every
+// per-path flow is bit-identical to the reference — not merely close —
+// because the controller's decision fingerprints hash raw rate doubles.
 //
 // The generator below deliberately produces every scan kind the solver
 // specializes:
@@ -27,6 +27,7 @@
 #include <cstdint>
 
 #include "src/common/rng.h"
+#include "tests/oracles.h"
 
 namespace bds {
 namespace {

@@ -4,7 +4,7 @@
 // runs the tuned push loop per group against the GLOBAL instance's constants
 // (delta, alpha ladder, push budget), and merges with one global finalize.
 // Its contract: bit-identical results to SolveMcfFptas for ANY shard count
-// and thread count (split_contended off), because link-disjoint commodity
+// and thread count, because link-disjoint commodity
 // subsets never observe each other's length updates. The generator mirrors
 // the FPTAS parity suite's — controller-shaped commodities (each its own
 // component) mixed with pool-sharing generic commodities (one entangled
@@ -162,7 +162,6 @@ TEST(McfShardTest, MatchesUnshardedBitForBitAcrossShardAndThreadCounts) {
         ExpectBitwiseEqual(sharded, unsharded, "sharded-vs-unsharded", seed, shards);
         EXPECT_LE(stats.num_groups, std::max(1, shards));
         EXPECT_GE(stats.num_components, 1);
-        EXPECT_FALSE(stats.split_mode_used);
       }
     }
   }
@@ -207,33 +206,7 @@ TEST(McfShardTest, ContendedInstanceCollapsesToOneGroupWithoutSplit) {
   McfResult sharded = SolveMcfFptasSharded(inst, 0.1, opt, nullptr, &stats);
   EXPECT_EQ(stats.num_components, 1);
   EXPECT_EQ(stats.num_groups, 1);
-  EXPECT_FALSE(stats.split_mode_used);
   ExpectBitwiseEqual(sharded, SolveMcfFptas(inst, 0.1), "contended", 11, 4);
-}
-
-TEST(McfShardTest, SplitContendedStaysFeasibleAndDeterministic) {
-  for (uint64_t seed = 60; seed < 70; ++seed) {
-    McfInstance inst = ContendedInstance(seed, 16);
-    McfShardOptions opt;
-    opt.num_shards = 4;
-    opt.split_contended = true;
-    McfShardStats stats;
-    McfResult split = SolveMcfFptasSharded(inst, 0.1, opt, nullptr, &stats);
-    ASSERT_TRUE(split.ok);
-    EXPECT_TRUE(stats.split_mode_used) << "seed " << seed;
-    EXPECT_GT(stats.num_groups, 1) << "seed " << seed;
-    // Feasibility survives the merge normalization even though the pieces
-    // each solved against the full backbone capacity.
-    EXPECT_LE(MaxCapacityViolation(inst, split), 1e-6) << "seed " << seed;
-    // Deterministic: a second run (with a pool) reproduces it bitwise.
-    ParallelRunner pool(4);
-    McfResult again = SolveMcfFptasSharded(inst, 0.1, opt, &pool);
-    ExpectBitwiseEqual(split, again, "split-determinism", seed, 4);
-    // Quality: the merge's normalization + rebalance keeps the combined flow
-    // in the same ballpark as the unsharded solve.
-    McfResult unsharded = SolveMcfFptas(inst, 0.1);
-    EXPECT_GE(split.total_flow, 0.5 * unsharded.total_flow) << "seed " << seed;
-  }
 }
 
 TEST(McfShardTest, EmptyAndDegenerateInstances) {

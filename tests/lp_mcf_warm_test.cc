@@ -3,9 +3,9 @@
 // A warm solve carries the previous solve's finalized flows into the
 // multiplicative-weights state. Its contract is deliberately weaker than the
 // sharded solver's bitwise parity: the result must be FEASIBLE, DETERMINISTIC
-// for any thread count (and, without split_contended, bitwise-invariant to
-// the shard count), and its objective must stay within (1 + eps) of the cold
-// solve's — but it is NOT bitwise-equal to the cold solve. An empty seed must
+// for any thread count, bitwise-invariant to the shard count, and its
+// objective must stay within (1 + eps) of the cold solve's — but it is NOT
+// bitwise-equal to the cold solve. An empty seed must
 // degenerate to the cold solver bit for bit.
 //
 // Also covers the wedged-budget seam: with max_pushes_override forcing the
@@ -112,7 +112,7 @@ McfWarmSeed SeedFrom(const McfResult& result) {
 
 // The headline property, 30 seeds: seeding a solve from its own cold result
 // stays feasible, keeps the objective inside the (1 + eps) band, and is
-// bitwise-invariant to shard and thread counts (split off).
+// bitwise-invariant to shard and thread counts.
 TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     McfInstance inst = RandomInstance(seed);
@@ -135,8 +135,8 @@ TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
           << "seed " << seed;
     }
 
-    // Shard/thread invariance of the warm solve (split_contended off): the
-    // seed and alpha-ladder entry are computed once from the global
+    // Shard/thread invariance of the warm solve: the seed and alpha-ladder
+    // entry are computed once from the global
     // instance, so every shard/thread combination reproduces the
     // single-shard warm result bit for bit.
     McfShardOptions opt1;
@@ -202,32 +202,32 @@ TEST(McfWarmTest, StaleSeedFromChurnedInstanceStaysFeasible) {
   }
 }
 
-// Warm start composed with split_contended (the bench's steady-cycle
-// configuration): feasible, deterministic, and in the cold split solve's
-// quality ballpark on a fully contended instance.
-TEST(McfWarmTest, WarmSplitContendedFeasibleAndDeterministic) {
+// Warm start on a fully contended instance (one link-sharing component, so
+// sharding cannot split it): feasible, deterministic, in the cold solve's
+// quality ballpark, and bitwise-equal to the single-shard warm solve.
+TEST(McfWarmTest, WarmContendedFeasibleAndDeterministic) {
   for (uint64_t seed = 70; seed < 76; ++seed) {
     McfInstance inst = ContendedInstance(seed, 16);
     McfShardOptions opt;
     opt.num_shards = 4;
-    opt.split_contended = true;
     McfShardStats cold_stats;
     McfResult cold = SolveMcfFptasSharded(inst, kEps, opt, nullptr, &cold_stats);
     ASSERT_TRUE(cold.ok) << "seed " << seed;
-    EXPECT_TRUE(cold_stats.split_mode_used) << "seed " << seed;
+    EXPECT_EQ(cold_stats.num_groups, 1) << "seed " << seed;
     McfWarmSeed warm_seed = SeedFrom(cold);
-    McfShardStats stats;
     McfWarmInfo info;
-    McfResult warm =
-        SolveMcfFptasSharded(inst, kEps, opt, nullptr, &stats, &warm_seed, &info);
+    McfResult warm = SolveMcfFptasSharded(inst, kEps, opt, nullptr, nullptr, &warm_seed, &info);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_TRUE(info.used) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     EXPECT_GE(warm.total_flow, 0.5 * cold.total_flow) << "seed " << seed;
     ParallelRunner pool(4);
-    McfResult again =
-        SolveMcfFptasSharded(inst, kEps, opt, &pool, nullptr, &warm_seed);
-    ExpectBitwiseEqual(again, warm, "warm-split-determinism", seed);
+    McfResult again = SolveMcfFptasSharded(inst, kEps, opt, &pool, nullptr, &warm_seed);
+    ExpectBitwiseEqual(again, warm, "warm-contended-determinism", seed);
+    McfShardOptions opt1;
+    opt1.num_shards = 1;
+    ExpectBitwiseEqual(SolveMcfFptasSharded(inst, kEps, opt1, nullptr, nullptr, &warm_seed), warm,
+                       "warm-contended-one-shard", seed);
   }
 }
 

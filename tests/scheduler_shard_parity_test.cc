@@ -122,28 +122,24 @@ TEST(ShardParityTest, MatchesUnshardedBitForBitAcrossShardAndThreadCounts) {
   }
 }
 
-// The per-shard heap queue (early-exit knob off) and the other knob/policy
-// combinations must shard identically too.
+// Every scheduling policy and both merge settings must shard identically too.
 TEST(ShardParityTest, ParityHoldsAcrossPoliciesAndKnobs) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Scenario sc = MakeScenario(seed);
     for (SchedulingPolicy policy : {SchedulingPolicy::kRarestFirst, SchedulingPolicy::kRandom,
                                     SchedulingPolicy::kSequential}) {
-      for (bool early_exit : {true, false}) {
-        for (bool merge : {true, false}) {
-          ControllerAlgorithmOptions opt = Options(1, 1);
-          opt.policy = policy;
-          opt.use_sched_early_exit = early_exit;
-          opt.merge_subtasks = merge;
-          const uint64_t base = RunFingerprint(sc, opt, 4);
-          for (int shards : {2, 8}) {
-            ControllerAlgorithmOptions sharded = opt;
-            sharded.num_shards = shards;
-            sharded.num_threads = 4;
-            EXPECT_EQ(RunFingerprint(sc, sharded, 4), base)
-                << "seed=" << seed << " policy=" << static_cast<int>(policy)
-                << " early_exit=" << early_exit << " merge=" << merge << " shards=" << shards;
-          }
+      for (bool merge : {true, false}) {
+        ControllerAlgorithmOptions opt = Options(1, 1);
+        opt.policy = policy;
+        opt.merge_subtasks = merge;
+        const uint64_t base = RunFingerprint(sc, opt, 4);
+        for (int shards : {2, 8}) {
+          ControllerAlgorithmOptions sharded = opt;
+          sharded.num_shards = shards;
+          sharded.num_threads = 4;
+          EXPECT_EQ(RunFingerprint(sc, sharded, 4), base)
+              << "seed=" << seed << " policy=" << static_cast<int>(policy)
+              << " merge=" << merge << " shards=" << shards;
         }
       }
     }

@@ -3,18 +3,20 @@
 // Two properties over multi-cycle runs with job arrivals, retirements,
 // deliveries, and server faults between cycles:
 //
-//  1. Churn parity (bitwise): the incremental candidate build — persisted
+//  1. Churn parity (bitwise): the delta candidate build — persisted
 //     per-(job, chunk) summaries patched forward through the dirty set —
-//     must produce decisions bit-identical to the from-scratch legacy build
-//     at every cycle, for any shard/thread count. debug_verify_incremental
-//     additionally makes the algorithm rebuild from scratch internally and
-//     BDS_CHECK the arrays match element-wise.
+//     must produce decisions bit-identical to a from-scratch build at every
+//     cycle, for any shard/thread count. The reference is the same
+//     controller with its cycle cache invalidated before every Decide: a
+//     cold cache makes every unit dirty, which is the from-scratch build.
+//     debug_verify_incremental additionally makes the algorithm rebuild from
+//     scratch internally and BDS_CHECK the arrays match element-wise.
 //
-//  2. Warm-start relaxed parity (behavioral): with warm_start and
-//     split_contended on, decisions are no longer bitwise-equal to the cold
-//     run, but the run must stay deterministic (same sequence twice ->
-//     identical fingerprints), actually engage the warm path, and still
-//     drive every job to completion.
+//  2. Warm-start relaxed parity (behavioral): with warm_start on, decisions
+//     are no longer bitwise-equal to the cold run, but the run must stay
+//     deterministic (same sequence twice -> identical fingerprints),
+//     actually engage the warm path, and still drive every job to
+//     completion.
 
 #include <gtest/gtest.h>
 
@@ -104,10 +106,12 @@ void ApplyChurn(Rng& rng, const Scenario& sc, ReplicaState& state,
 }
 
 // Runs `cycles` decide+churn steps and folds every decision fingerprint into
-// one digest; the first divergent cycle poisons all later ones.
+// one digest; the first divergent cycle poisons all later ones. `cold_cache`
+// invalidates the controller's cycle cache before every Decide, forcing a
+// from-scratch candidate build each cycle.
 uint64_t RunChurnFingerprint(uint64_t seed, const ControllerAlgorithmOptions& opt,
-                             int cycles, int64_t* scheduled_total = nullptr,
-                             int* warm_cycles = nullptr) {
+                             int cycles, bool cold_cache = false,
+                             int64_t* scheduled_total = nullptr, int* warm_cycles = nullptr) {
   Scenario sc = MakeScenario(seed);
   ReplicaState state(&sc.topo);
   Rng churn_rng(seed ^ 0x5DEECE66DULL);
@@ -123,6 +127,9 @@ uint64_t RunChurnFingerprint(uint64_t seed, const ControllerAlgorithmOptions& op
     h ^= h >> 31;
   };
   for (int c = 0; c < cycles; ++c) {
+    if (cold_cache) {
+      algo.InvalidateCycleCache();
+    }
     CycleDecision d = algo.Decide(c, state, sc.residual, {});
     mix(d.Fingerprint());
     if (scheduled_total != nullptr) {
@@ -136,43 +143,42 @@ uint64_t RunChurnFingerprint(uint64_t seed, const ControllerAlgorithmOptions& op
   return h;
 }
 
-ControllerAlgorithmOptions Options(bool incremental, int shards, int threads) {
+ControllerAlgorithmOptions Options(int shards, int threads) {
   ControllerAlgorithmOptions opt;
-  opt.incremental_candidates = incremental;
   opt.num_shards = shards;
   opt.num_threads = threads;
   return opt;
 }
 
-// Churn parity: the incremental build equals the legacy from-scratch build
-// bit for bit at every cycle of an arrival/retire/delivery/fault sequence,
-// across shard and thread counts. debug_verify_incremental turns on the
-// internal element-wise rebuild check as well.
+// Churn parity: the delta build equals the from-scratch build bit for bit at
+// every cycle of an arrival/retire/delivery/fault sequence, across shard and
+// thread counts. debug_verify_incremental turns on the internal element-wise
+// rebuild check as well.
 TEST(WarmChurnTest, IncrementalMatchesLegacyAcrossChurn) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    const uint64_t legacy = RunChurnFingerprint(seed, Options(false, 1, 1), 8);
-    ControllerAlgorithmOptions verify = Options(true, 1, 1);
+    const uint64_t legacy =
+        RunChurnFingerprint(seed, Options(1, 1), 8, /*cold_cache=*/true);
+    ControllerAlgorithmOptions verify = Options(1, 1);
     verify.debug_verify_incremental = true;
     EXPECT_EQ(RunChurnFingerprint(seed, verify, 8), legacy) << "seed " << seed;
     for (int shards : {1, 4}) {
       for (int threads : {1, 4}) {
-        EXPECT_EQ(RunChurnFingerprint(seed, Options(true, shards, threads), 8), legacy)
+        EXPECT_EQ(RunChurnFingerprint(seed, Options(shards, threads), 8), legacy)
             << "seed " << seed << " shards " << shards << " threads " << threads;
       }
     }
   }
 }
 
-// Relaxed parity end to end: warm_start + split_contended stays
-// deterministic under churn (identical digests on a repeat run, for any
-// thread count) and the warm path actually engages after the first cycle.
+// Relaxed parity end to end: warm_start stays deterministic under churn
+// (identical digests on a repeat run, for any thread count) and the warm
+// path actually engages after the first cycle.
 TEST(WarmChurnTest, WarmStartDeterministicUnderChurn) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    ControllerAlgorithmOptions warm = Options(true, 4, 1);
+    ControllerAlgorithmOptions warm = Options(4, 1);
     warm.warm_start = true;
-    warm.split_contended = true;
     int warm_cycles = 0;
-    const uint64_t first = RunChurnFingerprint(seed, warm, 8, nullptr, &warm_cycles);
+    const uint64_t first = RunChurnFingerprint(seed, warm, 8, false, nullptr, &warm_cycles);
     EXPECT_GT(warm_cycles, 0) << "seed " << seed;
     for (int threads : {1, 4}) {
       ControllerAlgorithmOptions again = warm;
@@ -190,11 +196,10 @@ TEST(WarmChurnTest, WarmStartDeterministicUnderChurn) {
 TEST(WarmChurnTest, WarmStartSchedulesComparableVolume) {
   for (uint64_t seed = 20; seed <= 25; ++seed) {
     int64_t cold_blocks = 0, warm_blocks = 0;
-    RunChurnFingerprint(seed, Options(true, 4, 1), 8, &cold_blocks);
-    ControllerAlgorithmOptions warm = Options(true, 4, 1);
+    RunChurnFingerprint(seed, Options(4, 1), 8, false, &cold_blocks);
+    ControllerAlgorithmOptions warm = Options(4, 1);
     warm.warm_start = true;
-    warm.split_contended = true;
-    RunChurnFingerprint(seed, warm, 8, &warm_blocks);
+    RunChurnFingerprint(seed, warm, 8, false, &warm_blocks);
     EXPECT_GE(warm_blocks, cold_blocks / 2) << "seed " << seed;
     EXPECT_LE(warm_blocks, cold_blocks * 2) << "seed " << seed;
   }

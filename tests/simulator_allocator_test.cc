@@ -4,10 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/simulator/flow.h"
+#include "src/simulator/network_simulator.h"
+#include "src/topology/topology.h"
+#include "tests/oracles.h"
 
 namespace bds {
 namespace {
@@ -30,21 +35,39 @@ std::vector<Flow*> Ptrs(std::vector<Flow>& flows) {
   return out;
 }
 
+// Flattens `flows` into the allocator's CSR arrays, solves them as one
+// instance, and writes each flow's current_rate back.
+void Allocate(BandwidthAllocator& alloc, const std::vector<Rate>& caps,
+              std::vector<Flow>& flows) {
+  std::vector<int32_t> offsets{0};
+  std::vector<LinkId> links;
+  std::vector<Rate> pinned;
+  for (const Flow& f : flows) {
+    links.insert(links.end(), f.links.begin(), f.links.end());
+    offsets.push_back(static_cast<int32_t>(links.size()));
+    pinned.push_back(f.pinned_rate);
+  }
+  std::vector<Rate> rate(flows.size(), -1.0);
+  alloc.AllocateSubset(caps, flows.size(), offsets.data(), links.data(), pinned.data(),
+                       rate.data());
+  for (size_t i = 0; i < flows.size(); ++i) {
+    flows[i].current_rate = rate[i];
+  }
+}
+
 TEST(BandwidthAllocatorTest, SingleFlowGetsBottleneck) {
   std::vector<Rate> caps{10.0, 4.0, 8.0};
   std::vector<Flow> flows{MakeFlow(0, {0, 1, 2})};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 4.0, 1e-9);
 }
 
 TEST(BandwidthAllocatorTest, TwoFlowsShareEvenly) {
   std::vector<Rate> caps{10.0};
   std::vector<Flow> flows{MakeFlow(0, {0}), MakeFlow(1, {0})};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 5.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 5.0, 1e-9);
 }
@@ -55,9 +78,8 @@ TEST(BandwidthAllocatorTest, MaxMinClassicExample) {
   // (2 each); flow 1 then takes the rest of link 0 (8).
   std::vector<Rate> caps{10.0, 4.0};
   std::vector<Flow> flows{MakeFlow(0, {0, 1}), MakeFlow(1, {0}), MakeFlow(2, {1})};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 2.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 8.0, 1e-9);
   EXPECT_NEAR(flows[2].current_rate, 2.0, 1e-9);
@@ -66,9 +88,8 @@ TEST(BandwidthAllocatorTest, MaxMinClassicExample) {
 TEST(BandwidthAllocatorTest, PinnedFlowKeepsRateWhenFeasible) {
   std::vector<Rate> caps{10.0};
   std::vector<Flow> flows{MakeFlow(0, {0}, 3.0), MakeFlow(1, {0})};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 3.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 7.0, 1e-9);  // Fair flow takes the rest.
 }
@@ -76,9 +97,8 @@ TEST(BandwidthAllocatorTest, PinnedFlowKeepsRateWhenFeasible) {
 TEST(BandwidthAllocatorTest, OversubscribedPinnedFlowsScaledProportionally) {
   std::vector<Rate> caps{6.0};
   std::vector<Flow> flows{MakeFlow(0, {0}, 6.0), MakeFlow(1, {0}, 6.0)};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 3.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 3.0, 1e-9);
 }
@@ -88,47 +108,33 @@ TEST(BandwidthAllocatorTest, PinnedScalingCascades) {
   // pinned at 4 on link 1 still fits after flow 0 shrinks (cap 8).
   std::vector<Rate> caps{4.0, 8.0};
   std::vector<Flow> flows{MakeFlow(0, {0, 1}, 8.0), MakeFlow(1, {1}, 4.0)};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 4.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 4.0, 1e-9);
-}
-
-TEST(BandwidthAllocatorTest, CompletedFlowsGetZero) {
-  std::vector<Rate> caps{10.0};
-  std::vector<Flow> flows{MakeFlow(0, {0}), MakeFlow(1, {0})};
-  flows[0].end_time = 1.0;  // Completed.
-  auto ptrs = Ptrs(flows);
-  BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
-  EXPECT_DOUBLE_EQ(flows[0].current_rate, 0.0);
-  EXPECT_NEAR(flows[1].current_rate, 10.0, 1e-9);
 }
 
 TEST(BandwidthAllocatorTest, ZeroCapacityLinkStallsFlows) {
   std::vector<Rate> caps{0.0, 10.0};
   std::vector<Flow> flows{MakeFlow(0, {0, 1}), MakeFlow(1, {1})};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 0.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 10.0, 1e-9);
 }
 
 TEST(BandwidthAllocatorTest, NoFlowsIsANoOp) {
   std::vector<Rate> caps{10.0};
-  std::vector<Flow*> empty;
+  std::vector<Flow> empty;
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, empty);  // Must not crash.
+  Allocate(alloc, caps, empty);  // Must not crash.
 }
 
 TEST(BandwidthAllocatorTest, MixedPinnedAndFairRespectCapacity) {
   std::vector<Rate> caps{10.0};
   std::vector<Flow> flows{MakeFlow(0, {0}, 4.0), MakeFlow(1, {0}), MakeFlow(2, {0})};
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
   EXPECT_NEAR(flows[0].current_rate, 4.0, 1e-9);
   EXPECT_NEAR(flows[1].current_rate, 3.0, 1e-9);
   EXPECT_NEAR(flows[2].current_rate, 3.0, 1e-9);
@@ -182,9 +188,8 @@ TEST_P(AllocatorPropertyTest, CapacityNeverViolatedAndWorkConserving) {
   RandomCase rc = MakeRandomCase(static_cast<uint64_t>(GetParam()));
   std::vector<Rate>& caps = rc.caps;
   std::vector<Flow>& flows = rc.flows;
-  auto ptrs = Ptrs(flows);
   BandwidthAllocator alloc;
-  alloc.Allocate(caps, ptrs);
+  Allocate(alloc, caps, flows);
 
   // Capacity constraint per link.
   std::vector<double> load(caps.size(), 0.0);
@@ -215,22 +220,36 @@ TEST_P(AllocatorPropertyTest, CapacityNeverViolatedAndWorkConserving) {
   }
 }
 
-// Property: the component-decomposed solver agrees with the retained global
-// reference solver. Rates are mathematically equal; arithmetically they may
-// differ by reassociated fill increments, so compare to 1e-9 relative.
+// Property: the simulator's per-component rates agree with the global
+// reference solver. The random case's links become parallel WAN links of a
+// two-DC topology and its flows are started in a NetworkSimulator, which
+// decomposes the incidence graph into link-connected components and solves
+// each with AllocateSubset. Rates are mathematically equal; arithmetically
+// they may differ by reassociated fill increments, so compare to 1e-9
+// relative.
 TEST_P(AllocatorPropertyTest, ComponentDecompositionMatchesReference) {
-  RandomCase decomposed = MakeRandomCase(static_cast<uint64_t>(GetParam()));
-  RandomCase reference = MakeRandomCase(static_cast<uint64_t>(GetParam()));
-  auto dptrs = Ptrs(decomposed.flows);
-  auto rptrs = Ptrs(reference.flows);
-  BandwidthAllocator alloc;
-  alloc.Allocate(decomposed.caps, dptrs);
-  alloc.AllocateReference(reference.caps, rptrs);
-  ASSERT_EQ(decomposed.flows.size(), reference.flows.size());
-  for (size_t i = 0; i < decomposed.flows.size(); ++i) {
-    double ref = reference.flows[i].current_rate;
-    double tol = 1e-9 * std::max(1.0, std::abs(ref));
-    EXPECT_NEAR(decomposed.flows[i].current_rate, ref, tol) << "flow " << i;
+  RandomCase rc = MakeRandomCase(static_cast<uint64_t>(GetParam()));
+  Topology topo;
+  const DcId a = topo.AddDatacenter("a");
+  const DcId b = topo.AddDatacenter("b");
+  for (size_t l = 0; l < rc.caps.size(); ++l) {
+    ASSERT_EQ(topo.AddWanLink(a, b, rc.caps[l]).value(), static_cast<LinkId>(l));
+  }
+  NetworkSimulator sim(&topo);
+  std::vector<FlowId> ids;
+  for (const Flow& f : rc.flows) {
+    ids.push_back(sim.StartFlow(f.links, 1e12, f.pinned_rate).value());
+  }
+  ASSERT_TRUE(sim.AdvanceTo(0.0).ok());  // Solves every dirty component.
+
+  auto ptrs = Ptrs(rc.flows);
+  AllocateReference(rc.caps, ptrs);
+  for (size_t i = 0; i < rc.flows.size(); ++i) {
+    const std::optional<FlowView> view = sim.FindFlow(ids[i]);
+    ASSERT_TRUE(view.has_value()) << "flow " << i;
+    const double ref = rc.flows[i].current_rate;
+    const double tol = 1e-9 * std::max(1.0, std::abs(ref));
+    EXPECT_NEAR(view->current_rate, ref, tol) << "flow " << i;
   }
 }
 

@@ -7,13 +7,17 @@ Compares a fresh run of a sweep benchmark (``bench_fig11_scalability``,
 optimization config regressed by more than the threshold (25% by default).
 The two files must carry the same ``benchmark`` name.
 
-The comparison is *config-relative*, not absolute: for every (point, config)
-the metric is ``seconds[config] / seconds[reference_config]`` within the same
-JSON file — how much faster than the knobs-off build that config is. Absolute
-wall-clock differs run to run with machine load (we observe ±25% on shared
-runners), but the within-run ratio between two configs timed back-to-back in
-the same process is stable. A real regression — an optimization losing its
-edge — shows up as the fresh ratio exceeding the committed ratio.
+The main comparison is *config-relative*, not absolute: for every (point,
+config) the metric is ``seconds[config] / seconds[reference_config]`` within
+the same JSON file — how much faster than the reference config that config
+is. Absolute wall-clock differs run to run with machine load (we observe
+±25% on shared runners), but the within-run ratio between two configs timed
+back-to-back in the same process is stable. A real regression — an
+optimization losing its edge — shows up as the fresh ratio exceeding the
+committed ratio. Families with no in-file reference to normalize by (the
+simulator's "large_points", the controller's fleet points, whose shard
+counts all make the same decision at about the same cost) are gated on
+absolute CPU seconds against a generous threshold instead.
 
 Usage:
   check_bench_regression.py --bench ./bench_fig11_scalability \
@@ -36,13 +40,13 @@ DEFAULT_THRESHOLD = 0.25
 # by the code under test — they are printed but not gated.
 DEFAULT_MIN_RUNTIME = 0.002
 # "large_points" (incremental-only scale points, no in-file reference config
-# to normalize by) are gated on absolute CPU seconds instead. Shared runners
-# show ±50% wall noise at these sizes, so only a >2x slowdown — an order-of-
-# magnitude regression territory, e.g. the SoA hot path losing its edge —
-# fails the gate.
+# to normalize by) and the controller's fleet points are gated on absolute
+# CPU seconds instead. Shared runners show ±50% wall noise at these sizes, so
+# only a >2x slowdown — an order-of-magnitude regression territory, e.g. the
+# SoA hot path losing its edge — fails the gate.
 DEFAULT_LARGE_THRESHOLD = 1.0
-# The knobs-off config every other config is normalized by, when the JSON
-# does not name one via its "reference_config" field.
+# The config every other config is normalized by, when the JSON does not
+# name one via its "reference_config" field.
 DEFAULT_REFERENCE_CONFIG = "baseline"
 # Steady-state baselines (``BENCH_steady.json``, stamped ``"mode":
 # "steady"``) are gated differently: every column is
@@ -61,20 +65,18 @@ STEADY_METRICS = {
 }
 
 # Only gate (point, config) pairs whose committed relative time shows the
-# optimization had a *strong* edge there (e.g. the all-knobs config and the
-# incremental FPTAS, at ~0.4-0.6x of the reference). A config near 1.0x of
-# the reference (the path cache alone at 10^4 blocks, the thread pool on a
-# 1-core runner) has nothing to regress and its ratio is dominated by
-# measurement noise — gating it produces flaky failures, not signal. For the
-# strong-edge configs a real regression (the optimization breaking or losing
-# its edge) moves the ratio toward 1.0 — a +70-150% jump, far beyond both
-# noise and the threshold.
+# optimization had a *strong* edge there (e.g. the incremental simulator at
+# a fraction of the full-reallocation reference). A config near 1.0x of the
+# reference (a sharded controller cycle against the unsharded one) has
+# nothing to regress and its ratio is dominated by measurement noise — gating
+# it produces flaky failures, not signal. For the strong-edge configs a real
+# regression (the optimization breaking or losing its edge) moves the ratio
+# toward 1.0 — a +70-150% jump, far beyond both noise and the threshold.
 EDGE_CUTOFF = 0.7
 
 # Amortized (cross-cycle) gates for the "steady_cycles" section written by
 # bench_fig11_scalability: N consecutive cycles of one long-lived controller
-# with ~5% job churn, warm start and contended-group splitting on. Two
-# families of checks:
+# with ~5% job churn and warm start on. Two families of checks:
 #  - Within-run invariants, gated at any scale: every post-cold cycle must
 #    actually warm-start (warm_solves == cycles - 1), and the amortized warm
 #    cycle must beat the cold cycle of the SAME run by at least this ratio.
@@ -145,29 +147,41 @@ def time_field(*datas):
     return "seconds"
 
 
-def compare_large(baseline_data, fresh_data, threshold):
-    """Absolute-CPU gate for the incremental-only 'large_points' family
-    (no in-file reference config to normalize by). Returns (compared,
-    failures) where failures is a list of (size, committed, fresh, delta).
-    Points present in only one file — e.g. a smoke run scales 10^6 down to
-    10^5 — are skipped."""
-    base = {p["flows"]: p for p in baseline_data.get("large_points", [])}
-    fresh = {p["flows"]: p for p in fresh_data.get("large_points", [])}
+def large_times(data):
+    """{(flows, 'incremental'): cpu} for the simulator's incremental-only
+    'large_points' family."""
+    return {(p["flows"], "incremental"): p.get("cpu_seconds", p.get("seconds"))
+            for p in data.get("large_points", [])}
+
+
+def fleet_times(data):
+    """{(blocks, config): cpu} for the controller's fleet points (the points
+    stamped with a 'jobs' workload shape)."""
+    return {(p["blocks"], config): secs
+            for p in data.get("points", []) if "jobs" in p
+            for config, secs in p["cpu_seconds"].items()}
+
+
+def compare_absolute(title, base, fresh, threshold):
+    """Absolute-CPU gate over {(size, config): cpu} maps. Returns (compared,
+    failures) where failures is a list of (size, config, committed, fresh,
+    delta). Keys present in only one map — e.g. a smoke run scales 10^6
+    flows down to 10^5, or skips the 10^7-block fleet point — are
+    skipped."""
     common = sorted(set(base) & set(fresh))
     failures = []
     if not common:
         return 0, failures
-    print(f"\nlarge points (absolute cpu_seconds, incremental only):")
-    print(f"{'flows':>10}  {'committed':>10}  {'fresh':>10}  {'delta':>7}")
-    for size in common:
-        was = base[size].get("cpu_seconds", base[size].get("seconds"))
-        now = fresh[size].get("cpu_seconds", fresh[size].get("seconds"))
+    print(f"\n{title} (absolute cpu_seconds):")
+    print(f"{'size':>10}  {'config':>20}  {'committed':>10}  {'fresh':>10}  {'delta':>7}")
+    for key in common:
+        was, now = base[key], fresh[key]
         delta = now / was - 1.0
         flag = ""
         if delta > threshold:
-            failures.append((size, was, now, delta))
+            failures.append((key[0], key[1], was, now, delta))
             flag = "  REGRESSION"
-        print(f"{size:>10}  {was:>10.3f}  {now:>10.3f}  {delta:>+6.1%}{flag}")
+        print(f"{key[0]:>10}  {key[1]:>20}  {was:>10.3f}  {now:>10.3f}  {delta:>+6.1%}{flag}")
     return len(common), failures
 
 
@@ -436,8 +450,14 @@ def main():
             flag = "  REGRESSION"
         print(f"{config:>20}  {was:>16.3f}  {now:>12.3f}  {delta:>+6.1%}{flag}")
 
-    large_compared, large_failures = compare_large(baseline_data, fresh_data,
-                                                   args.large_threshold)
+    large_compared, large_failures = compare_absolute(
+        "large points", large_times(baseline_data), large_times(fresh_data),
+        args.large_threshold)
+    fleet_compared, fleet_failures = compare_absolute(
+        "fleet points", fleet_times(baseline_data), fleet_times(fresh_data),
+        args.large_threshold)
+    large_compared += fleet_compared
+    large_failures += fleet_failures
     overhead_compared, overhead_failures = compare_telemetry_overhead(fresh_data)
     amortized_compared, amortized_failures = compare_amortized(
         baseline_data, fresh_data, args.large_threshold)
@@ -451,10 +471,10 @@ def main():
         for config, was, now, delta in failures:
             print(f"  {config}: {was:.3f} -> {now:.3f} ({delta:+.1%})", file=sys.stderr)
     if large_failures:
-        print(f"\n{len(large_failures)} large-point regression(s) beyond "
-              f"{args.large_threshold:.0%} absolute CPU:", file=sys.stderr)
-        for size, was, now, delta in large_failures:
-            print(f"  {size} flows: {was:.3f}s -> {now:.3f}s ({delta:+.1%})",
+        print(f"\n{len(large_failures)} absolute-CPU regression(s) beyond "
+              f"{args.large_threshold:.0%}:", file=sys.stderr)
+        for size, config, was, now, delta in large_failures:
+            print(f"  {size} {config}: {was:.3f}s -> {now:.3f}s ({delta:+.1%})",
                   file=sys.stderr)
     if amortized_failures:
         print(f"\n{len(amortized_failures)} amortized steady-cycle check(s) failed:",
@@ -470,7 +490,7 @@ def main():
     if failures or large_failures or amortized_failures or overhead_failures:
         return 1
     print(f"\nOK: {compared} configs"
-          + (f" + {large_compared} large points" if large_compared else "")
+          + (f" + {large_compared} absolute points" if large_compared else "")
           + (f" + {amortized_compared} amortized checks" if amortized_compared else "")
           + (f" + {overhead_compared} overhead check" if overhead_compared else "")
           + f" within tolerance of the committed baseline")
