@@ -131,7 +131,6 @@ struct FleetPoint {
   double select_cpu[std::size(kFleetConfigs)] = {};
   double solve_cpu[std::size(kFleetConfigs)] = {};
   double merge_cpu[std::size(kFleetConfigs)] = {};
-  int shard_groups[std::size(kFleetConfigs)] = {};
 };
 
 std::vector<FleetPoint> RunFleetSweep(bool smoke) {
@@ -167,7 +166,7 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
   for (const FleetConfig& c : kFleetConfigs) {
     std::printf("  %18s", c.name);
   }
-  std::printf("  %9s\n", "groups");
+  std::printf("\n");
 
   std::vector<FleetPoint> points;
   for (const Size& size : sizes) {
@@ -188,7 +187,6 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
     point.blocks_per_job = size.blocks_per_job;
     point.blocks = size.jobs * size.blocks_per_job;
     uint64_t baseline_fp = 0;
-    int last_groups = 0;
     for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
       ControllerAlgorithmOptions options;
       options.num_threads = 4;
@@ -210,7 +208,6 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
           point.select_cpu[ci] = decision.select_cpu_seconds;
           point.solve_cpu[ci] = decision.solve_cpu_seconds;
           point.merge_cpu[ci] = decision.merge_cpu_seconds;
-          point.shard_groups[ci] = decision.num_shard_groups;
         }
         const uint64_t rep_fp = decision.Fingerprint();
         if (r == 0) {
@@ -225,14 +222,13 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
       } else {
         BDS_CHECK_MSG(fp == baseline_fp, "shard count changed the cycle decision");
       }
-      last_groups = point.shard_groups[ci];
     }
     std::printf("%12lld %8lld", static_cast<long long>(point.blocks),
                 static_cast<long long>(point.jobs));
     for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
       std::printf("  %15.1f ms", point.cpu_seconds[ci] * 1e3);
     }
-    std::printf("  %9d\n", last_groups);
+    std::printf("\n");
     points.push_back(point);
   }
   return points;
@@ -318,8 +314,8 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn, warm start on",
                      "one long-lived controller; warm cycles re-price only churned "
                      "candidates and warm-start the FPTAS (DESIGN.md §9.7)");
-  std::printf("%6s %10s %10s %10s %10s %10s %8s %8s %6s %7s\n", "cycle", "cpu (ms)",
-              "select", "solve", "scheduled", "transfers", "reuse", "phases", "warm", "groups");
+  std::printf("%6s %10s %10s %10s %10s %10s %8s %8s %6s\n", "cycle", "cpu (ms)", "select",
+              "solve", "scheduled", "transfers", "reuse", "phases", "warm");
 
   double warm_total = 0.0;
   double reuse_total = 0.0;
@@ -332,11 +328,11 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
     const double reuse =
         slots > 0 ? static_cast<double>(decision.cand_slots_reused) / static_cast<double>(slots)
                   : 0.0;
-    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%% %8lld %6s %7d\n", cyc, cpu * 1e3,
+    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%% %8lld %6s\n", cyc, cpu * 1e3,
                 decision.select_cpu_seconds * 1e3, decision.solve_cpu_seconds * 1e3,
                 static_cast<long long>(decision.scheduled_blocks), decision.transfers.size(),
                 reuse * 1e2, static_cast<long long>(decision.fptas_phases_skipped),
-                decision.warm_solve ? "yes" : "no", decision.num_shard_groups);
+                decision.warm_solve ? "yes" : "no");
     if (cyc == 0) {
       stats.cold_cpu = cpu;
       BDS_CHECK_MSG(decision.cand_slots_reused == 0, "first cycle cannot reuse candidates");
@@ -428,10 +424,10 @@ void WriteSweepJson(const std::vector<FleetPoint>& fleet_points,
     std::fprintf(f, "}, \"phases\": {");
     for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
       std::fprintf(f,
-                   "%s\"%s\": {\"num_shards\": %d, \"shard_groups\": %d, \"select\": %.6f, "
-                   "\"solve\": %.6f, \"merge\": %.6f}",
+                   "%s\"%s\": {\"num_shards\": %d, \"select\": %.6f, \"solve\": %.6f, "
+                   "\"merge\": %.6f}",
                    ci == 0 ? "" : ", ", kFleetConfigs[ci].name, kFleetConfigs[ci].num_shards,
-                   p.shard_groups[ci], p.select_cpu[ci], p.solve_cpu[ci], p.merge_cpu[ci]);
+                   p.select_cpu[ci], p.solve_cpu[ci], p.merge_cpu[ci]);
     }
     std::fprintf(f, "}}%s\n", i + 1 == fleet_points.size() ? "" : ",");
   }

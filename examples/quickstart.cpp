@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   flags.AddDouble("size-gb", &size_gb, "bulk data size in GB");
   flags.AddDouble("cycle", &cycle, "controller update cycle in seconds");
   flags.AddInt("threads", &threads, "controller worker threads");
-  flags.AddInt("shards", &shards, "controller shards (selection + FPTAS groups)");
+  flags.AddInt("shards", &shards, "controller selection-queue shards");
   flags.AddBool("warm-start", &warm_start,
                 "seed each cycle's routing FPTAS from the previous cycle (relaxed parity)");
   flags.AddDouble("duration", &duration,

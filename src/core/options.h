@@ -26,9 +26,9 @@ struct BdsOptions {
   bool use_exact_lp = false;  // "Standard LP" ablation mode.
   int64_t max_deliveries_per_cycle = 0;
   // Fleet-scale controller parallelism: worker threads for the per-subtask /
-  // per-candidate passes, and shards for the selection queue + per-group
-  // FPTAS (DESIGN.md "Sharded controller"). Either value may be raised
-  // without changing any decision bit.
+  // per-candidate passes, and shards for the selection queue (DESIGN.md
+  // "Sharded controller"). Either value may be raised without changing any
+  // decision bit.
   int num_threads = 1;
   int num_shards = 1;
   // Cross-cycle incrementality (DESIGN.md §9.7). warm_start seeds each

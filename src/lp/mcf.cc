@@ -94,12 +94,9 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 
 // The tuned solver: Fleischer's phase structure over a flat CSR form with
 // incrementally maintained lower bounds. The loop itself lives in
-// mcf_internal::RunFptasPushLoop, parameterized by the commodity subset it
-// may push for, so the sharded solver (mcf_shard.cc) runs the identical code
-// over link-disjoint subsets; here the subset is every commodity. The push
-// sequence — and therefore every per-path flow — is bit-identical to the
-// straightforward Fleischer loop (tests/oracles.cc, checked by the parity
-// property tests): when a commodity
+// mcf_internal::RunFptasPushLoop. The push sequence — and therefore every
+// per-path flow — is bit-identical to the straightforward Fleischer loop
+// (tests/oracles.cc, checked by the parity property tests): when a commodity
 // IS consulted, its path lengths are recomputed by fresh scans in link order
 // (the identical floating-point sums), the structured-shape fast kinds only
 // reorder provably-equal arithmetic (sentinel adds of 0.0, hoisted shared
@@ -151,14 +148,9 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
     raw_flow.assign(ws.num_paths, 0.0);
   }
 
-  std::vector<int32_t> all_commodities(ws.num_commodities);
-  for (size_t c = 0; c < ws.num_commodities; ++c) {
-    all_commodities[c] = static_cast<int32_t>(c);
-  }
   const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
-  mcf_internal::FptasLoopStats stats =
-      mcf_internal::RunFptasPushLoop(flat, ws, epsilon, delta, max_pushes, all_commodities,
-                                     length, raw_flow, use_warm ? &control : nullptr);
+  mcf_internal::FptasLoopStats stats = mcf_internal::RunFptasPushLoop(
+      flat, ws, epsilon, delta, max_pushes, length, raw_flow, use_warm ? &control : nullptr);
 
   BDS_TELEMETRY_COUNT("fptas.solves", 1);
   BDS_TELEMETRY_COUNT("fptas.pushes", stats.pushes);

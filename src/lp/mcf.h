@@ -8,7 +8,9 @@
 //    baseline;
 //  * SolveMcfFptas   — the Garg–Könemann / Fleischer width-independent FPTAS
 //    the paper adopts ([17,18] in §4.4), returning a (1-eps)-optimal flow in
-//    time independent of the number of commodities.
+//    time independent of the number of commodities. It is the controller's
+//    one routing driver, for every shard and thread count: one solve per
+//    cycle, single-threaded, cold or warm.
 
 #ifndef BDS_SRC_LP_MCF_H_
 #define BDS_SRC_LP_MCF_H_
@@ -70,16 +72,15 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // tests).
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1);
 
-// Warm-start seed for the FPTAS solvers: a previous solve's *finalized*
+// Warm-start seed for SolveMcfFptas: a previous solve's *finalized*
 // per-commodity path flows, re-mapped by the caller onto the CURRENT
 // instance's commodity and path indexing. flows[c] empty (or the whole
 // vector shorter than c) means "no seed for commodity c"; flows larger than
 // a commodity's current demand are clamped proportionally by the seeder.
 //
 // Warm solves obey the relaxed-parity contract (DESIGN.md §9.7): the result
-// is feasible, deterministic for any thread count, bitwise-invariant to the
-// shard count, and the objective stays within (1 + epsilon) of the cold
-// solve's — but it is NOT bitwise equal to the cold solve.
+// is feasible, deterministic, and the objective stays within (1 + epsilon)
+// of the cold solve's — but it is NOT bitwise equal to the cold solve.
 struct McfWarmSeed {
   std::vector<std::vector<double>> flows;
 

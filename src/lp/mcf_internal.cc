@@ -281,7 +281,6 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
 
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
-                                const std::vector<int32_t>& commodities,
                                 std::vector<double>& length,
                                 std::vector<double>& raw_flow,
                                 const FptasLoopControl* control) {
@@ -299,10 +298,9 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   constexpr uint8_t kFast1 = FptasWorkspace::kFast1;
   constexpr uint8_t kStructured = FptasWorkspace::kStructured;
 
-  // cached_min is indexed by global commodity id so the loop body reads
-  // exactly like the unsharded solver's. 0.0 understates any real length and
-  // forces a first fresh scan; a warm start seeds the exact minima of the
-  // seeded lengths instead (still a valid lower bound — lengths only grow).
+  // cached_min: 0.0 understates any real length and forces a first fresh
+  // scan; a warm start seeds the exact minima of the seeded lengths instead
+  // (still a valid lower bound — lengths only grow).
   std::vector<double> cached_min;
   if (control != nullptr && control->cached_min_seed != nullptr) {
     BDS_CHECK(control->cached_min_seed->size() == ws.num_commodities);
@@ -311,30 +309,12 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     cached_min.assign(ws.num_commodities, 0.0);
   }
   std::vector<int32_t> active;
-  active.reserve(commodities.size());
-  for (int32_t c : commodities) {
-    if (cp_off[static_cast<size_t>(c)] != cp_off[static_cast<size_t>(c) + 1]) {
-      active.push_back(c);
+  active.reserve(ws.num_commodities);
+  for (size_t c = 0; c < ws.num_commodities; ++c) {
+    if (cp_off[c] != cp_off[c + 1]) {
+      active.push_back(static_cast<int32_t>(c));
     }
   }
-
-  // Cross-group advisory budget (see FptasLoopControl): report every
-  // kSharedReport pushes; once the shared total covers the global budget,
-  // cut off exactly like the local cap (the caller discards and reruns).
-  std::atomic<int64_t>* shared_pushes =
-      control != nullptr ? control->shared_pushes : nullptr;
-  const int64_t shared_max = control != nullptr ? control->shared_max_pushes : 0;
-  constexpr int64_t kSharedReport = 1024;
-  int64_t unreported = 0;
-  auto shared_cutoff = [&]() -> bool {  // True: abort this loop.
-    if (shared_pushes == nullptr || unreported < kSharedReport) {
-      return false;
-    }
-    const int64_t total =
-        shared_pushes->fetch_add(unreported, std::memory_order_relaxed) + unreported;
-    unreported = 0;
-    return total >= shared_max;
-  };
 
   int64_t pushes = 0;
   double alpha = control != nullptr && control->alpha_start > 0.0
@@ -415,9 +395,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
             Lw[qi[3]] *= qf[3];
             Lw[qi[4]] *= qf[4];
           }
-          ++unreported;
-          if (++pushes >= max_pushes || shared_cutoff()) {
-            pushes = std::max(pushes, max_pushes);
+          if (++pushes >= max_pushes) {
             break;
           }
           const double lb = L[f2];
@@ -454,9 +432,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
             Lw[qi[3]] *= qf[3];
             Lw[qi[4]] *= qf[4];
           }
-          ++unreported;
-          if (++pushes >= max_pushes || shared_cutoff()) {
-            pushes = std::max(pushes, max_pushes);
+          if (++pushes >= max_pushes) {
             break;
           }
           const double lb = L[f2];
@@ -511,9 +487,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
             break;
           }
           push_path(best);
-          ++unreported;
-          if (++pushes >= max_pushes || shared_cutoff()) {
-            pushes = std::max(pushes, max_pushes);
+          if (++pushes >= max_pushes) {
             break;
           }
           if (structured) {
@@ -541,11 +515,8 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     alpha *= 1.0 + epsilon;
   }
 
-  if (shared_pushes != nullptr && unreported > 0) {
-    shared_pushes->fetch_add(unreported, std::memory_order_relaxed);
-  }
   stats.pushes = pushes;
-  stats.commodities_retired = static_cast<int64_t>(commodities.size() - active.size());
+  stats.commodities_retired = static_cast<int64_t>(ws.num_commodities - active.size());
   return stats;
 }
 
@@ -626,8 +597,7 @@ FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& fl
   // exact link order the push loop uses (the fast kinds' sentinel padding
   // only inserts bitwise no-op adds of 0.0), so seeding cached_min with
   // these values skips scans whose outcome is already proved. The global
-  // minimum drives the alpha-ladder fast-forward and is computed over ALL
-  // commodities so warm sharded solves share one entry point.
+  // minimum drives the alpha-ladder fast-forward.
   double m_min = std::numeric_limits<double>::infinity();
   for (size_t c = 0; c < ws.num_commodities; ++c) {
     if (ws.cp_off[c] == ws.cp_off[c + 1]) {

@@ -1,10 +1,8 @@
 // Shared internals of the Fleischer/Garg–Könemann FPTAS solvers.
 //
-// SolveMcfFptas, SolveMcfFptasSharded, and the reference loop kept as a test
-// oracle (tests/oracles.cc) all run the same multiplicative-weights dynamics
-// over the same flattened instance; this header exposes the pieces they share
-// so the sharded solver (mcf_shard.cc) can be bit-compatible with the global
-// one by construction:
+// SolveMcfFptas and the reference loop kept as a test oracle
+// (tests/oracles.cc) run the same multiplicative-weights dynamics over the
+// same flattened instance; this header exposes the pieces they share:
 //
 //  * FlatMcf / FlattenMcf — the flattened form (demands reduced to virtual
 //    edges, dead paths dropped). Every derived constant of the algorithm —
@@ -13,25 +11,17 @@
 //    the exact numeric trajectory.
 //  * FptasWorkspace — the CSR layout + structured-shape acceleration tables
 //    of the tuned solver, precomputed once per instance.
-//  * RunFptasPushLoop — the tuned phase loop, parameterized by the commodity
-//    subset it may push for. Restricted to a subset whose paths are
-//    link-disjoint from every other subset's, the loop performs the
-//    identical push sequence (same doubles, same order per commodity) as the
-//    full run, because no outside push can touch the lengths it reads. That
-//    property is what makes per-shard solves mergeable without any epsilon
-//    of divergence (see DESIGN.md "Sharded controller").
+//  * SeedFptasWarmState — the warm-start state rebuilt from a previous
+//    solve's finalized flows.
+//  * RunFptasPushLoop — the tuned phase loop over every commodity.
 //  * FinalizeFptas — theoretical rescale + global feasibility normalization
-//    + two greedy augmentation rounds. In the sharded solver this IS the
-//    merge step: it enforces the global capacity budget over the combined
-//    raw flow and rebalances slack, and it is a pure function of (flat,
-//    raw_flow) — order-independent of how the raw flow was produced.
+//    + two greedy augmentation rounds; a pure function of (flat, raw_flow).
 //
 // Everything here is an implementation detail: no stability promised.
 
 #ifndef BDS_SRC_LP_MCF_INTERNAL_H_
 #define BDS_SRC_LP_MCF_INTERNAL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -62,9 +52,7 @@ struct FlatMcf {
 
 FlatMcf FlattenMcf(const McfInstance& instance);
 
-// Garg–Könemann initialization; depends on the GLOBAL edge count, which is
-// why per-shard solves must share the global FlatMcf rather than flatten
-// their own slice.
+// Garg–Könemann initialization; depends on the flattened edge count.
 double FptasDelta(const FlatMcf& flat, double epsilon);
 
 // Push-count cap shared by the solvers (bounds a wedged multiplicative-
@@ -85,7 +73,7 @@ void FinalizeFptas(const FlatMcf& flat, double epsilon, double delta,
 // Precomputed acceleration tables for RunFptasPushLoop (the tuned solver's
 // CSR layout, per-path bottlenecks/factors, structured-shape detection and
 // padded fast rows). Pure function of (flat, epsilon); read-only during the
-// loop, so one workspace serves any number of concurrent per-shard loops.
+// loop.
 struct FptasWorkspace {
   FptasWorkspace(const FlatMcf& flat, double epsilon);
 
@@ -124,28 +112,18 @@ struct FptasLoopStats {
 };
 
 // Optional controls for RunFptasPushLoop. Defaults reproduce the classic
-// cold loop exactly; warm starts and the sharded solver's cross-group push
-// accounting hook in here.
+// cold loop exactly; warm starts hook in here.
 struct FptasLoopControl {
   // Alpha-ladder entry point. <= 0 starts cold at delta * flat.max_len; a
   // warm start passes a grid-aligned value (delta * max_len * (1+eps)^k)
   // computed by SeedFptasWarmState so every skipped phase is provably a
   // no-op under the seeded lengths.
   double alpha_start = -1.0;
-  // Per-GLOBAL-commodity-id seed for the loop's cached minima (must
-  // lower-bound — or equal — the commodity's current cheapest path length
-  // under the caller's `length`). nullptr: cold init to 0.0, which forces a
-  // first fresh scan per commodity.
+  // Per-commodity seed for the loop's cached minima (must lower-bound — or
+  // equal — the commodity's current cheapest path length under the caller's
+  // `length`). nullptr: cold init to 0.0, which forces a first fresh scan
+  // per commodity.
   const std::vector<double>* cached_min_seed = nullptr;
-  // Cross-group advisory push budget (sharded solver): every ~1024 pushes
-  // the loop adds its delta to `shared_pushes`; once the shared total
-  // reaches `shared_max_pushes` the loop cuts off exactly like its own
-  // max_pushes cap. Purely an early-abort for runs the sharded solver will
-  // discard and redo serially (the wedge path) — it can only fire when the
-  // deterministic wedge predicate is already guaranteed true, so results
-  // never depend on its timing. nullptr disables.
-  std::atomic<int64_t>* shared_pushes = nullptr;
-  int64_t shared_max_pushes = 0;
 };
 
 // Seeded multiplicative-weights state reconstructed from a previous solve's
@@ -168,31 +146,19 @@ struct FptasWarmState {
 // seeded fresh-scan results, and the furthest alpha-ladder entry whose
 // skipped phases provably push nothing (alpha advanced by iterated
 // (1+eps) multiplication, mirroring the loop's own ladder bit for bit).
-// Pure function of its inputs — shard- and thread-count invariant.
+// Pure function of its inputs.
 FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& flat,
                                   const FptasWorkspace& ws, double epsilon, double delta,
                                   const McfWarmSeed& warm);
 
-// The tuned Fleischer phase loop over the commodities in `commodities`
-// (ascending global ids; commodities without paths are skipped). Reads and
-// multiplies `length` (size flat.num_edges() + 1; the last slot is the
-// sentinel padding edge and must be 0.0) and accumulates into `raw_flow`
-// (size flat.num_paths(); only the subset's paths are touched). delta and
-// max_pushes must come from the global flat (FptasDelta / MaxPushes).
-//
-// Determinism/parity contract: with `commodities` = all commodities this is
-// exactly SolveMcfFptas's loop. With a strict subset whose paths are
-// link-disjoint from the complement's, the loop's pushes are bit-identical
-// to the corresponding pushes of the full run (the only state coupling
-// between commodities is shared link lengths). max_pushes is counted per
-// call; the sharded solver detects a wedged run (summed group pushes >=
-// the global budget) after the join and redoes it as one serial loop, so
-// wedged results match the unsharded solver exactly (see DESIGN.md §9.7).
-//
-// `control` may be null (cold loop, no shared budget); see FptasLoopControl.
+// The tuned Fleischer phase loop over every commodity (commodities without
+// paths are skipped). Reads and multiplies `length` (size
+// flat.num_edges() + 1; the last slot is the sentinel padding edge and must
+// be 0.0) and accumulates into `raw_flow` (size flat.num_paths()). delta and
+// max_pushes come from FptasDelta / MaxPushes. `control` may be null (cold
+// loop); see FptasLoopControl.
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
-                                const std::vector<int32_t>& commodities,
                                 std::vector<double>& length,
                                 std::vector<double>& raw_flow,
                                 const FptasLoopControl* control = nullptr);

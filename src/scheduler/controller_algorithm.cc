@@ -11,7 +11,6 @@
 
 #include "src/common/status.h"
 #include "src/lp/mcf.h"
-#include "src/lp/mcf_shard.h"
 #include "src/telemetry/telemetry.h"
 #include "src/topology/path.h"
 
@@ -688,10 +687,8 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     }
   });
 
-  // Solver dispatch. The sharded solver is the FPTAS push loop run per
-  // link-disjoint group — exact-LP runs ignore num_shards. Rung
-  // kCoarseEpsilon and above trades routing precision for running time by
-  // coarsening epsilon.
+  // Rung kCoarseEpsilon and above trades routing precision for running time
+  // by coarsening epsilon.
   const double fptas_epsilon =
       rung_ >= DegradationRung::kCoarseEpsilon
           ? std::min(0.5, options_.fptas_epsilon * options_.degraded_epsilon_factor)
@@ -745,28 +742,16 @@ void ControllerAlgorithm::RouteBlocks(int64_t cycle, std::vector<Selected> selec
     }
   }
 
-  McfShardStats shard_stats;
-  McfResult flows;
-  if (options_.use_exact_lp) {
-    flows = SolveMcfSimplex(instance);
-  } else if (options_.num_shards > 1) {
-    McfShardOptions shard_options;
-    shard_options.num_shards = options_.num_shards;
-    flows = SolveMcfFptasSharded(instance, fptas_epsilon, shard_options, &pool_,
-                                 &shard_stats, warm_ptr, &warm_info);
-    decision.num_shard_components = shard_stats.num_components;
-    decision.num_shard_groups = shard_stats.num_groups;
-  } else {
-    flows = SolveMcfFptas(instance, fptas_epsilon, warm_ptr, &warm_info);
-  }
+  const McfResult flows = options_.use_exact_lp
+                              ? SolveMcfSimplex(instance)
+                              : SolveMcfFptas(instance, fptas_epsilon, warm_ptr, &warm_info);
   decision.warm_solve = warm_info.used;
   decision.fptas_phases_skipped = warm_info.phases_skipped;
-  // Phase accounting: instance build + push loops count as "solve"; the
-  // sharded solver's global finalize is the shard merge and is charged to
-  // "merge" along with the block-split/transfer-emission tail below.
+  // Phase accounting: instance build + the whole solve (finalize included)
+  // count as "solve"; the block-split/transfer-emission tail below is
+  // "merge".
   const double solve_cpu_end = ProcessCpuSeconds();
-  decision.solve_cpu_seconds += (solve_cpu_end - route_cpu0) - shard_stats.merge_seconds;
-  decision.merge_cpu_seconds += shard_stats.merge_seconds;
+  decision.solve_cpu_seconds += solve_cpu_end - route_cpu0;
   if (!flows.ok) {
     route_warm_.valid = false;
     return;  // No routing possible this cycle (e.g. LP hit iteration limit).

@@ -95,16 +95,12 @@ struct ControllerAlgorithmOptions {
   // for every value (deterministic static partitioning, per-slot writes).
   int num_threads = 1;
   // Fleet-scale sharding (DESIGN.md "Sharded controller"). With K > 1 the
-  // cycle's work is partitioned K ways: the candidate array is built in
-  // exact per-shard slots (CountOwedInRange pricing) and carved/heapified
-  // per contiguous shard with a K-way merge pop, and the routing FPTAS runs
-  // per link-disjoint commodity group (SolveMcfFptasSharded) with one global
-  // finalize as the merge under the bandwidth-separator budget. Decisions
-  // are bit-identical to num_shards = 1 for ANY shard and thread count —
-  // selection pops the same strict total order and the per-group push loops
-  // share the global instance's constants (see the shard-parity suite).
-  // Ignored by schedule_all / use_exact_lp, whose solvers have no shard
-  // seam.
+  // selection queue is split K ways: the candidate array is cut into K
+  // contiguous shards, each carved into sorted runs in parallel, and popped
+  // through a K-way merge. Decisions are bit-identical to num_shards = 1 for
+  // ANY shard and thread count — selection pops the same strict total order
+  // (see the shard-parity suite). Routing is one SolveMcfFptas call for
+  // every K. Ignored by schedule_all.
   int num_shards = 1;
   // Degradation-ladder knob positions (src/scheduler/degradation.h); only
   // consulted when SetDegradationRung raises the rung above kNormal.

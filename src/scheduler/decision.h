@@ -37,19 +37,12 @@ struct CycleDecision {
   int64_t merged_subtasks = 0;    // Commodities after merging.
 
   // Per-phase CPU time (CLOCK_PROCESS_CPUTIME_ID, so worker-thread time is
-  // included): selection, MCF solve, and the merge/assembly tail (shard
-  // merge + block-to-path splitting + transfer emission). The bench JSON
-  // reports these so shard-merge overhead stays visible. Like the wall
-  // timings above, they are EXCLUDED from Fingerprint().
+  // included): selection, MCF solve (instance build through finalize), and
+  // the merge/assembly tail (block-to-path splitting + transfer emission).
+  // Like the wall timings above, they are EXCLUDED from Fingerprint().
   double select_cpu_seconds = 0.0;
   double solve_cpu_seconds = 0.0;
   double merge_cpu_seconds = 0.0;
-  // Shard observability (also excluded from the fingerprint — the sharded
-  // and unsharded paths must fingerprint identically): link-sharing
-  // components found and per-shard groups solved; both 0 when the solve ran
-  // unsharded.
-  int num_shard_components = 0;
-  int num_shard_groups = 0;
   // Cross-cycle incrementality observability (DESIGN.md §9.7); all excluded
   // from Fingerprint() — reuse is a performance property, never a decision
   // input. Units are (job, 64-block chunk) slices of the candidate array;

@@ -2,15 +2,10 @@
 //
 // A warm solve carries the previous solve's finalized flows into the
 // multiplicative-weights state. Its contract is deliberately weaker than the
-// sharded solver's bitwise parity: the result must be FEASIBLE, DETERMINISTIC
-// for any thread count, bitwise-invariant to the shard count, and its
-// objective must stay within (1 + eps) of the cold solve's — but it is NOT
-// bitwise-equal to the cold solve. An empty seed must
-// degenerate to the cold solver bit for bit.
-//
-// Also covers the wedged-budget seam: with max_pushes_override forcing the
-// per-group budget, the sharded solver must discard the wedged sharded run
-// and redo it serially, so ANY shard count still matches shards=1 bitwise.
+// cold solver's bitwise parity with the reference loop: the result must be
+// FEASIBLE and DETERMINISTIC, and its objective must stay within (1 + eps)
+// of the cold solve's — but it is NOT bitwise-equal to the cold solve. An
+// empty seed must degenerate to the cold solver bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +14,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/lp/mcf.h"
-#include "src/lp/mcf_shard.h"
 
 namespace bds {
 namespace {
@@ -111,8 +104,7 @@ McfWarmSeed SeedFrom(const McfResult& result) {
 }
 
 // The headline property, 30 seeds: seeding a solve from its own cold result
-// stays feasible, keeps the objective inside the (1 + eps) band, and is
-// bitwise-invariant to shard and thread counts.
+// stays feasible and keeps the objective inside the (1 + eps) band.
 TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     McfInstance inst = RandomInstance(seed);
@@ -133,25 +125,6 @@ TEST(McfWarmTest, WarmRelaxedParityAcrossSeeds) {
           << "seed " << seed;
       EXPECT_LE(warm.total_flow, cold.total_flow / (1.0 - kEps) + 1e-9)
           << "seed " << seed;
-    }
-
-    // Shard/thread invariance of the warm solve: the seed and alpha-ladder
-    // entry are computed once from the global
-    // instance, so every shard/thread combination reproduces the
-    // single-shard warm result bit for bit.
-    McfShardOptions opt1;
-    opt1.num_shards = 1;
-    McfResult warm_ref =
-        SolveMcfFptasSharded(inst, kEps, opt1, nullptr, nullptr, &warm_seed);
-    for (int shards : {1, 8}) {
-      for (int threads : {1, 4}) {
-        ParallelRunner pool(threads);
-        McfShardOptions opt;
-        opt.num_shards = shards;
-        McfResult again =
-            SolveMcfFptasSharded(inst, kEps, opt, &pool, nullptr, &warm_seed);
-        ExpectBitwiseEqual(again, warm_ref, "warm-shard-invariance", seed);
-      }
     }
   }
 }
@@ -202,60 +175,23 @@ TEST(McfWarmTest, StaleSeedFromChurnedInstanceStaysFeasible) {
   }
 }
 
-// Warm start on a fully contended instance (one link-sharing component, so
-// sharding cannot split it): feasible, deterministic, in the cold solve's
-// quality ballpark, and bitwise-equal to the single-shard warm solve.
+// Warm start on a fully contended instance (every path crosses one shared
+// backbone): feasible, deterministic, and in the cold solve's quality
+// ballpark.
 TEST(McfWarmTest, WarmContendedFeasibleAndDeterministic) {
   for (uint64_t seed = 70; seed < 76; ++seed) {
     McfInstance inst = ContendedInstance(seed, 16);
-    McfShardOptions opt;
-    opt.num_shards = 4;
-    McfShardStats cold_stats;
-    McfResult cold = SolveMcfFptasSharded(inst, kEps, opt, nullptr, &cold_stats);
+    McfResult cold = SolveMcfFptas(inst, kEps);
     ASSERT_TRUE(cold.ok) << "seed " << seed;
-    EXPECT_EQ(cold_stats.num_groups, 1) << "seed " << seed;
     McfWarmSeed warm_seed = SeedFrom(cold);
     McfWarmInfo info;
-    McfResult warm = SolveMcfFptasSharded(inst, kEps, opt, nullptr, nullptr, &warm_seed, &info);
+    McfResult warm = SolveMcfFptas(inst, kEps, &warm_seed, &info);
     ASSERT_TRUE(warm.ok) << "seed " << seed;
     EXPECT_TRUE(info.used) << "seed " << seed;
     EXPECT_LE(MaxCapacityViolation(inst, warm), 1e-6) << "seed " << seed;
     EXPECT_GE(warm.total_flow, 0.5 * cold.total_flow) << "seed " << seed;
-    ParallelRunner pool(4);
-    McfResult again = SolveMcfFptasSharded(inst, kEps, opt, &pool, nullptr, &warm_seed);
+    McfResult again = SolveMcfFptas(inst, kEps, &warm_seed);
     ExpectBitwiseEqual(again, warm, "warm-contended-determinism", seed);
-    McfShardOptions opt1;
-    opt1.num_shards = 1;
-    ExpectBitwiseEqual(SolveMcfFptasSharded(inst, kEps, opt1, nullptr, nullptr, &warm_seed), warm,
-                       "warm-contended-one-shard", seed);
-  }
-}
-
-// Wedged-budget parity: when the (overridden) push budget cuts the run off,
-// the sharded solver must notice the wedge and redo the solve as one serial
-// loop, so shards=8 still equals shards=1 bit for bit instead of each group
-// spending a private budget.
-TEST(McfWarmTest, WedgedBudgetParityAcrossShardCounts) {
-  for (uint64_t seed = 80; seed < 90; ++seed) {
-    McfInstance inst = RandomInstance(seed);
-    for (int64_t budget : {1, 7, 40}) {
-      McfShardOptions opt1;
-      opt1.num_shards = 1;
-      opt1.max_pushes_override = budget;
-      McfResult serial = SolveMcfFptasSharded(inst, kEps, opt1, nullptr);
-      ParallelRunner pool(4);
-      McfShardOptions opt8;
-      opt8.num_shards = 8;
-      opt8.max_pushes_override = budget;
-      McfShardStats stats;
-      McfResult sharded = SolveMcfFptasSharded(inst, kEps, opt8, &pool, &stats);
-      ExpectBitwiseEqual(sharded, serial, "wedged-budget", seed);
-      // The rerun only fires when the budget actually bound the run; a
-      // large-enough budget lets the solve finish normally.
-      if (stats.num_groups > 1 && stats.pushes >= budget) {
-        EXPECT_TRUE(stats.wedge_rerun) << "seed " << seed << " budget " << budget;
-      }
-    }
   }
 }
 

@@ -14,8 +14,8 @@
 namespace bds {
 
 // The straightforward Fleischer loop (full rescan of a commodity's path
-// lengths per push, every commodity visited every phase). SolveMcfFptas and
-// SolveMcfFptasSharded must match it bit for bit.
+// lengths per push, every commodity visited every phase). SolveMcfFptas must
+// match it bit for bit.
 McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon = 0.1);
 
 // The whole-network progressive-filling allocator: one global filling pass

@@ -215,9 +215,8 @@ TEST(ShardParityTest, PathCacheCountersMatchUnshardedAcrossRouteChanges) {
   }
 }
 
-// Observability fields: a sharded decision reports its component/group
-// counts (excluded from the fingerprint), the unsharded one reports zeros,
-// and the per-phase CPU timings are populated either way.
+// Observability fields: the per-phase CPU timings (excluded from the
+// fingerprint) are populated for sharded and unsharded decisions alike.
 TEST(ShardParityTest, ShardObservabilityFieldsPopulated) {
   Scenario sc = MakeScenario(11);
   ReplicaState state(&sc.topo);
@@ -229,11 +228,6 @@ TEST(ShardParityTest, ShardObservabilityFieldsPopulated) {
   CycleDecision du = unsharded.Decide(0, state, sc.residual, {});
   CycleDecision ds = sharded.Decide(0, state, sc.residual, {});
   ASSERT_GT(du.scheduled_blocks, 0);
-  EXPECT_EQ(du.num_shard_components, 0);
-  EXPECT_EQ(du.num_shard_groups, 0);
-  EXPECT_GE(ds.num_shard_components, 1);
-  EXPECT_GE(ds.num_shard_groups, 1);
-  EXPECT_LE(ds.num_shard_groups, 4);
   for (const CycleDecision* d : {&du, &ds}) {
     EXPECT_GE(d->select_cpu_seconds, 0.0);
     EXPECT_GE(d->solve_cpu_seconds, 0.0);

@@ -14,7 +14,7 @@
 //
 //  2. Warm-start relaxed parity (behavioral): with warm_start on, decisions
 //     are no longer bitwise-equal to the cold run, but the run must stay
-//     deterministic (same sequence twice -> identical fingerprints),
+//     deterministic for any shard/thread count (one fingerprint per seed),
 //     actually engage the warm path, and still drive every job to
 //     completion.
 
@@ -170,21 +170,23 @@ TEST(WarmChurnTest, IncrementalMatchesLegacyAcrossChurn) {
   }
 }
 
-// Relaxed parity end to end: warm_start stays deterministic under churn
-// (identical digests on a repeat run, for any thread count) and the warm
-// path actually engages after the first cycle.
+// Relaxed parity end to end: warm_start stays deterministic under churn —
+// every shard/thread combination reproduces the unsharded single-threaded
+// warm digest — and the warm path actually engages after the first cycle.
 TEST(WarmChurnTest, WarmStartDeterministicUnderChurn) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    ControllerAlgorithmOptions warm = Options(4, 1);
+    ControllerAlgorithmOptions warm = Options(1, 1);
     warm.warm_start = true;
     int warm_cycles = 0;
-    const uint64_t first = RunChurnFingerprint(seed, warm, 8, false, nullptr, &warm_cycles);
+    const uint64_t reference = RunChurnFingerprint(seed, warm, 8, false, nullptr, &warm_cycles);
     EXPECT_GT(warm_cycles, 0) << "seed " << seed;
-    for (int threads : {1, 4}) {
-      ControllerAlgorithmOptions again = warm;
-      again.num_threads = threads;
-      EXPECT_EQ(RunChurnFingerprint(seed, again, 8), first)
-          << "seed " << seed << " threads " << threads;
+    for (int shards : {1, 4}) {
+      for (int threads : {1, 4}) {
+        ControllerAlgorithmOptions again = Options(shards, threads);
+        again.warm_start = true;
+        EXPECT_EQ(RunChurnFingerprint(seed, again, 8), reference)
+            << "seed " << seed << " shards " << shards << " threads " << threads;
+      }
     }
   }
 }

@@ -16,7 +16,8 @@ back-to-back in the same process is stable. A real regression — an
 optimization losing its edge — shows up as the fresh ratio exceeding the
 committed ratio. Families with no in-file reference to normalize by (the
 simulator's "large_points", the controller's fleet points, whose shard
-counts all make the same decision at about the same cost) are gated on
+counts split only the selection queue — routing is the same single FPTAS
+solve — and so make the same decision at about the same cost) are gated on
 absolute CPU seconds against a generous threshold instead.
 
 Usage:
@@ -67,9 +68,9 @@ STEADY_METRICS = {
 # Only gate (point, config) pairs whose committed relative time shows the
 # optimization had a *strong* edge there (e.g. the incremental simulator at
 # a fraction of the full-reallocation reference). A config near 1.0x of the
-# reference (a sharded controller cycle against the unsharded one) has
-# nothing to regress and its ratio is dominated by measurement noise — gating
-# it produces flaky failures, not signal. For the strong-edge configs a real
+# reference (a controller cycle with a sharded selection queue against the
+# unsharded one) has nothing to regress and its ratio is dominated by
+# measurement noise — gating it produces flaky failures, not signal. For the strong-edge configs a real
 # regression (the optimization breaking or losing its edge) moves the ratio
 # toward 1.0 — a +70-150% jump, far beyond both noise and the threshold.
 EDGE_CUTOFF = 0.7
