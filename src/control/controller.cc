@@ -41,10 +41,9 @@ struct Digest {
 };
 
 // Simulation-determined cycle fields folded into RunReport::cycles_digest.
-// Wall-clock-derived values (scheduling/routing seconds, the feedback delay,
-// which folds the algorithm's measured runtime in, and modeled_cost_seconds
-// when use_measured_cost is on) are excluded: they vary run to run without
-// the simulation differing.
+// Wall-clock-derived values (scheduling/routing seconds and the feedback
+// delay, which folds the algorithm's measured runtime in) are excluded: they
+// vary run to run without the simulation differing.
 uint64_t MixCycle(uint64_t h, const CycleStats& c) {
   h = MixU64(h, static_cast<uint64_t>(c.cycle));
   h = MixDoubleU64(h, c.start_time);
@@ -331,11 +330,9 @@ Status BdsController::ConfigureTimeseries(const telemetry::TimeseriesOptions& op
   return Status::Ok();
 }
 
-void BdsController::ConfigureRetirement(bool retire_completed, int64_t completed_flow_history,
-                                        int64_t max_cycle_stats) {
+void BdsController::ConfigureRetirement(bool retire_completed, int64_t max_cycle_stats) {
   retire_completed_ = retire_completed;
   max_cycle_stats_ = max_cycle_stats;
-  sim_.set_completed_history_limit(completed_flow_history);
 }
 
 void BdsController::SetArrivalProcess(ArrivalProcess* arrivals, SimTime stop_time) {
@@ -763,15 +760,13 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
     stats.feedback_delay =
         agent_monitor_.SampleFeedbackLoop(active_agent_dcs_, decision.total_seconds());
   }
-  // Cycle-deadline watchdog: price the cycle (deterministic model by
-  // default; measured CPU forfeits cross-run determinism) and convert any
-  // overrun into decision staleness — the decisions reach agents late.
+  // Cycle-deadline watchdog: price the cycle with the deterministic cost
+  // model and convert any overrun into decision staleness — the decisions
+  // reach agents late.
   double cycle_cost = 0.0;
   if (watchdog_.enabled()) {
-    cycle_cost = watchdog_.options().use_measured_cost
-                     ? decision.total_seconds()
-                     : watchdog_.ModelCost(pending_before, decision.scheduled_blocks,
-                                           decision.merged_subtasks);
+    cycle_cost = watchdog_.ModelCost(pending_before, decision.scheduled_blocks,
+                                     decision.merged_subtasks);
     stats.modeled_cost_seconds = cycle_cost;
   }
 
@@ -806,10 +801,8 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
     push_plan.emplace_back(dst, drop);
     return drop;
   };
-  // The cycle's flow starts go down as one churn batch: the simulator defers
-  // incidence insertion and dirty marking until commit and then runs a
-  // single reallocation pass over the union of dirty components.
-  sim_.BeginBatch();
+  // The cycle's flow starts only mark links dirty; the next time advance
+  // runs one reallocation pass over the union of dirty components.
   telemetry::FlightRecorder& fr = telemetry::FlightRecorder::Global();
   const bool fr_on = fr.active();
   const char* rung_name = DegradationRungName(static_cast<DegradationRung>(stats.rung));
@@ -833,7 +826,6 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
     transfers_.emplace(tag, CtrlTransfer{std::move(a), dest_dc, *flow});
     ++stats.transfers_started;
   }
-  sim_.CommitBatch();
   BDS_TELEMETRY_COUNT("controller.transfers_started", stats.transfers_started);
   if (watchdog_.enabled()) {
     // Fold the cycle into the ladder and set the rung the NEXT cycle runs at.

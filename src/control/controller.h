@@ -91,8 +91,8 @@ struct CycleStats {
   double routing_seconds = 0.0;
   double feedback_delay = 0.0;
   // Degradation rung this cycle ran at (DegradationRung as int) and the cost
-  // the watchdog charged it. The rung is simulation-determined; the cost is
-  // too unless use_measured_cost is on.
+  // the watchdog charged it. Both are simulation-determined: the cost comes
+  // from the deterministic cost model.
   int rung = 0;
   double modeled_cost_seconds = 0.0;
 };
@@ -198,12 +198,9 @@ class BdsController {
   // Admission control over open-loop arrivals (script-submitted jobs are
   // always accepted — they model operator-initiated work).
   void ConfigureAdmission(const AdmissionOptions& options);
-  // Bounded memory: retire completed jobs from the replica state, cap the
-  // simulator's completed-flow history (`completed_flow_history`, -1 keeps
-  // all) and the per-cycle stats kept in the report (`max_cycle_stats`,
-  // 0 keeps all).
-  void ConfigureRetirement(bool retire_completed, int64_t completed_flow_history,
-                           int64_t max_cycle_stats);
+  // Bounded memory: retire completed jobs from the replica state and cap
+  // the per-cycle stats kept in the report (`max_cycle_stats`, 0 keeps all).
+  void ConfigureRetirement(bool retire_completed, int64_t max_cycle_stats);
   // Pulls jobs from `arrivals` (not owned; must outlive Run) as simulated
   // time passes, until NextArrivalTime() reaches `stop_time`.
   void SetArrivalProcess(ArrivalProcess* arrivals, SimTime stop_time);

@@ -10,15 +10,13 @@
 // (src/scheduler/degradation.h) one rung per overrunning cycle; a run of
 // calm cycles steps back up, with hysteresis so the ladder does not flap.
 //
-// Determinism: by default the charged cost is a *model* — a deterministic
-// function of the cycle's decision counts (pending deliveries, selected
-// blocks, merged subtasks) and the rung's knob positions, calibrated against
-// the PR-6 per-phase CPU measurements. Counts are bit-identical across
+// Determinism: the charged cost is a *model* — a deterministic function of
+// the cycle's decision counts (pending deliveries, selected blocks, merged
+// subtasks) and the rung's knob positions, calibrated against measured
+// per-phase CPU of the fleet-scale cycle. Counts are bit-identical across
 // thread/shard counts, so ladder transitions and the staleness they inject
-// are too — the same guarantee the PR 3/4/6 rewrites keep. Setting
-// `use_measured_cost` charges the measured wall CPU instead, which makes the
-// ladder react to the real machine but forfeits cross-run determinism; it is
-// off everywhere determinism is asserted.
+// are too. The watchdog never charges measured CPU: that would make the
+// ladder, and so the run, differ from one machine (or one run) to the next.
 
 #ifndef BDS_SRC_CONTROL_OVERLOAD_H_
 #define BDS_SRC_CONTROL_OVERLOAD_H_
@@ -53,9 +51,6 @@ struct OverloadOptions {
   bool enabled = false;
   SimTime cycle_length = 3.0;
   CycleCostModel cost;
-  // Charge measured CPU seconds instead of the model. Breaks cross-run
-  // determinism (see header comment); never combine with determinism checks.
-  bool use_measured_cost = false;
   // Escalate when cost > overrun_threshold * cycle_length.
   double overrun_threshold = 1.0;
   // A cycle is "calm" when cost < recover_threshold * cycle_length ...

@@ -116,8 +116,7 @@ StatusOr<SteadyStateReport> BdsService::RunSteadyState(const SteadyStateOptions&
 
   controller_->ConfigureOverload(options.overload);
   controller_->ConfigureAdmission(options.admission);
-  controller_->ConfigureRetirement(options.retire_completed, options.completed_flow_history,
-                                   options.max_cycle_stats);
+  controller_->ConfigureRetirement(options.retire_completed, options.max_cycle_stats);
   BDS_RETURN_IF_ERROR(controller_->ConfigureTimeseries(options.timeseries));
   controller_->SetArrivalProcess(&arrivals, options.duration);
 
@@ -157,7 +156,6 @@ StatusOr<SteadyStateReport> BdsService::RunSteadyState(const SteadyStateOptions&
   report.retired_blocks = report.run.retired_blocks;
   report.live_jobs_at_end = controller_->state().num_live_jobs();
   report.live_pending_at_end = controller_->state().num_pending();
-  report.dropped_flow_records = controller_->simulator().dropped_flow_records();
   if (const telemetry::SloTimeseries* ts = controller_->timeseries(); ts != nullptr) {
     report.timeseries_samples = ts->samples();
     report.burn_fast_at_end = ts->burn_fast();

@@ -42,11 +42,9 @@ struct SteadyStateOptions {
   AdmissionOptions admission;
   OverloadOptions overload;
 
-  // Bounded memory: retire completed jobs, cap the simulator's
-  // completed-flow history (-1 keeps all) and the retained CycleStats
+  // Bounded memory: retire completed jobs and cap the retained CycleStats
   // (0 keeps all).
   bool retire_completed = true;
-  int64_t completed_flow_history = 4096;
   int64_t max_cycle_stats = 2048;
 
   // Simulated-time SLO sampler + burn-rate alerts (disabled by default;
@@ -86,7 +84,6 @@ struct SteadyStateReport {
   int64_t retired_blocks = 0;
   int64_t live_jobs_at_end = 0;
   int64_t live_pending_at_end = 0;
-  int64_t dropped_flow_records = 0;
 
   // SLO time-series outcome (only populated when options.timeseries.enabled).
   // Deliberately OUTSIDE Fingerprint(): the sampler is observational and the

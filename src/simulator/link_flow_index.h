@@ -3,11 +3,11 @@
 // Per link, a contiguous array of (slot, hop) entries — CSR-like rows that
 // support O(1) swap-erase removal because every flow records its position in
 // each row (FlowSoA::incidence_pos, stored in the same shared arena as the
-// path links). The index answers two hot-path questions without scanning the
-// full active-flow set:
-//   * which flows cross link L (FlowsCrossingLink, kill-on-hard-down);
-//   * which flows belong to the connected component of the flow-link
-//     incidence graph touched by a change (incremental reallocation).
+// path links). The index answers, without scanning the full active-flow set,
+// which flows belong to the connected component of the flow-link incidence
+// graph touched by a change (incremental reallocation, and the component-by-
+// component layout of the locality reorder), and whether a link still
+// carries any flow (snapping its aggregate rate to zero when it drains).
 //
 // Component gathering uses generation stamps (per link here, per flow in
 // FlowSoA::visit_stamp), so an epoch costs O(component) with no global

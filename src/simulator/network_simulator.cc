@@ -18,8 +18,6 @@ NetworkSimulator::NetworkSimulator(const Topology* topo) : topo_(topo) {
     usable_capacity_[static_cast<size_t>(l)] = std::max(0.0, topo->link(l).capacity);
   }
   link_rate_.assign(n, 0.0);
-  link_integrated_at_.assign(n, 0.0);
-  link_bytes_.assign(n, 0.0);
   link_dirty_.assign(n, 0);
   incidence_.Reset(topo->num_links());
 }
@@ -36,42 +34,6 @@ void NetworkSimulator::MarkDirty(LinkId link) {
     dirty_links_.push_back(link);
   }
   rates_dirty_ = true;
-}
-
-void NetworkSimulator::BeginBatch() {
-  BDS_CHECK(!in_batch_);
-  in_batch_ = true;
-  batch_adds_ = 0;
-}
-
-void NetworkSimulator::FlushBatchAdds() {
-  for (int32_t slot : pending_adds_) {
-    incidence_.Add(soa_, slot);
-    const LinkId* links = soa_.links(slot);
-    int32_t n = soa_.num_links(slot);
-    for (int32_t i = 0; i < n; ++i) {
-      MarkDirty(links[i]);
-    }
-  }
-  pending_adds_.clear();
-}
-
-namespace {
-// Reorder only when a batch lands enough flows to matter and they make up a
-// big share of the pool: a bulk submission (initial load, controller cycle
-// restart) pays one O(live) pass; a steady trickle of small batches never
-// triggers repeated rewrites.
-constexpr int64_t kReorderMinBatchAdds = 4096;
-}  // namespace
-
-void NetworkSimulator::CommitBatch() {
-  FlushBatchAdds();
-  in_batch_ = false;
-  if (batch_adds_ >= kReorderMinBatchAdds &&
-      batch_adds_ * 2 >= static_cast<int64_t>(soa_.num_live())) {
-    ReorderSlotsForLocality();
-  }
-  batch_adds_ = 0;
 }
 
 void NetworkSimulator::ReorderSlotsForLocality() {
@@ -183,15 +145,11 @@ StatusOr<FlowId> NetworkSimulator::StartFlow(std::vector<LinkId> links, Bytes by
   slot_live_pos_[s] = static_cast<int32_t>(live_slots_.size());
   live_slots_.push_back(slot);
 
-  if (in_batch_) {
-    pending_adds_.push_back(slot);
-    ++batch_adds_;
-  } else {
-    incidence_.Add(soa_, slot);
-    for (size_t i = 0; i < links.size(); ++i) {
-      MarkDirty(links[i]);
-    }
+  incidence_.Add(soa_, slot);
+  for (size_t i = 0; i < links.size(); ++i) {
+    MarkDirty(links[i]);
   }
+  ++starts_since_realloc_;
   // No per-flow trace instant here: at 1e5+ concurrent flows it would both
   // flood the ring (evicting the decision-level events) and pay a clock read
   // per start — trace.h's granularity contract is per solver call, not per
@@ -200,30 +158,7 @@ StatusOr<FlowId> NetworkSimulator::StartFlow(std::vector<LinkId> links, Bytes by
   return id;
 }
 
-Status NetworkSimulator::RepinFlow(FlowId id, Rate pinned_rate) {
-  if (!pending_adds_.empty()) {
-    FlushBatchAdds();  // Keep batched submission order identical to unbatched.
-  }
-  int32_t slot = SlotOf(id);
-  if (slot < 0) {
-    return NotFoundError("RepinFlow: no such active flow");
-  }
-  if (pinned_rate < 0.0) {
-    return InvalidArgumentError("RepinFlow: negative rate");
-  }
-  soa_.meta[static_cast<size_t>(slot)].pinned_rate = pinned_rate;
-  const LinkId* links = soa_.links(slot);
-  int32_t n = soa_.num_links(slot);
-  for (int32_t i = 0; i < n; ++i) {
-    MarkDirty(links[i]);
-  }
-  return Status::Ok();
-}
-
 StatusOr<Bytes> NetworkSimulator::CancelFlow(FlowId id) {
-  if (!pending_adds_.empty()) {
-    FlushBatchAdds();  // The cancelled flow may itself be a deferred add.
-  }
   int32_t slot = SlotOf(id);
   if (slot < 0) {
     return NotFoundError("CancelFlow: no such active flow");
@@ -275,11 +210,6 @@ Status NetworkSimulator::SetBackgroundRate(LinkId link, Rate rate) {
   return Status::Ok();
 }
 
-Rate NetworkSimulator::BackgroundRate(LinkId link) const {
-  BDS_CHECK(link >= 0 && link < topo_->num_links());
-  return background_[static_cast<size_t>(link)];
-}
-
 Status NetworkSimulator::SetLinkFaultFactor(LinkId link, double factor) {
   if (link < 0 || link >= topo_->num_links()) {
     return InvalidArgumentError("SetLinkFaultFactor: bad link");
@@ -293,24 +223,6 @@ Status NetworkSimulator::SetLinkFaultFactor(LinkId link, double factor) {
       std::max(0.0, topo_->link(link).capacity * factor - background_[li]);
   MarkDirty(link);
   return Status::Ok();
-}
-
-double NetworkSimulator::LinkFaultFactor(LinkId link) const {
-  BDS_CHECK(link >= 0 && link < topo_->num_links());
-  return fault_factor_[static_cast<size_t>(link)];
-}
-
-std::vector<FlowId> NetworkSimulator::FlowsCrossingLink(LinkId link) const {
-  BDS_CHECK(link >= 0 && link < topo_->num_links());
-  BDS_CHECK(pending_adds_.empty());  // Batched starts are not indexed yet.
-  std::vector<FlowId> out;
-  const auto& row = incidence_.at(link);
-  out.reserve(row.size());
-  for (const LinkFlowEntry& e : row) {
-    out.push_back(soa_.meta[static_cast<size_t>(e.slot)].id);
-  }
-  std::sort(out.begin(), out.end());  // Row order changes with swap-erase.
-  return out;
 }
 
 double NetworkSimulator::MaxCapacityViolation() const {
@@ -330,28 +242,18 @@ double NetworkSimulator::MaxCapacityViolation() const {
   return any ? worst : 0.0;
 }
 
-void NetworkSimulator::IntegrateLink(LinkId link) {
-  size_t li = static_cast<size_t>(link);
-  if (link_integrated_at_[li] == now_) {
-    return;
-  }
-  link_bytes_[li] += link_rate_[li] * (now_ - link_integrated_at_[li]);
-  link_integrated_at_[li] = now_;
-}
-
 void NetworkSimulator::DetachFlow(int32_t slot) {
   size_t s = static_cast<size_t>(slot);
   const LinkId* links = soa_.links(slot);
   int32_t n = soa_.num_links(slot);
   Rate rate = soa_.current_rate[s];
   for (int32_t i = 0; i < n; ++i) {
-    IntegrateLink(links[i]);
     link_rate_[static_cast<size_t>(links[i])] -= rate;
     MarkDirty(links[i]);
   }
   incidence_.Remove(soa_, slot);
   // Snap drained links to exactly zero so incremental -= drift can't leak
-  // into byte integration or MaxCapacityViolation.
+  // into LinkBulkRate or MaxCapacityViolation.
   for (int32_t i = 0; i < n; ++i) {
     if (incidence_.at(links[i]).empty()) {
       link_rate_[static_cast<size_t>(links[i])] = 0.0;
@@ -541,7 +443,6 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
       }
     }
     for (int32_t j = comp_off_[i]; j < comp_off_[i + 1]; ++j) {
-      IntegrateLink(comp_links_[static_cast<size_t>(j)]);
       link_rate_[static_cast<size_t>(comp_links_[static_cast<size_t>(j)])] +=
           new_rate - old_rate;
     }
@@ -551,10 +452,10 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
   }
   // Push heap entries only for the component's earliest projected
   // completion(s). Between solves no member's key changes, and any event that
-  // could surface a later member (the argmin completing, a cancel, a repin, a
-  // join) dirties the component and re-solves it first — so entries for
-  // non-argmin members would be invalidated before ever reaching the heap
-  // top. Pushing ~1 entry per solve instead of one per changed rate keeps the
+  // could surface a later member (the argmin completing, a cancel, a join, a
+  // capacity change) dirties the component and re-solves it first — so
+  // entries for non-argmin members would be invalidated before ever reaching
+  // the heap top. Pushing ~1 entry per solve instead of one per changed rate keeps the
   // heap at ~#components entries rather than #flows x churn.
   // heap_epoch == rate_epoch means the slot's current-epoch entry (same key,
   // pushed by an earlier solve) is still in the heap; pushing again would
@@ -590,11 +491,21 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
   }
 }
 
+namespace {
+// Reorder only when enough flows landed since the last reallocation to matter
+// and they make up a big share of the pool: a bulk submission (initial load,
+// controller cycle restart) pays one O(live) pass; a steady trickle of small
+// cycles never triggers repeated rewrites.
+constexpr int64_t kReorderMinStarts = 4096;
+}  // namespace
+
 void NetworkSimulator::Reallocate() {
+  if (starts_since_realloc_ >= kReorderMinStarts &&
+      starts_since_realloc_ * 2 >= static_cast<int64_t>(soa_.num_live())) {
+    ReorderSlotsForLocality();
+  }
+  starts_since_realloc_ = 0;
   incidence_.BeginEpoch();
-  telemetry::TraceInstant("sim.reallocate", "simulator",
-                          {{"dirty_links", static_cast<double>(dirty_links_.size())},
-                           {"active_flows", static_cast<double>(soa_.num_live())}});
   ++telem_reallocations_;
   telem_dirty_links_ += static_cast<int64_t>(dirty_links_.size());
   if (full_realloc_) {
@@ -680,12 +591,12 @@ void NetworkSimulator::CompleteBatch(SimTime t) {
   std::sort(batch_.begin(), batch_.end());  // Ids are unique: sorts by id.
   BDS_CHECK(!batch_.empty());
 
-  size_t first_record = completed_.size();
+  batch_records_.clear();
   for (const auto& [id, slot] : batch_) {
     size_t s = static_cast<size_t>(slot);
     soa_.remaining[s] = 0.0;
     soa_.anchor_time[s] = t;
-    completed_.push_back(
+    batch_records_.push_back(
         FlowRecord{id, soa_.total_bytes[s], soa_.start_time[s], t, soa_.tag[s], soa_.tag2[s]});
     DetachFlow(slot);
     EraseFlow(slot);
@@ -693,29 +604,13 @@ void NetworkSimulator::CompleteBatch(SimTime t) {
   ++num_events_;
   ++telem_events_;
   telem_flows_completed_ += static_cast<int64_t>(batch_.size());
-  telemetry::TraceInstant("sim.complete_batch", "simulator",
-                          {{"flows", static_cast<double>(batch_.size())},
-                           {"sim_time", t}});
 
   // Callbacks fire after the whole batch is detached, so callback-started
   // flows can never share an allocation round with the finished batch.
   if (on_complete_) {
-    size_t last_record = completed_.size();
-    for (size_t i = first_record; i < last_record; ++i) {
-      FlowRecord r = completed_[i];  // Copy: callbacks may grow completed_.
+    for (const FlowRecord& r : batch_records_) {
       on_complete_(r);
     }
-  }
-
-  // Bounded history for long-running service mode: drop the oldest records
-  // once the cap is exceeded (amortized — only when the overshoot is large
-  // enough to be worth the memmove).
-  if (completed_history_limit_ >= 0 &&
-      static_cast<int64_t>(completed_.size()) >
-          completed_history_limit_ + completed_history_limit_ / 2 + 64) {
-    const int64_t drop = static_cast<int64_t>(completed_.size()) - completed_history_limit_;
-    completed_.erase(completed_.begin(), completed_.begin() + drop);
-    dropped_flow_records_ += drop;
   }
 }
 
@@ -726,7 +621,6 @@ Status NetworkSimulator::AdvanceTo(SimTime t) {
   if (t < now_) {
     t = now_;  // Within the fluid tolerance: clamp instead of stepping back.
   }
-  CommitBatch();  // Advancing time ends any open churn batch.
   // Completion callbacks may start new flows, so the loop is bounded by a
   // generous safeguard rather than the initial flow count.
   constexpr int64_t kMaxEvents = 100'000'000;
@@ -747,7 +641,6 @@ Status NetworkSimulator::AdvanceTo(SimTime t) {
 }
 
 StatusOr<SimTime> NetworkSimulator::RunUntilIdle(SimTime deadline) {
-  CommitBatch();
   while (soa_.num_live() > 0) {
     if (rates_dirty_) {
       Reallocate();
@@ -769,10 +662,21 @@ StatusOr<SimTime> NetworkSimulator::RunUntilIdle(SimTime deadline) {
   return now_;
 }
 
-// Folds the hot-loop accumulators into the metrics registry. The per-event
-// cost model (DESIGN.md §11) wants plain increments inside the drain loop;
-// the registry's shard stores happen here, once per drive call.
+// Folds the hot-loop accumulators into the metrics registry and one
+// `sim.advance` trace instant. The per-event cost model (DESIGN.md §11)
+// wants plain increments inside the drain loop; the registry's shard stores
+// and the trace ring write happen here, once per drive call. A call that
+// solved and completed nothing leaves no instant.
 void NetworkSimulator::PublishTelemetry() {
+  if (telem_reallocations_ > 0 || telem_events_ > 0) {
+    telemetry::TraceInstant(
+        "sim.advance", "simulator",
+        {{"reallocations", static_cast<double>(telem_reallocations_)},
+         {"events", static_cast<double>(telem_events_)},
+         {"flows_completed", static_cast<double>(telem_flows_completed_)},
+         {"dirty_links", static_cast<double>(telem_dirty_links_)},
+         {"component_solves", static_cast<double>(telem_component_solves_)}});
+  }
   BDS_TELEMETRY_COUNT("sim.flows_started", telem_flows_started_);
   BDS_TELEMETRY_COUNT("sim.flows_completed", telem_flows_completed_);
   BDS_TELEMETRY_COUNT("sim.events", telem_events_);
@@ -794,13 +698,6 @@ void NetworkSimulator::PublishTelemetry() {
   telem_component_solves_ = 0;
   telem_reallocations_ = 0;
   telem_dirty_links_ = 0;
-}
-
-Bytes NetworkSimulator::LinkBytesTransferred(LinkId link) const {
-  BDS_CHECK(link >= 0 && link < topo_->num_links());
-  size_t li = static_cast<size_t>(link);
-  // link_bytes_ is integrated up to link_integrated_at_; extend to now_.
-  return link_bytes_[li] + link_rate_[li] * (now_ - link_integrated_at_[li]);
 }
 
 Rate NetworkSimulator::LinkBulkRate(LinkId link) const {

@@ -27,13 +27,14 @@
 //     times with lazy invalidation keyed on the slot's rate_epoch (monotonic
 //     across slot reuse); completions sharing one event time are batched
 //     into a single reallocation;
-//   * per-link byte counters integrate rate * dt lazily at rate-change
-//     boundaries instead of per flow per event;
-//   * BeginBatch/CommitBatch lets a controller cycle submit its churn as one
-//     transaction: flow starts defer incidence insertion and dirty marking
-//     until commit (identical insertion order, so results are bit-identical
-//     to per-flow submission), and the next time advance runs one
-//     reallocation pass over the union of dirty components.
+//   * churn between two time advances costs no solve: a controller cycle's
+//     flow starts and cancels only mark links dirty, and the next AdvanceTo/
+//     RunUntilIdle runs one reallocation pass over the union of dirty
+//     components. When that pass follows a bulk load (>= 4,096 starts that
+//     make up at least half the pool) it first reorders the pool so each
+//     component's flows sit in adjacent slots.
+// Completed flows leave the simulator only through the completion callback;
+// no history is kept.
 // set_full_reallocation(true) re-solves every component at every event and
 // scans instead of using the heap — the reference path the parity suite
 // (tests/simulator_incremental_parity_test.cc) checks bit-identical results
@@ -70,9 +71,6 @@ class NetworkSimulator {
   StatusOr<FlowId> StartFlow(std::vector<LinkId> links, Bytes bytes, Rate pinned_rate = 0.0,
                              int64_t tag = 0, int64_t tag2 = 0);
 
-  // Changes the pinned rate of an in-flight flow (0 switches to fair-share).
-  Status RepinFlow(FlowId id, Rate pinned_rate);
-
   // Cancels an in-flight flow; transferred bytes stay transferred but no
   // completion fires. Returns bytes that had been delivered.
   StatusOr<Bytes> CancelFlow(FlowId id);
@@ -84,18 +82,6 @@ class NetworkSimulator {
 
   int num_active_flows() const { return soa_.num_live(); }
 
-  // --- Batched churn. ---
-
-  // Opens a churn batch: until CommitBatch, StartFlow defers incidence
-  // insertion and dirty marking (flows are still visible to FindFlow and
-  // counted active). CancelFlow/RepinFlow inside a batch first flush the
-  // deferred starts, preserving the exact per-flow submission order, so a
-  // batched cycle is bit-identical to unbatched submission. Advancing time
-  // commits the open batch automatically.
-  void BeginBatch();
-  void CommitBatch();
-  bool in_batch() const { return in_batch_; }
-
   // --- Link faults (injected churn). ---
 
   // Sets the usable-capacity factor of `link`: 0 = hard down, 1 = healthy,
@@ -103,11 +89,7 @@ class NetworkSimulator {
   // in-flight flows are throttled (or starved to rate 0) at the next
   // reallocation — callers decide whether to kill them.
   Status SetLinkFaultFactor(LinkId link, double factor);
-  double LinkFaultFactor(LinkId link) const;
   const std::vector<double>& link_fault_factors() const { return fault_factor_; }
-
-  // Active flows whose path crosses `link` (for kill-on-hard-down).
-  std::vector<FlowId> FlowsCrossingLink(LinkId link) const;
 
   // Max over links of bulk_rate - usable_bulk_capacity, normalized by the
   // link's nominal capacity; <= ~0 whenever the allocator respects every
@@ -120,7 +102,6 @@ class NetworkSimulator {
   // Sets the instantaneous rate consumed by latency-sensitive traffic on a
   // link; the allocator only hands out capacity - background to bulk flows.
   Status SetBackgroundRate(LinkId link, Rate rate);
-  Rate BackgroundRate(LinkId link) const;
 
   // --- Time. ---
 
@@ -136,6 +117,9 @@ class NetworkSimulator {
 
   // --- Observation. ---
 
+  // Fired once per completed flow, in ascending flow id within an event,
+  // after the whole event's flows are detached (so a callback may start new
+  // flows). The only way completion records leave the simulator.
   using CompletionCallback = std::function<void(const FlowRecord&)>;
   void SetCompletionCallback(CompletionCallback cb) { on_complete_ = std::move(cb); }
 
@@ -160,18 +144,6 @@ class NetworkSimulator {
     rate_observer_ = std::move(observer);
     rate_observer_keep_ = 1.0 - min_relative_change;
   }
-
-  const std::vector<FlowRecord>& completed_flows() const { return completed_; }
-
-  // Caps the completed-flow history kept in completed_flows() so a
-  // long-running service stays O(live work): once the vector exceeds the
-  // limit (plus amortization slack) the oldest records are dropped and
-  // counted in dropped_flow_records(). -1 (the default) keeps everything.
-  void set_completed_history_limit(int64_t limit) { completed_history_limit_ = limit; }
-  int64_t dropped_flow_records() const { return dropped_flow_records_; }
-
-  // Total bulk bytes that have crossed `link` so far.
-  Bytes LinkBytesTransferred(LinkId link) const;
 
   // Instantaneous bulk utilization (allocated rate / capacity) of `link`.
   double LinkUtilization(LinkId link) const;
@@ -243,20 +215,17 @@ class NetworkSimulator {
   }
 
   void MarkDirty(LinkId link);
-  // Performs the deferred incidence insertions / dirty marking of flows
-  // started since BeginBatch, in submission order.
-  void FlushBatchAdds();
   // Physically reorders the SoA pool so flows sharing a first link occupy
   // adjacent slots (and compacts away freed slots), then remaps every
   // slot-bearing structure (incidence rows, id map, live list, completion
   // heap). Slot numbering is unobservable — solves are canonicalized by flow
-  // id — so results are bit-identical; only memory layout changes. Run after
-  // a bulk CommitBatch, where round-robin submission would otherwise leave
-  // each component's flows strided across the pool.
+  // id — so results are bit-identical; only memory layout changes. Reallocate
+  // runs it after a bulk load, where round-robin submission would otherwise
+  // leave each component's flows strided across the pool.
   void ReorderSlotsForLocality();
-  // Re-solves dirty components (all components in full mode), updating
-  // anchors, epochs, per-link rates, and the completion heap for every flow
-  // whose rate actually changed.
+  // Reorders the pool after a bulk load, then re-solves dirty components (all
+  // components in full mode), updating anchors, epochs, per-link rates, and
+  // the completion heap for every flow whose rate actually changed.
   void Reallocate();
   void ReallocateComponent(LinkId seed);
   // Earliest projected completion among active flows; kTimeInfinity if none.
@@ -264,14 +233,11 @@ class NetworkSimulator {
   // Completes every flow whose projected completion equals `t` (now_ == t),
   // fires callbacks after the batch is detached.
   void CompleteBatch(SimTime t);
-  // Folds rate * dt into link_bytes_ up to now_ (call before changing the
-  // link's aggregate rate).
-  void IntegrateLink(LinkId link);
   // Drops stale heap entries and re-heapifies (bounds heap growth under
   // long-running churn).
   void CompactHeap();
-  // Integrates + removes the flow's rate from its links, marks them dirty,
-  // and drops the flow from the incidence index.
+  // Removes the flow's rate from its links, marks them dirty, and drops the
+  // flow from the incidence index.
   void DetachFlow(int32_t slot);
   // Releases the slot: id map tombstone, live-list swap-erase, pool free.
   void EraseFlow(int32_t slot);
@@ -295,18 +261,13 @@ class NetworkSimulator {
   int64_t dead_ids_ = 0;                // Tombstones currently in id_to_slot_.
   int64_t id_compact_at_ = 1024;        // Next tombstone count to compact at.
 
-  bool in_batch_ = false;
-  std::vector<int32_t> pending_adds_;  // Slots started since BeginBatch.
-  int64_t batch_adds_ = 0;             // Starts in the current batch (survives
-                                       // mid-batch flushes, unlike pending_adds_).
-  std::vector<int32_t> old_to_new_;    // Reorder scratch.
+  int64_t starts_since_realloc_ = 0;  // Reorder trigger (see Reallocate).
+  std::vector<int32_t> old_to_new_;   // Reorder scratch.
 
   std::vector<Rate> background_;             // Per link.
   std::vector<double> fault_factor_;         // Per link, 1 = healthy.
   std::vector<Rate> usable_capacity_;        // max(0, nominal*fault - background).
   std::vector<Rate> link_rate_;              // Aggregate bulk rate per link.
-  std::vector<SimTime> link_integrated_at_;  // link_bytes_ valid up to here.
-  std::vector<Bytes> link_bytes_;            // Per link, cumulative.
   bool rates_dirty_ = true;
 
   std::vector<LinkId> dirty_links_;
@@ -328,14 +289,16 @@ class NetworkSimulator {
   std::vector<Rate> comp_rate_;      // Solver output.
   std::vector<SimTime> comp_keys_;  // Projected completions after the solve.
   std::vector<std::pair<FlowId, int32_t>> batch_;  // (id, slot), sorted by id.
+  std::vector<FlowRecord> batch_records_;          // Records of batch_.
 
   int64_t num_reallocations_ = 0;
   int64_t num_events_ = 0;
 
   // Telemetry accumulators: the event loop bumps plain members and
-  // PublishTelemetry() folds them into the registry once per drive call
-  // (AdvanceTo / RunUntilIdle), so the per-event telemetry cost is a plain
-  // increment rather than a registry call (DESIGN.md §11 cost model).
+  // PublishTelemetry() folds them into the registry, and into one
+  // `sim.advance` trace instant, once per drive call (AdvanceTo /
+  // RunUntilIdle), so the per-event telemetry cost is a plain increment
+  // rather than a registry call (DESIGN.md §11 cost model).
   void PublishTelemetry();
   int64_t telem_flows_started_ = 0;
   int64_t telem_flows_completed_ = 0;
@@ -357,9 +320,6 @@ class NetworkSimulator {
   CompletionCallback on_complete_;
   RateObserver rate_observer_;
   double rate_observer_keep_ = 0.75;  // 1 - min_relative_change.
-  std::vector<FlowRecord> completed_;
-  int64_t completed_history_limit_ = -1;
-  int64_t dropped_flow_records_ = 0;
   std::vector<std::pair<LinkId, TimeSeries>> tracked_;  // Sorted by LinkId.
 };
 

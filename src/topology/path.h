@@ -40,11 +40,6 @@ struct ServerPath {
 StatusOr<ServerPath> MakeServerPath(const Topology& topo, const WanRoutingTable& routing,
                                     ServerId src, ServerId dst, int route_index = 0);
 
-// Enumerates all ServerPaths from `src` to `dst` (one per available WAN
-// route, or the single intra-DC path).
-std::vector<ServerPath> EnumerateServerPaths(const Topology& topo, const WanRoutingTable& routing,
-                                             ServerId src, ServerId dst);
-
 }  // namespace bds
 
 #endif  // BDS_SRC_TOPOLOGY_PATH_H_

@@ -4,8 +4,8 @@
 // needs that pair's candidate ServerPaths every cycle. All pairs with the
 // same (src DC, dst DC) share their WAN route structure — only the NIC links
 // at the ends differ — so enumerating paths per server pair from scratch
-// (EnumerateServerPaths) repeats the same routing-table walk O(servers^2)
-// times per cycle. This cache stores the DC-level skeleton (the WAN link
+// (one MakeServerPath per WAN route) repeats the same routing-table walk
+// O(servers^2) times per cycle. This cache stores the DC-level skeleton (the WAN link
 // sequence of each candidate route, already truncated to max_routes) once
 // per DC pair; materializing a server pair's paths is then a copy plus
 // patching the two NIC links on.
@@ -44,9 +44,10 @@ class ServerPathCache {
   void EnsurePair(DcId src_dc, DcId dst_dc);
 
   // Writes the candidate ServerPaths from `src` to `dst` into `out`
-  // (resized; inner link buffers are reused). Equivalent to
-  // EnumerateServerPaths truncated to max_routes. Requires EnsurePair for
-  // the servers' DC pair; read-only and safe to call concurrently after it.
+  // (resized; inner link buffers are reused). Equivalent to one
+  // MakeServerPath per WAN route, truncated to max_routes. Requires
+  // EnsurePair for the servers' DC pair; read-only and safe to call
+  // concurrently after it.
   void MaterializePaths(ServerId src, ServerId dst, std::vector<ServerPath>* out) const;
 
   // Drops every skeleton; pairs rebuild lazily. Call after the routing

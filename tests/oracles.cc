@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/common/status.h"
 #include "src/lp/mcf_internal.h"
@@ -217,6 +218,32 @@ void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& 
       }
     }
   }
+}
+
+std::vector<ServerPath> EnumerateServerPaths(const Topology& topo, const WanRoutingTable& routing,
+                                             ServerId src, ServerId dst) {
+  std::vector<ServerPath> out;
+  if (src == dst) {
+    return out;
+  }
+  const Server& s = topo.server(src);
+  const Server& d = topo.server(dst);
+  if (s.dc == d.dc) {
+    auto p = MakeServerPath(topo, routing, src, dst, 0);
+    if (p.ok()) {
+      out.push_back(std::move(p).value());
+    }
+    return out;
+  }
+  int n = static_cast<int>(routing.Routes(s.dc, d.dc).size());
+  out.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    auto p = MakeServerPath(topo, routing, src, dst, i);
+    if (p.ok()) {
+      out.push_back(std::move(p).value());
+    }
+  }
+  return out;
 }
 
 }  // namespace bds

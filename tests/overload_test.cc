@@ -366,8 +366,7 @@ TEST(RetirementTest, RetirementKeepsFullRunDigestsAndIsReproducible) {
                     .ok());
     }
     if (retire) {
-      controller.ConfigureRetirement(true, /*completed_flow_history=*/8,
-                                     /*max_cycle_stats=*/4);
+      controller.ConfigureRetirement(true, /*max_cycle_stats=*/4);
     }
     auto report = controller.Run();
     BDS_CHECK(report.ok());

@@ -1,19 +1,20 @@
-// Batched-churn and SoA hot-path edge cases:
+// SoA hot-path edge cases:
 //  * Flow/FlowView::RemainingAt clamps at zero (no negative remaining);
 //  * rate_epoch lazy heap invalidation — a starved (zero-rate) flow's stale
 //    projected completion must never fire, and simultaneous completions at
 //    one timestamp batch into a single event;
-//  * BeginBatch/CommitBatch is bit-identical to per-flow submission, both
-//    for small batches and for batches large enough to trigger the
-//    commit-time slot reorder (ReorderSlotsForLocality, >= 4096 adds).
+//  * the locality reorder (ReorderSlotsForLocality) is unobservable: a bulk
+//    load of >= 4096 starts, which reorders the pool in the next
+//    reallocation, completes bit-identically to the same flows started in
+//    smaller chunks with a reallocation between them, which never reorder.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "src/simulator/flow.h"
 #include "src/simulator/network_simulator.h"
 #include "src/topology/topology.h"
+#include "tests/oracles.h"
 
 namespace bds {
 namespace {
@@ -70,6 +71,8 @@ TEST(RemainingAtTest, FlowViewClampsAtZero) {
 TEST(StaleHeapEntryTest, StarvedFlowDoesNotCompleteOffStaleEntry) {
   ClusterNet net = MakeClusters(1, 10e6);
   NetworkSimulator sim(&net.topo);
+  std::vector<FlowRecord> done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
   FlowId id = sim.StartFlow(net.paths[0], 100e6).value();  // Projected t=10.
   ASSERT_TRUE(sim.AdvanceTo(2.0).ok());                    // 20 MB moved.
   // Background traffic eats the whole WAN: the re-solve drops the flow to
@@ -77,7 +80,7 @@ TEST(StaleHeapEntryTest, StarvedFlowDoesNotCompleteOffStaleEntry) {
   ASSERT_TRUE(sim.SetBackgroundRate(net.paths[0][1], 10e6).ok());
   ASSERT_TRUE(sim.AdvanceTo(20.0).ok());  // Far past the stale entry's key.
   EXPECT_EQ(sim.num_active_flows(), 1);
-  EXPECT_TRUE(sim.completed_flows().empty());
+  EXPECT_TRUE(done.empty());
   auto view = sim.FindFlow(id);
   ASSERT_TRUE(view.has_value());
   EXPECT_DOUBLE_EQ(view->current_rate, 0.0);
@@ -87,8 +90,8 @@ TEST(StaleHeapEntryTest, StarvedFlowDoesNotCompleteOffStaleEntry) {
   auto end = sim.RunUntilIdle();
   ASSERT_TRUE(end.ok());
   EXPECT_NEAR(*end, 28.0, 1e-6);
-  ASSERT_EQ(sim.completed_flows().size(), 1u);
-  EXPECT_EQ(sim.completed_flows()[0].id, id);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, id);
 }
 
 // Equal flows in disjoint components project identical completion times; the
@@ -96,6 +99,8 @@ TEST(StaleHeapEntryTest, StarvedFlowDoesNotCompleteOffStaleEntry) {
 TEST(StaleHeapEntryTest, SimultaneousCompletionsShareOneEvent) {
   ClusterNet net = MakeClusters(4, 10e6);
   NetworkSimulator sim(&net.topo);
+  std::vector<FlowRecord> done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
   std::vector<FlowId> ids;
   for (int c = 0; c < 4; ++c) {
     ids.push_back(sim.StartFlow(net.paths[c], 50e6).value());  // All end t=5.
@@ -104,11 +109,11 @@ TEST(StaleHeapEntryTest, SimultaneousCompletionsShareOneEvent) {
   ASSERT_TRUE(end.ok());
   EXPECT_NEAR(*end, 5.0, 1e-6);
   EXPECT_EQ(sim.num_completion_events(), 1);
-  ASSERT_EQ(sim.completed_flows().size(), 4u);
+  ASSERT_EQ(done.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
     // Completions within one event fire in ascending id order.
-    EXPECT_EQ(sim.completed_flows()[i].id, ids[i]);
-    EXPECT_DOUBLE_EQ(sim.completed_flows()[i].end_time, sim.completed_flows()[0].end_time);
+    EXPECT_EQ(done[i].id, ids[i]);
+    EXPECT_DOUBLE_EQ(done[i].end_time, done[0].end_time);
   }
 }
 
@@ -116,70 +121,87 @@ TEST(StaleHeapEntryTest, SimultaneousCompletionsShareOneEvent) {
 // clusters and each completion re-solves its shrunken component.
 Bytes FlowBytes(int i) { return 1e6 * static_cast<double>(1 + (i * 37) % 100); }
 
-// Runs the same workload either per-flow or batched and returns the
-// completion records.
-std::vector<FlowRecord> RunWorkload(const ClusterNet& net, int flows, bool batched,
-                                    bool with_churn) {
+// Starts `flows` flows round-robin over the clusters, `chunk` at a time with
+// a zero-length time advance (one reallocation) between chunks, then cancels
+// every 97th flow when `with_cancels`, drains, and returns the completion
+// records. A chunk >= 4096 lands the whole load in one reallocation, which
+// reorders the pool first; smaller chunks never reach the threshold.
+std::vector<FlowRecord> RunWorkload(const ClusterNet& net, int flows, int chunk,
+                                    bool with_cancels) {
   NetworkSimulator sim(&net.topo);
+  std::vector<FlowRecord> done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
   const int clusters = static_cast<int>(net.paths.size());
-  if (batched) {
-    sim.BeginBatch();
-  }
   std::vector<FlowId> ids;
   for (int i = 0; i < flows; ++i) {
     ids.push_back(sim.StartFlow(net.paths[i % clusters], FlowBytes(i)).value());
+    if ((i + 1) % chunk == 0 && i + 1 < flows) {
+      EXPECT_TRUE(sim.AdvanceBy(0.0).ok());
+    }
   }
-  if (with_churn) {
-    // Cancels and repins inside the batch flush the deferred starts first,
-    // so the op order seen by the allocator matches the per-flow run.
+  if (with_cancels) {
+    // Cancelled flows leave freed slots the reorder must compact away.
     for (int i = 0; i < flows; i += 97) {
       EXPECT_TRUE(sim.CancelFlow(ids[static_cast<size_t>(i)]).ok());
     }
-    for (int i = 1; i < flows; i += 101) {
-      if (i % 97 == 0) {
-        continue;  // Canceled above.
-      }
-      EXPECT_TRUE(sim.RepinFlow(ids[static_cast<size_t>(i)], 1e6).ok());
-    }
-  }
-  if (batched) {
-    sim.CommitBatch();
   }
   EXPECT_TRUE(sim.RunUntilIdle().ok());
-  return sim.completed_flows();
+  return done;
 }
 
 void ExpectBitIdentical(const std::vector<FlowRecord>& a, const std::vector<FlowRecord>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
-    // Bitwise, not approximate: the batched path must run the exact same
-    // float operations in the exact same order.
+    // Bitwise, not approximate: reordering slots must not change a single
+    // float operation or its order.
     EXPECT_EQ(a[i].end_time, b[i].end_time);
     EXPECT_EQ(a[i].bytes, b[i].bytes);
   }
 }
 
-TEST(BatchedChurnTest, SmallBatchBitIdenticalToPerFlow) {
-  ClusterNet net = MakeClusters(8);
-  ExpectBitIdentical(RunWorkload(net, 240, /*batched=*/false, /*with_churn=*/true),
-                     RunWorkload(net, 240, /*batched=*/true, /*with_churn=*/true));
+// A load past the reorder threshold (4096 starts since the last
+// reallocation) compacts the pool before its first solve: slots are
+// renumbered component-by-component and the incidence rows and id map are
+// remapped. Results must stay bit-identical to chunked starts.
+TEST(ReorderParityTest, BulkLoadBitIdenticalToChunkedStarts) {
+  ClusterNet net = MakeClusters(32);
+  ExpectBitIdentical(RunWorkload(net, 5000, /*chunk=*/5000, /*with_cancels=*/false),
+                     RunWorkload(net, 5000, /*chunk=*/1000, /*with_cancels=*/false));
 }
 
-// A batch past the reorder threshold (4096 adds) compacts the pool at
-// commit: slots are renumbered component-by-component and the completion
-// heap, incidence rows, and id map are remapped. Results must stay
-// bit-identical to the unbatched run, which never reorders.
-TEST(BatchedChurnTest, ReorderingBatchBitIdenticalToPerFlow) {
+TEST(ReorderParityTest, BulkLoadWithCancelsBitIdenticalToChunkedStarts) {
   ClusterNet net = MakeClusters(32);
-  ExpectBitIdentical(RunWorkload(net, 5000, /*batched=*/false, /*with_churn=*/false),
-                     RunWorkload(net, 5000, /*batched=*/true, /*with_churn=*/false));
+  ExpectBitIdentical(RunWorkload(net, 5000, /*chunk=*/5000, /*with_cancels=*/true),
+                     RunWorkload(net, 5000, /*chunk=*/1000, /*with_cancels=*/true));
 }
 
-TEST(BatchedChurnTest, ReorderingBatchWithChurnBitIdentical) {
+// The reorder also fires mid-run. The load reuses the slots of finished
+// flows, out of id order, and touches only half the clusters: the other
+// half keep their rates, so their completion-heap entries must follow their
+// flows to the new slots.
+TEST(ReorderParityTest, MidRunBulkLoadBitIdenticalToChunkedStarts) {
   ClusterNet net = MakeClusters(32);
-  ExpectBitIdentical(RunWorkload(net, 5000, /*batched=*/false, /*with_churn=*/true),
-                     RunWorkload(net, 5000, /*batched=*/true, /*with_churn=*/true));
+  auto run = [&](int chunk) {
+    NetworkSimulator sim(&net.topo);
+    std::vector<FlowRecord> done;
+    sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE(sim.StartFlow(net.paths[static_cast<size_t>(i % 32)], FlowBytes(i)).ok());
+    }
+    EXPECT_TRUE(sim.AdvanceTo(20.0).ok());
+    EXPECT_FALSE(done.empty());  // Some slots are free before the load.
+    for (int i = 0; i < 5000; ++i) {
+      EXPECT_TRUE(
+          sim.StartFlow(net.paths[static_cast<size_t>((i * 7) % 16)], FlowBytes(i + 300)).ok());
+      if ((i + 1) % chunk == 0 && i + 1 < 5000) {
+        EXPECT_TRUE(sim.AdvanceBy(0.0).ok());
+      }
+    }
+    EXPECT_TRUE(sim.RunUntilIdle().ok());
+    return done;
+  };
+  ExpectBitIdentical(run(/*chunk=*/5000), run(/*chunk=*/1000));
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // Parity suite for the simulator's incremental hot path.
 //
 // The incremental event loop (dirty-component reallocation, lazy flow
-// anchors, completion heap, lazy link-byte integration) must be *bit
-// identical* to full reallocation: both modes call the same component solver
-// on the same canonically-ordered flow subsets, and a clean component
-// re-solved from scratch reproduces the same rates, so skipping it cannot
-// change a single bit. These tests drive both modes through identical
-// scripted op sequences — flow starts, cancels, repins, link-fault factor
-// changes, background-rate changes — and require bitwise-equal completion
-// records, link byte counters, violation metrics, and clocks, plus
-// fingerprint-equal controller runs.
+// anchors, completion heap) must be *bit identical* to full reallocation:
+// both modes call the same component solver on the same canonically-ordered
+// flow subsets, and a clean component re-solved from scratch reproduces the
+// same rates, so skipping it cannot change a single bit. These tests drive
+// both modes through identical scripted op sequences — flow starts, cancels,
+// link-fault factor changes, background-rate changes — and require
+// bitwise-equal completion records, per-link bulk rates, violation metrics,
+// and clocks, plus fingerprint-equal controller runs.
 
 #include <gtest/gtest.h>
 
@@ -57,11 +56,13 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
   ref.set_full_reallocation(true);
   ASSERT_FALSE(inc.full_reallocation());
   ASSERT_TRUE(ref.full_reallocation());
+  std::vector<FlowRecord> ra;
+  std::vector<FlowRecord> rb;
+  inc.SetCompletionCallback([&](const FlowRecord& r) { ra.push_back(r); });
+  ref.SetCompletionCallback([&](const FlowRecord& r) { rb.push_back(r); });
 
   auto compare_links = [&](const char* where) {
     for (LinkId l = 0; l < topo.num_links(); ++l) {
-      ASSERT_EQ(inc.LinkBytesTransferred(l), ref.LinkBytesTransferred(l))
-          << where << " link " << l;
       ASSERT_EQ(inc.LinkBulkRate(l), ref.LinkBulkRate(l)) << where << " link " << l;
     }
     ASSERT_EQ(inc.MaxCapacityViolation(), ref.MaxCapacityViolation()) << where;
@@ -71,7 +72,7 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
   SimTime t = 0.0;
   const int kOps = 120;
   for (int op = 0; op < kOps; ++op) {
-    switch (rng.Next(8)) {
+    switch (rng.Next(7)) {
       case 0:
       case 1:
       case 2:
@@ -106,17 +107,7 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
         }
         break;
       }
-      case 5: {  // Repin a (possibly finished) flow.
-        if (started.empty()) {
-          break;
-        }
-        FlowId id = started[rng.Next(started.size())];
-        Rate pinned =
-            rng.Next(3) == 0 ? 0.0 : MBps(1.0 + static_cast<double>(rng.Next(30)));
-        ASSERT_EQ(inc.RepinFlow(id, pinned).ok(), ref.RepinFlow(id, pinned).ok());
-        break;
-      }
-      case 6: {  // Degrade / restore a random link.
+      case 5: {  // Degrade / restore a random link.
         LinkId l = static_cast<LinkId>(rng.Next(static_cast<uint64_t>(topo.num_links())));
         static const double kFactors[] = {0.0, 0.25, 0.5, 1.0};
         double factor = kFactors[rng.Next(4)];
@@ -124,7 +115,7 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
         ASSERT_TRUE(ref.SetLinkFaultFactor(l, factor).ok());
         break;
       }
-      case 7: {  // Background (latency-sensitive) load on a random link.
+      case 6: {  // Background (latency-sensitive) load on a random link.
         LinkId l = static_cast<LinkId>(rng.Next(static_cast<uint64_t>(topo.num_links())));
         Rate bg = topo.link(l).capacity * 0.1 * static_cast<double>(rng.Next(8));
         ASSERT_TRUE(inc.SetBackgroundRate(l, bg).ok());
@@ -137,7 +128,7 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
     ASSERT_TRUE(ref.AdvanceTo(t).ok());
     ASSERT_EQ(inc.now(), ref.now());
     ASSERT_EQ(inc.num_active_flows(), ref.num_active_flows());
-    ASSERT_EQ(inc.completed_flows().size(), ref.completed_flows().size());
+    ASSERT_EQ(ra.size(), rb.size());
     if (op % 10 == 9) {
       compare_links("mid-run");
     }
@@ -159,8 +150,6 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
   compare_links("final");
 
   // Completion records must agree field-for-field, bit-for-bit, in order.
-  const auto& ra = inc.completed_flows();
-  const auto& rb = ref.completed_flows();
   ASSERT_EQ(ra.size(), rb.size());
   for (size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].id, rb[i].id);
@@ -186,6 +175,8 @@ TEST(IncrementalSimulatorTest, SimultaneousCompletionsBatchIntoOneEvent) {
   Topology topo = BuildFullMesh(4, 2, MBps(50.0), MBps(50.0), MBps(50.0)).value();
   WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
   NetworkSimulator sim(&topo);
+  std::vector<FlowRecord> done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
   for (int i = 0; i < 4; ++i) {
     ServerId src = topo.ServersIn(i)[0];
     ServerId dst = topo.ServersIn((i + 1) % 4)[1];
@@ -194,9 +185,9 @@ TEST(IncrementalSimulatorTest, SimultaneousCompletionsBatchIntoOneEvent) {
   }
   auto end = sim.RunUntilIdle();
   ASSERT_TRUE(end.ok());
-  ASSERT_EQ(sim.completed_flows().size(), 4u);
-  for (const FlowRecord& r : sim.completed_flows()) {
-    EXPECT_EQ(r.end_time, sim.completed_flows()[0].end_time);
+  ASSERT_EQ(done.size(), 4u);
+  for (const FlowRecord& r : done) {
+    EXPECT_EQ(r.end_time, done[0].end_time);
   }
   EXPECT_EQ(sim.num_completion_events(), 1);
   // One solve per disjoint component at start; completions empty the links.

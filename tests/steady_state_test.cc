@@ -77,7 +77,6 @@ SteadyStateOptions SoakOptions(SimTime duration) {
   o.overload.recover_cycles = 5;
 
   o.retire_completed = true;
-  o.completed_flow_history = 4096;
   o.max_cycle_stats = 2048;
   return o;
 }

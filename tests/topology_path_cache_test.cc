@@ -9,6 +9,7 @@
 #include "src/topology/path.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
+#include "tests/oracles.h"
 
 namespace bds {
 namespace {

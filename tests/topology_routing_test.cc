@@ -7,6 +7,7 @@
 #include "src/topology/builders.h"
 #include "src/topology/path.h"
 #include "src/topology/topology.h"
+#include "tests/oracles.h"
 
 namespace bds {
 namespace {
