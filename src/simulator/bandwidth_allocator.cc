@@ -13,6 +13,29 @@ void BandwidthAllocator::EnsureScratch(size_t num_links) {
     load_.resize(num_links, 0.0);
     active_count_.resize(num_links, 0);
     link_saturated_.resize(num_links, 0);
+    link_row_.resize(num_links, 0);
+    resum_mark_.resize(num_links, 0);
+  }
+}
+
+void BandwidthAllocator::BuildPinnedRows(const int32_t* offsets, const LinkId* links) {
+  row_off_.assign(used_links_.size() + 1, 0);
+  for (int32_t fi : pinned_) {
+    for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+      ++row_off_[static_cast<size_t>(link_row_[static_cast<size_t>(links[i])]) + 1];
+    }
+  }
+  for (size_t r = 0; r < used_links_.size(); ++r) {
+    row_off_[r + 1] += row_off_[r];
+  }
+  row_flows_.resize(static_cast<size_t>(row_off_.back()));
+  row_fill_.assign(row_off_.begin(), row_off_.end() - 1);
+  // pinned_ ascends, so every row comes out in ascending flow order.
+  for (int32_t fi : pinned_) {
+    for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+      int32_t& pos = row_fill_[static_cast<size_t>(link_row_[static_cast<size_t>(links[i])])];
+      row_flows_[static_cast<size_t>(pos++)] = fi;
+    }
   }
 }
 
@@ -29,15 +52,20 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
     if (link_gen_[l] != gen_) {
       link_gen_[l] = gen_;
       residual_[l] = std::max(0.0, capacities[l]);
+      load_[l] = 0.0;
       active_count_[l] = 0;
       link_saturated_[l] = 0;
+      link_row_[l] = static_cast<int32_t>(used_links_.size());
       used_links_.push_back(l);
     }
   };
   for (size_t fi = 0; fi < n; ++fi) {
     if (pinned[fi] > 0.0) {
+      // Phase 1's first-round loads, summed in ascending flow order.
       for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-        touch(static_cast<size_t>(links[i]));
+        size_t l = static_cast<size_t>(links[i]);
+        touch(l);
+        load_[l] += pinned[fi];
       }
       rate[fi] = pinned[fi];
       pinned_.push_back(static_cast<int32_t>(fi));
@@ -53,31 +81,21 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
       fair_.push_back(static_cast<int32_t>(fi));
     }
   }
-  // Ascending link order so the phase-1 worst-link tie break matches the
-  // reference solver's 0..num_links scan.
-  std::sort(used_links_.begin(), used_links_.end());
-
   // --- Phase 1: pinned flows. ---
   // Start each at its pinned rate, then repeatedly scale down the flows
   // crossing the most oversubscribed link until everything fits. Each
   // iteration permanently satisfies one link, so this terminates in at most
-  // used_links rounds.
+  // used_links rounds. The worst link is the lexicographic minimum of
+  // (factor, link id), so the order of used_links_ cannot matter.
   if (!pinned_.empty()) {
+    bool rows_built = false;
     for (size_t round = 0; round < used_links_.size() + 1; ++round) {
-      for (size_t l : used_links_) {
-        load_[l] = 0.0;
-      }
-      for (int32_t fi : pinned_) {
-        for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-          load_[static_cast<size_t>(links[i])] += rate[fi];
-        }
-      }
       double worst_factor = 1.0;
       size_t worst_link = capacities.size();
       for (size_t l : used_links_) {
         if (load_[l] > residual_[l] * (1.0 + kFluidEpsilon) && load_[l] > 0.0) {
           double factor = residual_[l] / load_[l];
-          if (factor < worst_factor) {
+          if (factor < worst_factor || (factor == worst_factor && l < worst_link)) {
             worst_factor = factor;
             worst_link = l;
           }
@@ -86,20 +104,44 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
       if (worst_link == capacities.size()) {
         break;  // Feasible.
       }
-      for (int32_t fi : pinned_) {
+      if (!rows_built) {
+        BuildPinnedRows(offsets, links);
+        rows_built = true;
+      }
+      // Scale the worst link's flows, then re-sum only the links they cross.
+      // Every row lists its flows in ascending index order, the order of the
+      // first full pass, so each re-sum reproduces a full recompute's bits;
+      // the loads of all other links did not change.
+      resum_.clear();
+      const int32_t w = link_row_[worst_link];
+      for (int32_t r = row_off_[w]; r < row_off_[w + 1]; ++r) {
+        int32_t fi = row_flows_[static_cast<size_t>(r)];
+        rate[fi] *= worst_factor;
         for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-          if (static_cast<size_t>(links[i]) == worst_link) {
-            rate[fi] *= worst_factor;
-            break;
+          size_t l = static_cast<size_t>(links[i]);
+          if (!resum_mark_[l]) {
+            resum_mark_[l] = 1;
+            resum_.push_back(l);
           }
         }
       }
+      for (size_t l : resum_) {
+        resum_mark_[l] = 0;
+        const int32_t row = link_row_[l];
+        double sum = 0.0;
+        for (int32_t r = row_off_[row]; r < row_off_[row + 1]; ++r) {
+          sum += rate[row_flows_[static_cast<size_t>(r)]];
+        }
+        load_[l] = sum;
+      }
     }
     // Subtract the pinned load from the residual available to fair flows.
-    for (int32_t fi : pinned_) {
-      for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-        size_t l = static_cast<size_t>(links[i]);
-        residual_[l] = std::max(0.0, residual_[l] - rate[fi]);
+    if (!fair_.empty()) {
+      for (int32_t fi : pinned_) {
+        for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+          size_t l = static_cast<size_t>(links[i]);
+          residual_[l] = std::max(0.0, residual_[l] - rate[fi]);
+        }
       }
     }
   }

@@ -17,6 +17,17 @@
 // in tests/oracles.cc (rates agree to floating-point reassociation noise,
 // ~1e-12 relative).
 //
+// Phase 1 sums each link's load once, in ascending flow order. Only when
+// that first round is infeasible does it build component-local link ->
+// pinned-flow rows (ascending flow order again); every scale-down round then
+// re-sums just the links the scaled flows cross, row by row, which gives the
+// bits of a full recompute. The worst link is the lexicographic minimum of
+// (factor, link id), and phase 2 only takes minima over links and updates
+// each link on its own, so neither phase depends on the order in which the
+// component's links were first touched: the solver never sorts them.
+// tests/oracles.cc keeps the full-recompute, sorted-link phase 1 as the
+// bitwise reference (AllocatePinnedReference).
+//
 // Scratch state is generation-stamped per link, so a solve costs
 // O(component links + flows), not O(topology links), with no per-call
 // clears or allocations at steady state.
@@ -49,6 +60,8 @@ class BandwidthAllocator {
 
  private:
   void EnsureScratch(size_t num_links);
+  // Fills row_off_/row_flows_ with each used link's pinned flows, ascending.
+  void BuildPinnedRows(const int32_t* offsets, const LinkId* links);
 
   // Generation-stamped per-link scratch (valid when link_gen_[l] == gen_).
   uint64_t gen_ = 0;
@@ -57,7 +70,15 @@ class BandwidthAllocator {
   std::vector<Rate> load_;
   std::vector<int> active_count_;
   std::vector<char> link_saturated_;
-  std::vector<size_t> used_links_;
+  std::vector<size_t> used_links_;  // In first-touch order.
+  std::vector<int32_t> link_row_;    // Link -> its index in used_links_.
+  std::vector<char> resum_mark_;     // All zero between rounds.
+  std::vector<size_t> resum_;        // Links to re-sum after a scale-down.
+
+  // Phase-1 link -> pinned-flow rows (CSR over used_links_ indices).
+  std::vector<int32_t> row_off_;
+  std::vector<int32_t> row_fill_;
+  std::vector<int32_t> row_flows_;
 
   // Per-call flow scratch (indices into the flat arrays being solved).
   std::vector<int32_t> pinned_;

@@ -18,6 +18,7 @@ NetworkSimulator::NetworkSimulator(const Topology* topo) : topo_(topo) {
     usable_capacity_[static_cast<size_t>(l)] = std::max(0.0, topo->link(l).capacity);
   }
   link_rate_.assign(n, 0.0);
+  off_pin_.assign(n, 0);
   link_dirty_.assign(n, 0);
   incidence_.Reset(topo->num_links());
 }
@@ -43,10 +44,8 @@ void NetworkSimulator::ReorderSlotsForLocality() {
   }
   // Lay the pool out component by component, ascending flow id within each
   // component (components enumerated by ascending seed link, so the order is
-  // deterministic however live_slots_ is arranged). Two payoffs: a component
-  // solve scans a contiguous id-ordered slot range, and ReallocateComponent's
-  // cheap slot-sort canonicalization stays valid as components shrink or
-  // split — any subset of an id-ascending range is still id-ascending.
+  // deterministic however live_slots_ is arranged), so a component solve
+  // gathers from a contiguous id-ordered slot range.
   incidence_.BeginEpoch();
   comp_slots_.clear();  // Borrow the solve scratch for the permutation.
   comp_slots_.reserve(static_cast<size_t>(n));
@@ -146,7 +145,11 @@ StatusOr<FlowId> NetworkSimulator::StartFlow(std::vector<LinkId> links, Bytes by
   live_slots_.push_back(slot);
 
   incidence_.Add(soa_, slot);
+  // A new flow runs at rate 0 until its first solve: off its pin if pinned.
+  const bool pinned = pinned_rate > 0.0;
+  fair_flows_ += !pinned;
   for (size_t i = 0; i < links.size(); ++i) {
+    off_pin_[static_cast<size_t>(links[i])] += pinned;
     MarkDirty(links[i]);
   }
   ++starts_since_realloc_;
@@ -247,10 +250,35 @@ void NetworkSimulator::DetachFlow(int32_t slot) {
   const LinkId* links = soa_.links(slot);
   int32_t n = soa_.num_links(slot);
   Rate rate = soa_.current_rate[s];
-  for (int32_t i = 0; i < n; ++i) {
-    link_rate_[static_cast<size_t>(links[i])] -= rate;
-    MarkDirty(links[i]);
+  const Rate pin = soa_.meta[s].pinned_rate;
+  const bool off_pin = rate != pin;
+  // Re-solve only when the departure can change another rate (DESIGN.md §10,
+  // "Departures that change nothing"): some flow on the path runs off its pin
+  // (the departing flow counts itself), or a fair flow is live or left since
+  // the last reallocation pass. Otherwise none of the path's links was ever
+  // phase 1's worst link and dropping the flow only lowers their loads, so a
+  // re-solve would return the same bits. The pass still runs, so per-event
+  // utilization sampling is unchanged.
+  bool resolve = fair_flows_ > 0;
+  for (int32_t i = 0; i < n && !resolve; ++i) {
+    resolve = off_pin_[static_cast<size_t>(links[i])] > 0;
   }
+  for (int32_t i = 0; i < n; ++i) {
+    size_t l = static_cast<size_t>(links[i]);
+    link_rate_[l] -= rate;
+    off_pin_[l] -= off_pin;
+    if (resolve) {
+      MarkDirty(links[i]);
+    }
+  }
+  if (!resolve) {
+    rates_dirty_ = true;
+    ++telem_resolves_skipped_;
+  }
+  // A fair flow leaves fair_flows_ only after the next pass has re-solved its
+  // component: until then the rest of that component holds argmin-only heap
+  // entries, so no departure from it may skip.
+  fair_exits_ += !(pin > 0.0);
   incidence_.Remove(soa_, slot);
   // Snap drained links to exactly zero so incremental -= drift can't leak
   // into LinkBulkRate or MaxCapacityViolation.
@@ -303,67 +331,57 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
   }
   const size_t n = comp_slots_.size();
   // Canonical order: AllocateSubset must see the same sequence no matter
-  // which seed found the component or how BFS traversed it. The canonical
-  // order is ascending flow id, but after ReorderSlotsForLocality slot
-  // numbers usually ascend with ids inside a component — so order the 4-byte
-  // slots first and only fall back to the 16-byte (id, slot) pair sort when
-  // a scan shows slot order disagreeing with id order (slot reuse after
-  // churn, or components spanning reorder groups). The fallback depends only
-  // on the component's membership, so both lockstep modes take the same
-  // branch and the solve sequence stays bit-identical.
-  //
-  // Ascending-slot ordering itself exploits the reordered layout too: a
-  // component's slots occupy a dense window, so a presence-byte scan over
-  // [lo, hi] replaces the comparison sort with two linear passes. When the
-  // window is sparse (no reorder yet, heavy churn) an O(n log n) sort is
-  // cheaper than scanning the window; either branch emits the same ascending
-  // sequence, so the choice cannot affect results.
-  {
-    int32_t lo = comp_slots_[0];
-    int32_t hi = lo;
+  // which seed found the component or how BFS traversed it, so members go in
+  // ascending flow id. window_scan orders them by `key` (ids or slots, both
+  // distinct) with two linear passes over a presence-byte window when the
+  // keys span at most 8n values, and declines otherwise. Every branch below
+  // emits the same sequence, so the choice cannot affect results.
+  auto id_of = [this](int32_t slot) { return soa_.meta[static_cast<size_t>(slot)].id; };
+  auto window_scan = [this, n](auto key, auto slot_at) {
+    int64_t lo = key(comp_slots_[0]);
+    int64_t hi = lo;
     for (size_t i = 1; i < n; ++i) {
-      int32_t s = comp_slots_[i];
-      lo = s < lo ? s : lo;
-      hi = s > hi ? s : hi;
+      const int64_t k = key(comp_slots_[i]);
+      lo = k < lo ? k : lo;
+      hi = k > hi ? k : hi;
     }
     const size_t range = static_cast<size_t>(hi - lo) + 1;
-    if (range <= 8 * n) {
-      slot_present_.assign(range, 0);
-      for (size_t i = 0; i < n; ++i) {
-        slot_present_[static_cast<size_t>(comp_slots_[i] - lo)] = 1;
-      }
-      size_t w = 0;
-      for (size_t i = 0; i < range; ++i) {
-        comp_slots_[w] = lo + static_cast<int32_t>(i);
-        w += slot_present_[i];
-      }
-    } else {
+    if (range > 8 * n) {
+      return false;
+    }
+    present_.assign(range, 0);
+    for (size_t i = 0; i < n; ++i) {
+      present_[static_cast<size_t>(key(comp_slots_[i]) - lo)] = 1;
+    }
+    size_t w = 0;
+    for (size_t i = 0; i < range; ++i) {
+      comp_slots_[w] = slot_at(lo + static_cast<int64_t>(i));
+      w += present_[i];
+    }
+    return true;
+  };
+  // A component's flows are usually started together, so their ids fill a
+  // dense window of id_to_slot_ however slot reuse has scattered them.
+  auto slot_of_id = [this](int64_t id) { return id_to_slot_[static_cast<size_t>(id - id_base_)]; };
+  if (!window_scan(id_of, slot_of_id)) {
+    // Strided ids: components whose flows were started interleaved. After the
+    // locality reorder their slots still ascend with ids, so order the slots
+    // and sort (id, slot) pairs only if that is not already id order.
+    auto slot_key = [](int32_t slot) { return static_cast<int64_t>(slot); };
+    auto as_slot = [](int64_t slot) { return static_cast<int32_t>(slot); };
+    if (!window_scan(slot_key, as_slot)) {
       std::sort(comp_slots_.begin(), comp_slots_.end());
     }
-  }
-  bool slot_order_is_id_order = true;
-  {
-    FlowId prev = -1;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + 8 < n) {
-        __builtin_prefetch(&soa_.meta[static_cast<size_t>(comp_slots_[i + 8])]);
+    if (!std::is_sorted(comp_slots_.begin(), comp_slots_.end(),
+                        [&](int32_t a, int32_t b) { return id_of(a) < id_of(b); })) {
+      comp_ids_.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        comp_ids_[i] = {id_of(comp_slots_[i]), comp_slots_[i]};
       }
-      FlowId id = soa_.meta[static_cast<size_t>(comp_slots_[i])].id;
-      if (id < prev) {
-        slot_order_is_id_order = false;
-        break;
+      std::sort(comp_ids_.begin(), comp_ids_.end());
+      for (size_t i = 0; i < n; ++i) {
+        comp_slots_[i] = comp_ids_[i].second;
       }
-      prev = id;
-    }
-  }
-  if (!slot_order_is_id_order) {
-    comp_ids_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      comp_ids_[i] = {soa_.meta[static_cast<size_t>(comp_slots_[i])].id, comp_slots_[i]};
-    }
-    std::sort(comp_ids_.begin(), comp_ids_.end());
-    for (size_t i = 0; i < n; ++i) {
-      comp_slots_[i] = comp_ids_[i].second;
     }
   }
   // One scattered pass gathers every input the solve and epilogue need; the
@@ -372,6 +390,7 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
   comp_links_.clear();
   comp_pinned_.resize(n);
   comp_rate_.resize(n);
+  bool has_fair = false;
   for (size_t i = 0; i < n; ++i) {
     // Each iteration reads ~5 scattered lines of a slot; issue the loads a
     // few flows ahead so the misses overlap (rate_epoch with a write hint —
@@ -398,6 +417,7 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
       comp_links_.push_back(links[j]);
     }
     comp_pinned_[i] = m.pinned_rate;
+    has_fair |= !(m.pinned_rate > 0.0);
   }
   comp_off_.push_back(static_cast<int32_t>(comp_links_.size()));
   allocator_.AllocateSubset(usable_capacity_, n, comp_off_.data(), comp_links_.data(),
@@ -442,21 +462,27 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
         }
       }
     }
+    const int32_t off_pin_delta =
+        static_cast<int32_t>(new_rate != comp_pinned_[i]) - (old_rate != comp_pinned_[i]);
     for (int32_t j = comp_off_[i]; j < comp_off_[i + 1]; ++j) {
-      link_rate_[static_cast<size_t>(comp_links_[static_cast<size_t>(j)])] +=
-          new_rate - old_rate;
+      const size_t l = static_cast<size_t>(comp_links_[static_cast<size_t>(j)]);
+      link_rate_[l] += new_rate - old_rate;
+      off_pin_[l] += off_pin_delta;
     }
   }
   if (full_realloc_) {
     return;
   }
-  // Push heap entries only for the component's earliest projected
-  // completion(s). Between solves no member's key changes, and any event that
-  // could surface a later member (the argmin completing, a cancel, a join, a
-  // capacity change) dirties the component and re-solves it first — so
-  // entries for non-argmin members would be invalidated before ever reaching
-  // the heap top. Pushing ~1 entry per solve instead of one per changed rate keeps the
-  // heap at ~#components entries rather than #flows x churn.
+  // Heap pushes. Between solves no member's key changes, and any event that
+  // re-solves a component dirties it first, so only members that can surface
+  // at the heap top before the next solve need entries:
+  //   * A component with a fair flow is re-solved whenever any member leaves
+  //     (DetachFlow never skips while a fair flow is live), so only its
+  //     earliest projected completion(s) can surface: push just the argmin.
+  //     This keeps the heap at ~#components entries, not #flows x churn.
+  //   * An all-pinned component may lose members without a re-solve (see
+  //     DetachFlow), after which any member can be the next to finish: push
+  //     every member with a positive rate.
   // heap_epoch == rate_epoch means the slot's current-epoch entry (same key,
   // pushed by an earlier solve) is still in the heap; pushing again would
   // complete the flow twice in one batch.
@@ -477,7 +503,7 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
     return;  // No member has a positive rate.
   }
   for (size_t i = 0; i < n; ++i) {
-    if (comp_keys_[i] != best) {
+    if (has_fair ? comp_keys_[i] != best : comp_keys_[i] == kTimeInfinity) {
       continue;
     }
     int32_t slot = comp_slots_[i];
@@ -486,7 +512,7 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
       continue;
     }
     soa_.heap_epoch[s] = soa_.rate_epoch[s];
-    heap_.push_back(CompletionEntry{best, soa_.meta[s].id, slot, soa_.rate_epoch[s]});
+    heap_.push_back(CompletionEntry{comp_keys_[i], soa_.meta[s].id, slot, soa_.rate_epoch[s]});
     std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
   }
 }
@@ -505,6 +531,8 @@ void NetworkSimulator::Reallocate() {
     ReorderSlotsForLocality();
   }
   starts_since_realloc_ = 0;
+  fair_flows_ -= fair_exits_;
+  fair_exits_ = 0;
   incidence_.BeginEpoch();
   ++telem_reallocations_;
   telem_dirty_links_ += static_cast<int64_t>(dirty_links_.size());
@@ -675,7 +703,8 @@ void NetworkSimulator::PublishTelemetry() {
          {"events", static_cast<double>(telem_events_)},
          {"flows_completed", static_cast<double>(telem_flows_completed_)},
          {"dirty_links", static_cast<double>(telem_dirty_links_)},
-         {"component_solves", static_cast<double>(telem_component_solves_)}});
+         {"component_solves", static_cast<double>(telem_component_solves_)},
+         {"resolves_skipped", static_cast<double>(telem_resolves_skipped_)}});
   }
   BDS_TELEMETRY_COUNT("sim.flows_started", telem_flows_started_);
   BDS_TELEMETRY_COUNT("sim.flows_completed", telem_flows_completed_);
@@ -683,6 +712,7 @@ void NetworkSimulator::PublishTelemetry() {
   BDS_TELEMETRY_COUNT("sim.component_solves", telem_component_solves_);
   BDS_TELEMETRY_COUNT("sim.reallocations", telem_reallocations_);
   BDS_TELEMETRY_COUNT("sim.dirty_links", telem_dirty_links_);
+  BDS_TELEMETRY_COUNT("sim.resolves_skipped", telem_resolves_skipped_);
   if (telem_comp_count_ > 0) {
     BDS_TELEMETRY_HISTOGRAM_BULK("sim.component_flows", 0.0, kCompHistMax, kCompHistBins,
                                  telem_comp_hist_, telem_comp_count_, telem_comp_sum_,
@@ -698,6 +728,7 @@ void NetworkSimulator::PublishTelemetry() {
   telem_component_solves_ = 0;
   telem_reallocations_ = 0;
   telem_dirty_links_ = 0;
+  telem_resolves_skipped_ = 0;
 }
 
 Rate NetworkSimulator::LinkBulkRate(LinkId link) const {

@@ -20,13 +20,19 @@
 //   * reallocation is incremental — only the link-connected component(s) of
 //     the incidence graph marked dirty since the last event are re-solved;
 //     untouched flows keep their rates, anchors, and projected completions;
+//   * a departure dirties nothing when it cannot change another rate: no
+//     flow on its path runs off its pin (per-link off_pin_ counts) and no
+//     fair flow is live, so the pinned phase's loads only drop and its
+//     sequence of worst links stays the same (DESIGN.md §10);
 //   * per-flow progress is lazy: (anchor_time, remaining, current_rate)
 //     describe a flow between rate changes, so advancing time is O(1) per
 //     untouched flow;
 //   * the next completion comes from a min-heap of projected completion
 //     times with lazy invalidation keyed on the slot's rate_epoch (monotonic
-//     across slot reuse); completions sharing one event time are batched
-//     into a single reallocation;
+//     across slot reuse); a solved component pushes only its argmin when it
+//     holds a fair flow, and every member with a positive rate when it is
+//     all-pinned (it may then lose members without a re-solve); completions
+//     sharing one event time are batched into a single reallocation;
 //   * churn between two time advances costs no solve: a controller cycle's
 //     flow starts and cancels only mark links dirty, and the next AdvanceTo/
 //     RunUntilIdle runs one reallocation pass over the union of dirty
@@ -227,6 +233,9 @@ class NetworkSimulator {
   // components in full mode), updating anchors, epochs, per-link rates, and
   // the completion heap for every flow whose rate actually changed.
   void Reallocate();
+  // Solves the component containing `seed` (members in ascending id order),
+  // scatters changed rates back, and pushes heap entries (see the file
+  // comment for the two push policies).
   void ReallocateComponent(LinkId seed);
   // Earliest projected completion among active flows; kTimeInfinity if none.
   SimTime NextCompletionTime();
@@ -236,8 +245,9 @@ class NetworkSimulator {
   // Drops stale heap entries and re-heapifies (bounds heap growth under
   // long-running churn).
   void CompactHeap();
-  // Removes the flow's rate from its links, marks them dirty, and drops the
-  // flow from the incidence index.
+  // Removes the flow's rate from its links, marks them dirty unless the
+  // departure provably changes no other rate, and drops the flow from the
+  // incidence index.
   void DetachFlow(int32_t slot);
   // Releases the slot: id map tombstone, live-list swap-erase, pool free.
   void EraseFlow(int32_t slot);
@@ -268,6 +278,9 @@ class NetworkSimulator {
   std::vector<double> fault_factor_;         // Per link, 1 = healthy.
   std::vector<Rate> usable_capacity_;        // max(0, nominal*fault - background).
   std::vector<Rate> link_rate_;              // Aggregate bulk rate per link.
+  std::vector<int32_t> off_pin_;             // Live flows per link with rate != pin.
+  int64_t fair_flows_ = 0;  // Live fair flows + fair exits since the last pass.
+  int64_t fair_exits_ = 0;  // Fair flows detached since the last pass.
   bool rates_dirty_ = true;
 
   std::vector<LinkId> dirty_links_;
@@ -282,7 +295,7 @@ class NetworkSimulator {
   // contiguous copies, scattering back only what changed.
   std::vector<int32_t> comp_slots_;                  // Canonical (id) order.
   std::vector<std::pair<FlowId, int32_t>> comp_ids_;  // Sort scratch.
-  std::vector<uint8_t> slot_present_;  // Dense-window ordering scratch.
+  std::vector<uint8_t> present_;  // Dense-window ordering scratch.
   std::vector<int32_t> comp_off_;   // CSR offsets into comp_links_.
   std::vector<LinkId> comp_links_;  // Concatenated component paths.
   std::vector<Rate> comp_pinned_;
@@ -306,6 +319,7 @@ class NetworkSimulator {
   int64_t telem_component_solves_ = 0;
   int64_t telem_reallocations_ = 0;
   int64_t telem_dirty_links_ = 0;
+  int64_t telem_resolves_skipped_ = 0;  // Departures that dirtied no link.
   // Local accumulator for the sim.component_flows histogram ([0, 1024), 64
   // bins — the bin math in ReallocateComponent must match this layout),
   // published via HistogramRecordBulk so a solve costs plain increments

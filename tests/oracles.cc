@@ -85,6 +85,69 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
   return result;
 }
 
+void AllocatePinnedReference(const std::vector<Rate>& capacities, size_t n,
+                             const int32_t* offsets, const LinkId* links, const Rate* pinned,
+                             Rate* rate) {
+  std::vector<size_t> used_links;
+  std::vector<char> used(capacities.size(), 0);
+  std::vector<size_t> pinned_flows;
+  for (size_t fi = 0; fi < n; ++fi) {
+    rate[fi] = 0.0;
+    if (!(pinned[fi] > 0.0)) {
+      continue;  // Fair flows are phase 2's business.
+    }
+    rate[fi] = pinned[fi];
+    pinned_flows.push_back(fi);
+    for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+      size_t l = static_cast<size_t>(links[i]);
+      if (!used[l]) {
+        used[l] = 1;
+        used_links.push_back(l);
+      }
+    }
+  }
+  // Ascending link order: the first of equally oversubscribed links wins.
+  std::sort(used_links.begin(), used_links.end());
+
+  // Fixed point: find the worst oversubscription factor and shrink the flows
+  // on that link, re-summing every load from scratch each round. Each round
+  // permanently satisfies one link, so this ends within used_links rounds.
+  std::vector<Rate> load(capacities.size(), 0.0);
+  for (size_t round = 0; round < used_links.size() + 1; ++round) {
+    for (size_t l : used_links) {
+      load[l] = 0.0;
+    }
+    for (size_t fi : pinned_flows) {
+      for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+        load[static_cast<size_t>(links[i])] += rate[fi];
+      }
+    }
+    double worst_factor = 1.0;
+    size_t worst_link = capacities.size();
+    for (size_t l : used_links) {
+      const Rate residual = std::max(0.0, capacities[l]);
+      if (load[l] > residual * (1.0 + kFluidEpsilon) && load[l] > 0.0) {
+        double factor = residual / load[l];
+        if (factor < worst_factor) {
+          worst_factor = factor;
+          worst_link = l;
+        }
+      }
+    }
+    if (worst_link == capacities.size()) {
+      break;  // Feasible.
+    }
+    for (size_t fi : pinned_flows) {
+      for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+        if (static_cast<size_t>(links[i]) == worst_link) {
+          rate[fi] *= worst_factor;
+          break;
+        }
+      }
+    }
+  }
+}
+
 void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& flows) {
   size_t num_links = capacities.size();
   std::vector<Rate> residual(num_links, 0.0);
@@ -92,59 +155,31 @@ void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& 
     residual[l] = std::max(0.0, capacities[l]);
   }
 
-  // --- Phase 1: pinned flows. ---
-  // Start each at its pinned rate, then repeatedly scale down the flows
-  // crossing the most oversubscribed link until everything fits.
+  // --- Phase 1: pinned flows, solved by the pinned-phase reference. ---
   std::vector<Flow*> pinned;
   std::vector<Flow*> fair;
   for (Flow* f : flows) {
+    f->current_rate = 0.0;
     if (f->completed()) {
-      f->current_rate = 0.0;
       continue;
     }
-    if (f->pinned()) {
-      f->current_rate = f->pinned_rate;
-      pinned.push_back(f);
-    } else {
-      f->current_rate = 0.0;
-      fair.push_back(f);
-    }
+    (f->pinned() ? pinned : fair).push_back(f);
   }
 
   if (!pinned.empty()) {
-    // Fixed-point: find the worst oversubscription factor and shrink the
-    // flows on that link. Each iteration permanently satisfies one link, so
-    // this terminates in at most num_links rounds.
-    std::vector<Rate> load(num_links, 0.0);
-    for (int round = 0; round < static_cast<int>(num_links) + 1; ++round) {
-      std::fill(load.begin(), load.end(), 0.0);
-      for (Flow* f : pinned) {
-        for (LinkId l : f->links) {
-          load[static_cast<size_t>(l)] += f->current_rate;
-        }
-      }
-      double worst_factor = 1.0;
-      size_t worst_link = num_links;
-      for (size_t l = 0; l < num_links; ++l) {
-        if (load[l] > residual[l] * (1.0 + kFluidEpsilon) && load[l] > 0.0) {
-          double factor = residual[l] / load[l];
-          if (factor < worst_factor) {
-            worst_factor = factor;
-            worst_link = l;
-          }
-        }
-      }
-      if (worst_link == num_links) {
-        break;  // Feasible.
-      }
-      for (Flow* f : pinned) {
-        for (LinkId l : f->links) {
-          if (static_cast<size_t>(l) == worst_link) {
-            f->current_rate *= worst_factor;
-            break;
-          }
-        }
-      }
+    std::vector<int32_t> offsets{0};
+    std::vector<LinkId> links;
+    std::vector<Rate> pins;
+    for (const Flow* f : pinned) {
+      links.insert(links.end(), f->links.begin(), f->links.end());
+      offsets.push_back(static_cast<int32_t>(links.size()));
+      pins.push_back(f->pinned_rate);
+    }
+    std::vector<Rate> rate(pinned.size());
+    AllocatePinnedReference(capacities, pinned.size(), offsets.data(), links.data(),
+                            pins.data(), rate.data());
+    for (size_t i = 0; i < pinned.size(); ++i) {
+      pinned[i]->current_rate = rate[i];
     }
     // Subtract the pinned load from the residual available to fair flows.
     for (Flow* f : pinned) {

@@ -256,5 +256,91 @@ TEST_P(AllocatorPropertyTest, ComponentDecompositionMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(RandomCases, AllocatorPropertyTest,
                          ::testing::Range(1, 60));
 
+// A flow set in AllocateSubset's flat form: CSR paths plus pinned rates.
+struct FlatFlows {
+  std::vector<int32_t> offsets{0};
+  std::vector<LinkId> links;
+  std::vector<Rate> pinned;
+
+  void Add(std::vector<LinkId> path, Rate pin) {
+    links.insert(links.end(), path.begin(), path.end());
+    offsets.push_back(static_cast<int32_t>(links.size()));
+    pinned.push_back(pin);
+  }
+};
+
+// Solves `f` with AllocateSubset and with the pinned-phase reference, and
+// requires bitwise-equal rates. Returns AllocateSubset's rates.
+std::vector<Rate> ExpectPinnedPhaseMatchesReference(const std::vector<Rate>& caps,
+                                                    const FlatFlows& f) {
+  const size_t n = f.pinned.size();
+  std::vector<Rate> got(n, -1.0);
+  std::vector<Rate> want(n, -2.0);
+  BandwidthAllocator alloc;
+  alloc.AllocateSubset(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(), got.data());
+  AllocatePinnedReference(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(),
+                          want.data());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i], want[i]) << "flow " << i;
+  }
+  return got;
+}
+
+TEST(PinnedPhaseReferenceTest, ExactTieGoesToLowerLinkIdWhateverTheTouchOrder) {
+  // Links 5 and 3 are equally oversubscribed (16 on 10), and flow 0 touches
+  // link 5 first. The lower id must go first: scaling link 3 first leaves
+  // flow 2 at 5 and flow 1 at 8 * 10/13; scaling link 5 first would swap them.
+  std::vector<Rate> caps(6, 10.0);
+  FlatFlows f;
+  f.Add({5, 3}, 8.0);
+  f.Add({5}, 8.0);
+  f.Add({3}, 8.0);
+  std::vector<Rate> rate = ExpectPinnedPhaseMatchesReference(caps, f);
+  EXPECT_EQ(rate[2], 5.0);
+  EXPECT_GT(rate[1], 6.0);
+}
+
+// Randomized all-pinned components built to oversubscribe: few distinct
+// capacities and pins make exactly equal factors common, and on even seeds
+// every path lists its links in descending id order.
+class PinnedPhaseParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PinnedPhaseParityTest, AllocateSubsetMatchesReferenceBitwise) {
+  uint64_t seed = static_cast<uint64_t>(GetParam()) * 0x9E3779B97F4A7C15ull + 1;
+  auto next = [&]() {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+  };
+  static const Rate kCaps[] = {10.0, 20.0, 40.0};
+  static const Rate kPins[] = {5.0, 10.0, 20.0, 7.5};
+  const int num_links = 2 + static_cast<int>(next() % 11);
+  const int num_flows = 1 + static_cast<int>(next() % 40);
+  const bool descending = GetParam() % 2 == 0;
+  std::vector<Rate> caps;
+  for (int l = 0; l < num_links; ++l) {
+    caps.push_back(kCaps[next() % 3]);
+  }
+  FlatFlows f;
+  for (int fi = 0; fi < num_flows; ++fi) {
+    std::vector<LinkId> path;
+    const int len = 1 + static_cast<int>(next() % 4);
+    for (int i = 0; i < len; ++i) {
+      LinkId l = static_cast<LinkId>(next() % static_cast<uint64_t>(num_links));
+      if (std::find(path.begin(), path.end(), l) == path.end()) {
+        path.push_back(l);
+      }
+    }
+    if (descending) {
+      std::sort(path.rbegin(), path.rend());
+    }
+    f.Add(path, kPins[next() % 4]);
+  }
+  ExpectPinnedPhaseMatchesReference(caps, f);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomComponents, PinnedPhaseParityTest, ::testing::Range(1, 201));
+
 }  // namespace
 }  // namespace bds

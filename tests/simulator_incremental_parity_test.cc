@@ -8,7 +8,8 @@
 // both modes through identical scripted op sequences — flow starts, cancels,
 // link-fault factor changes, background-rate changes — and require
 // bitwise-equal completion records, per-link bulk rates, violation metrics,
-// and clocks, plus fingerprint-equal controller runs.
+// and clocks, plus fingerprint-equal controller runs. A second, all-pinned
+// script covers departures that skip their re-solve altogether.
 
 #include <gtest/gtest.h>
 
@@ -43,11 +44,11 @@ class Xorshift {
 
 // Runs the same seeded op script against an incremental and a
 // full-reallocation simulator in lockstep, comparing observable state
-// bitwise after every step.
-class IncrementalParityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
-  Xorshift rng(static_cast<uint64_t>(GetParam()));
+// bitwise after every step. With `all_pinned` every flow gets a pin of up to
+// 60 MB/s, enough to oversubscribe the 40 MB/s NICs, so the incremental run
+// mixes departures that skip their re-solve with scaled-down components.
+void RunLockstepScript(uint64_t seed, bool all_pinned) {
+  Xorshift rng(seed);
   Topology topo = BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
   WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
 
@@ -84,8 +85,12 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
         auto path = MakeServerPath(topo, routing, src, dst);
         ASSERT_TRUE(path.ok());
         Bytes bytes = MB(1.0 + static_cast<double>(rng.Next(64)));
-        Rate pinned =
-            rng.Next(4) == 0 ? MBps(1.0 + static_cast<double>(rng.Next(20))) : 0.0;
+        Rate pinned = 0.0;
+        if (all_pinned) {
+          pinned = MBps(1.0 + static_cast<double>(rng.Next(60)));
+        } else if (rng.Next(4) == 0) {
+          pinned = MBps(1.0 + static_cast<double>(rng.Next(20)));
+        }
         auto a = inc.StartFlow(path->links, bytes, pinned);
         auto b = ref.StartFlow(path->links, bytes, pinned);
         ASSERT_TRUE(a.ok());
@@ -166,7 +171,21 @@ TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
   EXPECT_EQ(inc.num_completion_events(), ref.num_completion_events());
 }
 
+class IncrementalParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IncrementalParityTest, ScriptedRunMatchesFullReallocationBitwise) {
+  RunLockstepScript(static_cast<uint64_t>(GetParam()), /*all_pinned=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalParityTest, ::testing::Range(1, 41));
+
+class AllPinnedParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllPinnedParityTest, ScriptedRunMatchesFullReallocationBitwise) {
+  RunLockstepScript(static_cast<uint64_t>(GetParam()), /*all_pinned=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AllPinnedParityTest, ::testing::Range(1, 41));
 
 TEST(IncrementalSimulatorTest, SimultaneousCompletionsBatchIntoOneEvent) {
   // Four identical flows on disjoint ring paths finish at the same bitwise
@@ -213,6 +232,87 @@ TEST(IncrementalSimulatorTest, UntouchedComponentsAreNotResolved) {
   // Two solves at t=0; the short completion dirties only drained links, so
   // no further component is ever re-solved.
   EXPECT_EQ(sim.num_reallocations(), 2);
+}
+
+TEST(IncrementalSimulatorTest, AtPinDepartureFromAllAtPinComponentSkipsResolve) {
+  // Two pinned flows share server 0's uplink well under its capacity, so both
+  // run at their pins. When the short one finishes, nothing else can change:
+  // the component is not re-solved, and the long flow keeps its entry.
+  Topology topo = BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
+  WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
+  NetworkSimulator sim(&topo);
+  std::vector<FlowRecord> done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
+  ServerId src = topo.ServersIn(0)[0];
+  auto p1 = MakeServerPath(topo, routing, src, topo.ServersIn(1)[0]).value();
+  auto p2 = MakeServerPath(topo, routing, src, topo.ServersIn(2)[0]).value();
+  ASSERT_TRUE(sim.StartFlow(p1.links, MB(10.0), MBps(10.0)).ok());   // 1 s.
+  ASSERT_TRUE(sim.StartFlow(p2.links, MB(100.0), MBps(20.0)).ok());  // 5 s.
+  ASSERT_TRUE(sim.AdvanceTo(0.5).ok());
+  ASSERT_EQ(sim.num_reallocations(), 1);
+  ASSERT_TRUE(sim.AdvanceTo(2.0).ok());
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(sim.num_reallocations(), 1);
+  auto end = sim.RunUntilIdle();
+  ASSERT_TRUE(end.ok());
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_DOUBLE_EQ(done[1].end_time, 5.0);
+  EXPECT_EQ(sim.num_reallocations(), 1);
+}
+
+TEST(IncrementalSimulatorTest, DepartureNextToScaledDownFlowResolves) {
+  // Flows 0 and 1 pin 30 MB/s each on server 0's 40 MB/s uplink and are
+  // scaled down to 20. Flow 2, at its pin, shares flow 0's WAN link and
+  // destination NIC; when it finishes, a link on its path carries a flow
+  // off its pin, so the component must be re-solved.
+  Topology topo = BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
+  WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
+  NetworkSimulator sim(&topo);
+  ServerId dst = topo.ServersIn(1)[0];
+  auto p0 = MakeServerPath(topo, routing, topo.ServersIn(0)[0], dst).value();
+  auto p1 =
+      MakeServerPath(topo, routing, topo.ServersIn(0)[0], topo.ServersIn(2)[0]).value();
+  auto p2 = MakeServerPath(topo, routing, topo.ServersIn(0)[1], dst).value();
+  FlowId f0 = sim.StartFlow(p0.links, MB(1000.0), MBps(30.0)).value();
+  ASSERT_TRUE(sim.StartFlow(p1.links, MB(1000.0), MBps(30.0)).ok());
+  ASSERT_TRUE(sim.StartFlow(p2.links, MB(5.0), MBps(5.0)).ok());  // 1 s.
+  ASSERT_TRUE(sim.AdvanceTo(0.5).ok());
+  ASSERT_EQ(sim.num_reallocations(), 1);
+  const Rate scaled = sim.FindFlow(f0)->current_rate;
+  ASSERT_NEAR(scaled, MBps(20.0), 1e-3);
+  ASSERT_TRUE(sim.AdvanceTo(2.0).ok());
+  ASSERT_EQ(sim.num_active_flows(), 2);
+  EXPECT_EQ(sim.num_reallocations(), 2);
+  EXPECT_EQ(sim.FindFlow(f0)->current_rate, scaled);
+}
+
+TEST(IncrementalSimulatorTest, FairDepartureBlocksSkipsUntilNextPass) {
+  // Flow f (pinned) links fair flow h (on server 0's uplink) to pinned flow b
+  // (on the WAN link and destination NIC); b touches nothing of h's. The
+  // mixed component pushes only its argmin (f), so b has no heap entry. After
+  // h and then f are cancelled in one step, f's departure must still dirty
+  // its links: otherwise b is never re-solved and never completes.
+  Topology topo = BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
+  WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
+  NetworkSimulator sim(&topo);
+  std::vector<FlowRecord> done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
+  ServerId s0 = topo.ServersIn(0)[0];
+  ServerId dst = topo.ServersIn(1)[0];
+  auto pf = MakeServerPath(topo, routing, s0, dst).value();
+  auto ph = MakeServerPath(topo, routing, s0, topo.ServersIn(2)[0]).value();
+  auto pb = MakeServerPath(topo, routing, topo.ServersIn(0)[1], dst).value();
+  FlowId f = sim.StartFlow(pf.links, MB(50.0), MBps(5.0)).value();   // 10 s.
+  FlowId h = sim.StartFlow(ph.links, MB(3500.0)).value();            // 100 s.
+  FlowId b = sim.StartFlow(pb.links, MB(100.0), MBps(5.0)).value();  // 20 s.
+  ASSERT_TRUE(sim.AdvanceTo(1.0).ok());
+  ASSERT_TRUE(sim.CancelFlow(h).ok());
+  ASSERT_TRUE(sim.CancelFlow(f).ok());
+  auto end = sim.RunUntilIdle();
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, b);
+  EXPECT_DOUBLE_EQ(done[0].end_time, 20.0);
 }
 
 TEST(IncrementalParityTest2, ControllerFingerprintMatchesFullReallocation) {
