@@ -21,11 +21,11 @@
 //
 // A steady-cycles section always runs after the sweep: N consecutive
 // decision cycles on one long-lived controller with ~5% job churn between
-// cycles and the cross-cycle caches on (delta candidate build and FPTAS warm
-// start — DESIGN.md §9.7). Its cold/warm CPU and candidate reuse rate land
-// in the JSON's "steady_cycles" section, gated by
-// tools/check_bench_regression.py's amortized mode. --steady-cycles runs
-// only that section.
+// cycles and the cross-cycle candidate cache on (the delta candidate build,
+// DESIGN.md §9.7; every cycle's routing solve is cold). Its cold/warm CPU
+// ("warm" = candidate cache warm) and candidate reuse rate land in the
+// JSON's "steady_cycles" section, gated by tools/check_bench_regression.py's
+// amortized mode. --steady-cycles runs only that section.
 
 #include <benchmark/benchmark.h>
 
@@ -236,12 +236,13 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
 
 // ---------------------------------------------------------------------------
 // Steady-cycles mode: N consecutive Decide() cycles on one long-lived
-// controller + replica state with ~5% job churn between cycles, 4 threads,
-// 4 shards and FPTAS warm start on. This is the workload the cross-cycle caches
-// (DESIGN.md §9.7) exist for: the first cycle runs cold, every later cycle
-// re-prices only the churned slice of the candidate array and warm-starts
-// the routing FPTAS. The acceptance target is the amortized warm-cycle CPU
-// at the 10^7-block fleet point staying well under the cold cycle.
+// controller + replica state with ~5% job churn between cycles, 4 threads
+// and 4 shards. This is the workload the cross-cycle candidate cache
+// (DESIGN.md §9.7) exists for: the first cycle builds every candidate from
+// scratch, every later cycle reuses the delta candidate build and re-prices
+// only the churned slice of the candidate array (the routing solve stays
+// cold). The acceptance target is the amortized warm-cycle CPU at the
+// 10^7-block fleet point staying well under the cold cycle.
 
 struct SteadyCyclesStats {
   int64_t jobs = 0;
@@ -255,8 +256,6 @@ struct SteadyCyclesStats {
   double warm_cpu_mean = 0.0;  // Amortized over cycles 1..N-1.
   double warm_cpu_max = 0.0;
   double reuse_rate = 0.0;  // Mean candidate-slot reuse over warm cycles.
-  int64_t phases_skipped = 0;
-  int warm_solves = 0;
 };
 
 SteadyCyclesStats RunSteadyCycles(bool smoke) {
@@ -299,7 +298,6 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   ControllerAlgorithmOptions options;
   options.num_threads = 4;
   options.num_shards = 4;
-  options.warm_start = true;
   ControllerAlgorithm algorithm(&topo, &routing, options);
 
   SteadyCyclesStats stats;
@@ -311,11 +309,11 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   stats.num_threads = options.num_threads;
   stats.num_shards = options.num_shards;
 
-  bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn, warm start on",
+  bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn",
                      "one long-lived controller; warm cycles re-price only churned "
-                     "candidates and warm-start the FPTAS (DESIGN.md §9.7)");
-  std::printf("%6s %10s %10s %10s %10s %10s %8s %8s %6s\n", "cycle", "cpu (ms)", "select",
-              "solve", "scheduled", "transfers", "reuse", "phases", "warm");
+                     "candidates (DESIGN.md §9.7)");
+  std::printf("%6s %10s %10s %10s %10s %10s %8s\n", "cycle", "cpu (ms)", "select", "solve",
+              "scheduled", "transfers", "reuse");
 
   double warm_total = 0.0;
   double reuse_total = 0.0;
@@ -328,11 +326,10 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
     const double reuse =
         slots > 0 ? static_cast<double>(decision.cand_slots_reused) / static_cast<double>(slots)
                   : 0.0;
-    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%% %8lld %6s\n", cyc, cpu * 1e3,
+    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%%\n", cyc, cpu * 1e3,
                 decision.select_cpu_seconds * 1e3, decision.solve_cpu_seconds * 1e3,
                 static_cast<long long>(decision.scheduled_blocks), decision.transfers.size(),
-                reuse * 1e2, static_cast<long long>(decision.fptas_phases_skipped),
-                decision.warm_solve ? "yes" : "no");
+                reuse * 1e2);
     if (cyc == 0) {
       stats.cold_cpu = cpu;
       BDS_CHECK_MSG(decision.cand_slots_reused == 0, "first cycle cannot reuse candidates");
@@ -341,8 +338,6 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
       warm_cycles++;
       stats.warm_cpu_max = std::max(stats.warm_cpu_max, cpu);
       reuse_total += reuse;
-      stats.phases_skipped += decision.fptas_phases_skipped;
-      stats.warm_solves += decision.warm_solve ? 1 : 0;
     }
 
     // Untimed churn: this cycle's transfers land, the oldest jobs finish
@@ -386,11 +381,6 @@ void WriteSweepJson(const std::vector<FleetPoint>& fleet_points,
                bds::telemetry::Enabled() ? "true" : "false");
   std::fprintf(f, "  \"flight_recorder_enabled\": %s,\n",
                bds::telemetry::FlightRecorder::Global().active() ? "true" : "false");
-  // The fleet sweep times cold single-cycle decisions; warm start only
-  // applies in the steady_cycles section, which carries its own stamp.
-  // Regression checks require this header stamp to match between baseline
-  // and fresh runs.
-  std::fprintf(f, "  \"warm_start\": false,\n");
   std::fprintf(f, "  \"configs\": [");
   for (size_t ci = 0; ci < std::size(kFleetConfigs); ++ci) {
     std::fprintf(f, "%s\"%s\"", ci == 0 ? "" : ", ", kFleetConfigs[ci].name);
@@ -434,19 +424,18 @@ void WriteSweepJson(const std::vector<FleetPoint>& fleet_points,
   std::fprintf(f, "  ],\n");
   // Cross-cycle steady-state section: the `amortized` regression mode gates
   // the warm-cycle CPU and the candidate reuse-rate floor on these fields.
+  // "warm" means the candidate cache is warm (cycles 1..N-1).
   std::fprintf(f,
                "  \"steady_cycles\": {\"jobs\": %lld, \"blocks_per_job\": %lld, "
                "\"blocks\": %lld, \"cycles\": %d, \"churn_jobs\": %lld, "
-               "\"num_threads\": %d, \"num_shards\": %d, \"warm_start\": true,\n",
+               "\"num_threads\": %d, \"num_shards\": %d,\n",
                static_cast<long long>(steady.jobs), static_cast<long long>(steady.blocks_per_job),
                static_cast<long long>(steady.blocks), steady.cycles,
                static_cast<long long>(steady.churn_jobs), steady.num_threads, steady.num_shards);
   std::fprintf(f,
                "    \"cold_cpu_seconds\": %.6f, \"warm_cpu_seconds\": %.6f, "
-               "\"warm_cpu_max_seconds\": %.6f, \"reuse_rate\": %.4f, "
-               "\"phases_skipped\": %lld, \"warm_solves\": %d}\n",
-               steady.cold_cpu, steady.warm_cpu_mean, steady.warm_cpu_max, steady.reuse_rate,
-               static_cast<long long>(steady.phases_skipped), steady.warm_solves);
+               "\"warm_cpu_max_seconds\": %.6f, \"reuse_rate\": %.4f}\n",
+               steady.cold_cpu, steady.warm_cpu_mean, steady.warm_cpu_max, steady.reuse_rate);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -521,8 +510,8 @@ int main(int argc, char** argv) {
       sweep_only = true;
     } else if (std::strcmp(argv[i], "--steady-cycles") == 0) {
       // Only the cross-cycle steady-state section (fast iteration on the
-      // warm-start path). The emitted JSON has an empty sweep section, so it
-      // is not a valid regression baseline.
+      // delta candidate build). The emitted JSON has an empty sweep section,
+      // so it is not a valid regression baseline.
       steady_only = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;

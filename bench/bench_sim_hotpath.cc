@@ -442,10 +442,6 @@ void WriteSweepJson(const SweepResult& result, bool smoke, const std::string& pa
                bds::telemetry::Enabled() ? "true" : "false");
   std::fprintf(f, "  \"flight_recorder_enabled\": %s,\n",
                bds::telemetry::FlightRecorder::Global().active() ? "true" : "false");
-  // This bench never exercises the controller's cross-cycle warm start;
-  // the stamp lets the regression gate assert the header matches its
-  // committed baseline.
-  std::fprintf(f, "  \"warm_start\": false,\n");
   std::fprintf(f, "  \"reference_config\": \"reference\",\n");
   std::fprintf(f, "  \"configs\": [");
   for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {

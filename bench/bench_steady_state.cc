@@ -148,10 +148,6 @@ void WriteSweepJson(const std::vector<SweepPoint>& points, bool smoke,
                bds::telemetry::Enabled() ? "true" : "false");
   std::fprintf(f, "  \"flight_recorder_enabled\": %s,\n",
                bds::telemetry::FlightRecorder::Global().active() ? "true" : "false");
-  // This bench never exercises the controller's cross-cycle warm start;
-  // the stamp lets the regression gate assert the header matches its
-  // committed baseline.
-  std::fprintf(f, "  \"warm_start\": false,\n");
   std::fprintf(f, "  \"points\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];

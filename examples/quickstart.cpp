@@ -2,15 +2,13 @@
 // DCs over a small geo-distributed deployment, and print what happened.
 //
 //   ./quickstart [--dcs N] [--servers N] [--size-gb X] [--cycle S] [--verbose]
-//               [--threads N] [--shards K] [--warm-start]
+//               [--threads N] [--shards K]
 //               [--duration S] [--arrival-rate JOBS_PER_HOUR]
 //               [--trace-json PATH] [--summary-jsonl PATH]
 //               [--flight-recorder PATH] [--timeseries-dt S] [--slo-json PATH]
 //
 // --threads and --shards exercise the fleet-scale controller (DESIGN.md
 // "Sharded controller"); either may be raised without changing any decision.
-// --warm-start is the relaxed-parity cross-cycle knob (DESIGN.md §9.7):
-// still deterministic, no longer bitwise-equal to the cold solve.
 //
 // With --duration the one-shot job is replaced by the long-running service
 // mode (DESIGN.md "Overload and graceful degradation"): open-loop arrivals
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
   double cycle = 3.0;
   int threads = 1;
   int shards = 1;
-  bool warm_start = false;
   double duration = 0.0;
   double arrival_rate = 600.0;
   bool verbose = false;
@@ -66,8 +63,6 @@ int main(int argc, char** argv) {
   flags.AddDouble("cycle", &cycle, "controller update cycle in seconds");
   flags.AddInt("threads", &threads, "controller worker threads");
   flags.AddInt("shards", &shards, "controller selection-queue shards");
-  flags.AddBool("warm-start", &warm_start,
-                "seed each cycle's routing FPTAS from the previous cycle (relaxed parity)");
   flags.AddDouble("duration", &duration,
                   "steady-state mode: simulated seconds of open-loop arrivals (0 = one-shot)");
   flags.AddDouble("arrival-rate", &arrival_rate, "steady-state mode: jobs per hour");
@@ -114,7 +109,6 @@ int main(int argc, char** argv) {
   options.cycle_length = cycle;
   options.num_threads = std::max(1, threads);
   options.num_shards = std::max(1, shards);
-  options.warm_start = warm_start;
   auto service = bds::BdsService::Create(std::move(topo).value(), options);
   if (!service.ok()) {
     std::fprintf(stderr, "service: %s\n", service.status().ToString().c_str());

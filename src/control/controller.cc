@@ -482,10 +482,6 @@ void BdsController::ApplyFailures(SimTime now) {
       continue;
     }
     state_.RemoveServer(server);
-    // Server loss re-owes deliveries and shrinks holder sets mid-stream;
-    // the dirty stamps handle the candidate side, but the FPTAS warm seeds
-    // may reference flows toward the dead server — drop both caches.
-    algorithm_.InvalidateCycleCache();
     if (view_ != nullptr) {
       // Failures are detected by the controller's own heartbeats, not agent
       // status reports, so the view mirrors them instantly. Buffered delivery
@@ -743,8 +739,7 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
       "scheduler.cand_reuse", "scheduler",
       {{"units_reused", static_cast<double>(decision.cand_units_reused)},
        {"units_repriced", static_cast<double>(decision.cand_units_repriced)},
-       {"slots_reused", static_cast<double>(decision.cand_slots_reused)},
-       {"phases_skipped", static_cast<double>(decision.fptas_phases_skipped)}});
+       {"slots_reused", static_cast<double>(decision.cand_slots_reused)}});
   stats.scheduled_blocks = decision.scheduled_blocks;
   stats.merged_subtasks = decision.merged_subtasks;
   stats.scheduling_seconds = decision.scheduling_seconds;

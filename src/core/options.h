@@ -31,12 +31,6 @@ struct BdsOptions {
   // decision bit.
   int num_threads = 1;
   int num_shards = 1;
-  // Cross-cycle incrementality (DESIGN.md §9.7). warm_start seeds each
-  // cycle's routing FPTAS from the previous cycle's converged flows. A
-  // relaxed-parity knob: decisions stay feasible and deterministic for any
-  // thread/shard count, but are no longer bitwise-equal to the cold solve.
-  // Off by default.
-  bool warm_start = false;
 
   // Control plane.
   DcId controller_dc = 0;

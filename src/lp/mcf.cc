@@ -102,16 +102,8 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // reorder provably-equal arithmetic (sentinel adds of 0.0, hoisted shared
 // loads), and the cached minimum only skips scans whose outcome is proved.
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
-  return SolveMcfFptas(instance, epsilon, nullptr, nullptr);
-}
-
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWarmSeed* warm,
-                        McfWarmInfo* warm_info) {
   BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
   BDS_TIMED_SCOPE("fptas.solve");
-  if (warm_info != nullptr) {
-    *warm_info = McfWarmInfo{};
-  }
   McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
   const FlatMcf flat = FlattenMcf(instance);
   result.ok = true;
@@ -124,44 +116,21 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon, const McfWa
   const FptasWorkspace ws(flat, epsilon);
   // One slot past the real edges is the sentinel padding edge: length 0.0,
   // never multiplied by a real factor, used by the workspace's unrolled scans.
-  std::vector<double> length;
-  std::vector<double> raw_flow;
-  mcf_internal::FptasWarmState wstate;
-  mcf_internal::FptasLoopControl control;
-  const bool use_warm = warm != nullptr && !warm->empty();
-  if (use_warm) {
-    wstate = mcf_internal::SeedFptasWarmState(instance, flat, ws, epsilon, delta, *warm);
-    length = std::move(wstate.length);
-    raw_flow = std::move(wstate.raw_flow);
-    control.alpha_start = wstate.alpha_start;
-    control.cached_min_seed = &wstate.cached_min;
-    if (warm_info != nullptr) {
-      warm_info->used = wstate.seeded_commodities > 0;
-      warm_info->seeded_commodities = wstate.seeded_commodities;
-      warm_info->phases_skipped = wstate.phases_skipped;
-    }
-  } else {
-    length.assign(num_edges + 1, 0.0);
-    for (size_t l = 0; l < num_edges; ++l) {
-      length[l] = delta / flat.cap[l];
-    }
-    raw_flow.assign(ws.num_paths, 0.0);
+  std::vector<double> length(num_edges + 1, 0.0);
+  for (size_t l = 0; l < num_edges; ++l) {
+    length[l] = delta / flat.cap[l];
   }
+  std::vector<double> raw_flow(ws.num_paths, 0.0);
 
   const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
   mcf_internal::FptasLoopStats stats = mcf_internal::RunFptasPushLoop(
-      flat, ws, epsilon, delta, max_pushes, length, raw_flow, use_warm ? &control : nullptr);
+      flat, ws, epsilon, delta, max_pushes, length, raw_flow);
 
   BDS_TELEMETRY_COUNT("fptas.solves", 1);
   BDS_TELEMETRY_COUNT("fptas.pushes", stats.pushes);
   BDS_TELEMETRY_COUNT("fptas.phases", stats.phases);
   BDS_TELEMETRY_COUNT("fptas.bound_skips", stats.bound_skips);
   BDS_TELEMETRY_COUNT("fptas.commodities_retired", stats.commodities_retired);
-  if (use_warm) {
-    BDS_TELEMETRY_COUNT("fptas.warm.solves", 1);
-    BDS_TELEMETRY_COUNT("fptas.warm.seeded_commodities", wstate.seeded_commodities);
-    BDS_TELEMETRY_COUNT("fptas.warm.phases_skipped", wstate.phases_skipped);
-  }
   telemetry::TraceInstant("fptas.solve", "lp",
                           {{"commodities", static_cast<double>(ws.num_commodities)},
                            {"paths", static_cast<double>(ws.num_paths)},

@@ -10,12 +10,11 @@
 //    the paper adopts ([17,18] in §4.4), returning a (1-eps)-optimal flow in
 //    time independent of the number of commodities. It is the controller's
 //    one routing driver, for every shard and thread count: one solve per
-//    cycle, single-threaded, cold or warm.
+//    cycle, single-threaded, from a cold start.
 
 #ifndef BDS_SRC_LP_MCF_H_
 #define BDS_SRC_LP_MCF_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "src/common/status.h"
@@ -71,35 +70,6 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // loop kept as a test oracle (tests/oracles.h; see the parity property
 // tests).
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon = 0.1);
-
-// Warm-start seed for SolveMcfFptas: a previous solve's *finalized*
-// per-commodity path flows, re-mapped by the caller onto the CURRENT
-// instance's commodity and path indexing. flows[c] empty (or the whole
-// vector shorter than c) means "no seed for commodity c"; flows larger than
-// a commodity's current demand are clamped proportionally by the seeder.
-//
-// Warm solves obey the relaxed-parity contract (DESIGN.md §9.7): the result
-// is feasible, deterministic, and the objective stays within (1 + epsilon)
-// of the cold solve's — but it is NOT bitwise equal to the cold solve.
-struct McfWarmSeed {
-  std::vector<std::vector<double>> flows;
-
-  bool empty() const { return flows.empty(); }
-};
-
-// Observability of a warm solve; never part of decision fingerprints.
-struct McfWarmInfo {
-  bool used = false;                // A non-empty seed was applied.
-  int64_t seeded_commodities = 0;   // Commodities with a carried flow.
-  int64_t phases_skipped = 0;       // Alpha phases provably without pushes.
-};
-
-// Warm-start overload: seeds the multiplicative-weights state (raw flow,
-// edge lengths, per-commodity minima) from `warm` and fast-forwards the
-// alpha ladder past phases that provably push nothing. warm == nullptr or an
-// empty seed degenerates to the cold solver above, bit for bit.
-McfResult SolveMcfFptas(const McfInstance& instance, double epsilon,
-                        const McfWarmSeed* warm, McfWarmInfo* warm_info = nullptr);
 
 // Validation helper shared by tests: largest relative link-capacity
 // violation of `result` against `instance` (0 = fully feasible).

@@ -282,8 +282,7 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
                                 std::vector<double>& length,
-                                std::vector<double>& raw_flow,
-                                const FptasLoopControl* control) {
+                                std::vector<double>& raw_flow) {
   BDS_CHECK(length.size() == ws.num_edges + 1);
   BDS_CHECK(raw_flow.size() == ws.num_paths);
   FptasLoopStats stats;
@@ -299,15 +298,8 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   constexpr uint8_t kStructured = FptasWorkspace::kStructured;
 
   // cached_min: 0.0 understates any real length and forces a first fresh
-  // scan; a warm start seeds the exact minima of the seeded lengths instead
-  // (still a valid lower bound — lengths only grow).
-  std::vector<double> cached_min;
-  if (control != nullptr && control->cached_min_seed != nullptr) {
-    BDS_CHECK(control->cached_min_seed->size() == ws.num_commodities);
-    cached_min = *control->cached_min_seed;
-  } else {
-    cached_min.assign(ws.num_commodities, 0.0);
-  }
+  // scan (still a valid lower bound afterwards — lengths only grow).
+  std::vector<double> cached_min(ws.num_commodities, 0.0);
   std::vector<int32_t> active;
   active.reserve(ws.num_commodities);
   for (size_t c = 0; c < ws.num_commodities; ++c) {
@@ -317,9 +309,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   }
 
   int64_t pushes = 0;
-  double alpha = control != nullptr && control->alpha_start > 0.0
-                     ? control->alpha_start
-                     : delta * static_cast<double>(flat.max_len);
+  double alpha = delta * static_cast<double>(flat.max_len);
   while (alpha < 1.0 && pushes < max_pushes && !active.empty()) {
     ++stats.phases;
     const double threshold = std::min(1.0, alpha * (1.0 + epsilon));
@@ -518,117 +508,6 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   stats.pushes = pushes;
   stats.commodities_retired = static_cast<int64_t>(ws.num_commodities - active.size());
   return stats;
-}
-
-FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& flat,
-                                  const FptasWorkspace& ws, double epsilon, double delta,
-                                  const McfWarmSeed& warm) {
-  FptasWarmState state;
-  state.raw_flow.assign(ws.num_paths, 0.0);
-  state.length.assign(ws.num_edges + 1, 0.0);
-  state.cached_min.assign(ws.num_commodities, 0.0);
-
-  // Per-commodity clamp factor: seeds were feasible against LAST cycle's
-  // demands; if this cycle's demand shrank, scale the commodity's carried
-  // flow down proportionally so the seeded raw flow never overloads the new
-  // demand edge (an overload would survive into FinalizeFptas's global
-  // normalization and depress every other commodity's flow).
-  std::vector<double> clamp(ws.num_commodities, 1.0);
-  std::vector<uint8_t> seeded(ws.num_commodities, 0);
-  for (size_t c = 0; c < ws.num_commodities && c < warm.flows.size(); ++c) {
-    const std::vector<double>& f = warm.flows[c];
-    if (f.empty()) {
-      continue;
-    }
-    double sum = 0.0;
-    for (double v : f) {
-      sum += v;
-    }
-    if (sum <= 0.0) {
-      continue;
-    }
-    seeded[c] = 1;
-    ++state.seeded_commodities;
-    const double demand = instance.commodities[c].demand;
-    if (demand >= 0.0 && sum > demand) {
-      clamp[c] = demand / sum;
-    }
-  }
-
-  // Raw seed: finalized flow times the theoretical scale (FinalizeFptas
-  // divides by it), so a fully-seeded edge lands exactly where a converged
-  // multiplicative-weights run would leave it. Feasibility of the seed
-  // guarantees raw load <= scale * cap on every edge.
-  const double scale = std::log((1.0 + epsilon) / delta) / std::log(1.0 + epsilon);
-  for (size_t i = 0; i < flat.paths.size(); ++i) {
-    const FlatPath& p = flat.paths[i];
-    const size_t c = static_cast<size_t>(p.commodity);
-    if (c >= warm.flows.size() || !seeded[c]) {
-      continue;
-    }
-    const std::vector<double>& f = warm.flows[c];
-    const size_t pi = static_cast<size_t>(p.path_index);
-    if (pi < f.size() && f[pi] > 0.0) {
-      state.raw_flow[i] = f[pi] * clamp[c] * scale;
-    }
-  }
-
-  // Length reconstruction: a push of path i multiplies edge e by
-  // factor(i,e) = 1 + eps * bneck_i / cap_e and adds bneck_i to the path's
-  // raw flow, so raw_i corresponds to raw_i / bneck_i (fractional) pushes:
-  // length[e] = delta/cap[e] * exp(sum_i (raw_i/bneck_i) * ln factor(i,e)).
-  // Demand edges get no special-casing — they are edges like any other.
-  std::vector<double> log_boost(ws.num_edges, 0.0);
-  for (size_t i = 0; i < ws.num_paths; ++i) {
-    if (state.raw_flow[i] <= 0.0) {
-      continue;
-    }
-    const double n = state.raw_flow[i] / ws.path_bneck[i];
-    for (int32_t j = ws.path_off[i]; j < ws.path_off[i + 1]; ++j) {
-      log_boost[static_cast<size_t>(ws.path_links[static_cast<size_t>(j)])] +=
-          n * std::log(ws.path_factor[static_cast<size_t>(j)]);
-    }
-  }
-  for (size_t l = 0; l < ws.num_edges; ++l) {
-    state.length[l] = delta / flat.cap[l] * std::exp(log_boost[l]);
-  }
-
-  // Per-commodity minima under the seeded lengths — fresh CSR scans in the
-  // exact link order the push loop uses (the fast kinds' sentinel padding
-  // only inserts bitwise no-op adds of 0.0), so seeding cached_min with
-  // these values skips scans whose outcome is already proved. The global
-  // minimum drives the alpha-ladder fast-forward.
-  double m_min = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < ws.num_commodities; ++c) {
-    if (ws.cp_off[c] == ws.cp_off[c + 1]) {
-      continue;
-    }
-    double m = std::numeric_limits<double>::infinity();
-    for (int32_t idx = ws.cp_off[c]; idx < ws.cp_off[c + 1]; ++idx) {
-      const int32_t pi = ws.cp_ids[static_cast<size_t>(idx)];
-      double s = 0.0;
-      for (int32_t j = ws.path_off[pi]; j < ws.path_off[pi + 1]; ++j) {
-        s += state.length[static_cast<size_t>(ws.path_links[static_cast<size_t>(j)])];
-      }
-      m = std::min(m, s);
-    }
-    state.cached_min[c] = m;
-    m_min = std::min(m_min, m);
-  }
-
-  // Alpha fast-forward by iterated multiplication — the loop's own ladder
-  // arithmetic, bit for bit. A phase with threshold alpha*(1+eps) <= m_min
-  // cannot push (every path length >= m_min and nothing moves until a push
-  // happens), so skipping it is provably a no-op.
-  double alpha = delta * static_cast<double>(flat.max_len);
-  if (m_min < std::numeric_limits<double>::infinity()) {
-    while (alpha < 1.0 && alpha * (1.0 + epsilon) <= m_min) {
-      alpha *= 1.0 + epsilon;
-      ++state.phases_skipped;
-    }
-  }
-  state.alpha_start = alpha;
-  return state;
 }
 
 }  // namespace mcf_internal

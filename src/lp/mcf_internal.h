@@ -11,8 +11,6 @@
 //    the exact numeric trajectory.
 //  * FptasWorkspace — the CSR layout + structured-shape acceleration tables
 //    of the tuned solver, precomputed once per instance.
-//  * SeedFptasWarmState — the warm-start state rebuilt from a previous
-//    solve's finalized flows.
 //  * RunFptasPushLoop — the tuned phase loop over every commodity.
 //  * FinalizeFptas — theoretical rescale + global feasibility normalization
 //    + two greedy augmentation rounds; a pure function of (flat, raw_flow).
@@ -111,57 +109,15 @@ struct FptasLoopStats {
   int64_t commodities_retired = 0;
 };
 
-// Optional controls for RunFptasPushLoop. Defaults reproduce the classic
-// cold loop exactly; warm starts hook in here.
-struct FptasLoopControl {
-  // Alpha-ladder entry point. <= 0 starts cold at delta * flat.max_len; a
-  // warm start passes a grid-aligned value (delta * max_len * (1+eps)^k)
-  // computed by SeedFptasWarmState so every skipped phase is provably a
-  // no-op under the seeded lengths.
-  double alpha_start = -1.0;
-  // Per-commodity seed for the loop's cached minima (must lower-bound — or
-  // equal — the commodity's current cheapest path length under the caller's
-  // `length`). nullptr: cold init to 0.0, which forces a first fresh scan
-  // per commodity.
-  const std::vector<double>* cached_min_seed = nullptr;
-};
-
-// Seeded multiplicative-weights state reconstructed from a previous solve's
-// finalized flows (see SeedFptasWarmState).
-struct FptasWarmState {
-  std::vector<double> length;      // num_edges + 1 (sentinel pinned to 0.0).
-  std::vector<double> raw_flow;    // num_paths, pre-scale units.
-  std::vector<double> cached_min;  // Per-commodity min path length at seed.
-  double alpha_start = -1.0;
-  int64_t seeded_commodities = 0;
-  int64_t phases_skipped = 0;
-};
-
-// Builds the warm-start state for a solve of `instance`: per-path raw flow
-// re-scaled from the finalized seed (clamped per commodity to the CURRENT
-// demand), edge lengths reconstructed consistently from that raw flow
-// (length[e] = delta/cap[e] * exp(sum_i (raw_i/bneck_i) * ln(factor_i,e)) —
-// exactly the length a push sequence totalling raw would have produced,
-// demand edges included uniformly), per-commodity cached minima equal to the
-// seeded fresh-scan results, and the furthest alpha-ladder entry whose
-// skipped phases provably push nothing (alpha advanced by iterated
-// (1+eps) multiplication, mirroring the loop's own ladder bit for bit).
-// Pure function of its inputs.
-FptasWarmState SeedFptasWarmState(const McfInstance& instance, const FlatMcf& flat,
-                                  const FptasWorkspace& ws, double epsilon, double delta,
-                                  const McfWarmSeed& warm);
-
 // The tuned Fleischer phase loop over every commodity (commodities without
 // paths are skipped). Reads and multiplies `length` (size
 // flat.num_edges() + 1; the last slot is the sentinel padding edge and must
 // be 0.0) and accumulates into `raw_flow` (size flat.num_paths()). delta and
-// max_pushes come from FptasDelta / MaxPushes. `control` may be null (cold
-// loop); see FptasLoopControl.
+// max_pushes come from FptasDelta / MaxPushes.
 FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
                                 std::vector<double>& length,
-                                std::vector<double>& raw_flow,
-                                const FptasLoopControl* control = nullptr);
+                                std::vector<double>& raw_flow);
 
 }  // namespace mcf_internal
 }  // namespace bds

@@ -15,9 +15,7 @@
 #ifndef BDS_SRC_SCHEDULER_CONTROLLER_ALGORITHM_H_
 #define BDS_SRC_SCHEDULER_CONTROLLER_ALGORITHM_H_
 
-#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -110,12 +108,6 @@ struct ControllerAlgorithmOptions {
   // with max_deliveries_per_cycle by min when both are set):
   int64_t shed_deliveries_cap = 4096;
   // --- Cross-cycle incrementality (DESIGN.md §9.7) ---
-  // FPTAS warm start: seed each cycle's routing solve from the previous
-  // cycle's converged per-commodity flows when the topology and path set
-  // are unchanged. Relaxed parity: feasible, deterministic for any
-  // thread/shard count, objective within (1 + fptas_epsilon) of the cold
-  // solve — but NOT bitwise equal to it. Off by default.
-  bool warm_start = false;
   // Debug cross-check: after every delta candidate build, rebuild from
   // scratch and BDS_CHECK the arrays are identical. O(pending) extra work
   // per cycle; test-suite only.
@@ -136,18 +128,14 @@ class ControllerAlgorithm {
 
   // Drops the cached overlay-path skeletons. Call when the routing table's
   // route sets may have changed (rebuild, link fault); capacity-only changes
-  // never require it. Also implicitly invalidates the FPTAS warm-start cache
-  // (its validity check compares the cache's invalidation generation).
+  // never require it.
   void InvalidatePathCache() { path_cache_.Invalidate(); }
 
-  // Drops the cross-cycle caches (candidate slots + FPTAS warm seeds). The
-  // controller calls this on server failure and controller-replica failover;
-  // the caches' own identity/continuity checks (state uid, cycle + 1, knob
-  // values) cover everything else (invalidation matrix: DESIGN.md §9.7).
-  void InvalidateCycleCache() {
-    cand_cache_.valid = false;
-    route_warm_.valid = false;
-  }
+  // Drops the cross-cycle candidate cache. The controller calls this on
+  // controller-replica failover; the cache's own identity/continuity checks
+  // (state uid, cycle + 1, policy) cover everything else (invalidation
+  // matrix: DESIGN.md §9.7).
+  void InvalidateCycleCache() { cand_cache_.valid = false; }
 
   // Hit/miss/invalidation counters of the overlay path cache (see
   // ServerPathCache::Stats). Sharded and unsharded runs over the same cycle
@@ -219,33 +207,14 @@ class ControllerAlgorithm {
     CandVec scratch;  // Double buffer for the patch pass.
   };
 
-  // Previous cycle's converged path flows for the FPTAS warm start,
-  // accumulated per (source DC, destination DC, job). Exact subtask (server
-  // pair) identity rarely recurs across cycles — each cycle selects
-  // different blocks, and the sharding rule scatters their endpoint servers
-  // — but a job's DC pair is fixed, and path index i means the same WAN
-  // route for every server pair of that DC pair. A commodity is seeded with
-  // its key's flow split scaled to its own demand. Valid only for the next
-  // cycle with an unchanged path set (path-cache invalidation generation)
-  // and the same effective epsilon / route cap (covers degradation-rung
-  // moves).
-  struct RouteWarmCache {
-    bool valid = false;
-    int64_t last_cycle = 0;
-    int64_t path_cache_invalidations = 0;
-    double epsilon = 0.0;
-    int route_cap = 0;
-    std::map<std::tuple<DcId, DcId, JobId>, std::vector<double>> flows;
-  };
-
   // Scheduling step: rarest-first selection under capacity budgets.
   std::vector<Selected> ScheduleBlocks(int64_t cycle, const ReplicaState& state,
                                        const std::vector<Rate>& residual_capacities,
                                        const DeliveryKeySet& in_flight, CycleDecision& decision);
 
   // Routing step: merge into subtasks, build the MCF, allocate rates.
-  void RouteBlocks(int64_t cycle, std::vector<Selected> selected,
-                   const std::vector<Rate>& residual_capacities, CycleDecision& decision);
+  void RouteBlocks(std::vector<Selected> selected, const std::vector<Rate>& residual_capacities,
+                   CycleDecision& decision);
 
   const Topology* topo_;
   const WanRoutingTable* routing_;
@@ -258,12 +227,11 @@ class ControllerAlgorithm {
   // re-allocating its MCF instance and path buffers every cycle.
   McfInstance mcf_instance_;
   std::vector<std::vector<ServerPath>> subtask_paths_;
-  // Cross-cycle caches (DESIGN.md §9.7). cand_work_ is the selection loop's
+  // Cross-cycle cache (DESIGN.md §9.7). cand_work_ is the selection loop's
   // working array, reused so the fleet-scale build stops re-allocating
   // hundreds of megabytes per cycle.
   CandVec cand_work_;
   CandidateCache cand_cache_;
-  RouteWarmCache route_warm_;
 };
 
 // Splits `num_blocks` atomic blocks across a subtask's paths proportionally

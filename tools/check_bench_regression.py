@@ -77,10 +77,11 @@ EDGE_CUTOFF = 0.7
 
 # Amortized (cross-cycle) gates for the "steady_cycles" section written by
 # bench_fig11_scalability: N consecutive cycles of one long-lived controller
-# with ~5% job churn and warm start on. Two families of checks:
-#  - Within-run invariants, gated at any scale: every post-cold cycle must
-#    actually warm-start (warm_solves == cycles - 1), and the amortized warm
-#    cycle must beat the cold cycle of the SAME run by at least this ratio.
+# with ~5% job churn. "Warm" means the candidate cache is warm: cycle 0
+# builds every candidate from scratch, later cycles reuse the delta
+# candidate build (every routing solve is cold). Two families of checks:
+#  - Within-run invariant, gated at any scale: the amortized warm cycle must
+#    beat the cold cycle of the SAME run by at least this ratio.
 #    Comparing warm to cold inside one process cancels machine-speed noise
 #    the same way the config-relative sweep ratios do.
 #  - Absolute checks, gated only when the committed and fresh runs used the
@@ -235,11 +236,6 @@ def compare_amortized(baseline_data, fresh_data, threshold):
             flag = "  REGRESSION"
         print(f"  {name:>24}  {value}{flag}")
 
-    cycles = fresh.get("cycles", 0)
-    warm_solves = fresh.get("warm_solves", -1)
-    check("warm_solves", f"{warm_solves}/{cycles - 1}",
-          warm_solves == cycles - 1,
-          f"only {warm_solves} of {cycles - 1} post-cold cycles warm-started")
     cold = fresh.get("cold_cpu_seconds", 0.0)
     warm = fresh.get("warm_cpu_seconds", 0.0)
     ratio = warm / cold if cold > 0 else float("inf")
@@ -262,10 +258,6 @@ def compare_amortized(baseline_data, fresh_data, threshold):
     check("reuse_rate", f"{was:.3f} -> {now:.3f}",
           now >= was - REUSE_RATE_SLACK,
           f"candidate reuse rate fell {was:.3f} -> {now:.3f}")
-    if base.get("phases_skipped", 0) > 0:
-        now = fresh.get("phases_skipped", 0)
-        check("phases_skipped", f"{now}", now > 0,
-              "warm start no longer skips any FPTAS phases")
     return compared, failures
 
 
@@ -378,13 +370,6 @@ def main():
     if fresh_data.get("flight_recorder_enabled", False):
         raise SystemExit(f"{fresh_path}: fresh run had the flight recorder "
                          "enabled; bench timings must be taken with it off")
-    # Same reasoning for warm start: the sweep sections time the cold path
-    # (steady_cycles carries its own in-section warm_start stamp), so a
-    # header-level warm_start=true means the harness quietly warmed the
-    # sweep timings and the comparison is invalid.
-    if fresh_data.get("warm_start", False) != baseline_data.get("warm_start", False):
-        raise SystemExit(f"{fresh_path}: 'warm_start' header stamp differs from "
-                         "the baseline; sweep timings are not comparable")
     if baseline_data.get("mode") == "steady" or fresh_data.get("mode") == "steady":
         if baseline_data.get("mode") != fresh_data.get("mode"):
             raise SystemExit("mode mismatch: one file is a steady-state sweep "
