@@ -21,14 +21,14 @@
 //
 // A steady-cycles section always runs after the sweep: N consecutive
 // decision cycles on one long-lived controller with ~5% job churn between
-// cycles and the cross-cycle candidate cache on (the delta candidate build,
-// DESIGN.md §9.7; every cycle's routing solve is cold). Its cold/warm CPU
-// ("warm" = candidate cache warm) and candidate reuse rate land in the
-// JSON's "steady_cycles" section, gated by tools/check_bench_regression.py's
-// amortized mode. --steady-cycles runs only that section.
+// cycles, every cycle built from scratch. Its first- and later-cycle CPU and
+// the process's peak RSS land in the JSON's "steady_cycles" section; the
+// later-cycle CPU is gated by tools/check_bench_regression.py's amortized
+// mode. --steady-cycles runs only that section.
 
 #include <benchmark/benchmark.h>
 
+#include <sys/resource.h>
 #include <time.h>
 
 #include <algorithm>
@@ -237,12 +237,10 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
 // ---------------------------------------------------------------------------
 // Steady-cycles mode: N consecutive Decide() cycles on one long-lived
 // controller + replica state with ~5% job churn between cycles, 4 threads
-// and 4 shards. This is the workload the cross-cycle candidate cache
-// (DESIGN.md §9.7) exists for: the first cycle builds every candidate from
-// scratch, every later cycle reuses the delta candidate build and re-prices
-// only the churned slice of the candidate array (the routing solve stays
-// cold). The acceptance target is the amortized warm-cycle CPU at the
-// 10^7-block fleet point staying well under the cold cycle.
+// and 4 shards. Every cycle builds its candidates and solves its routing
+// from scratch, so the later cycles cost about what the first does; the
+// section records what a controller pays per cycle once the fleet is
+// turning over (DESIGN.md §9.7 records why nothing is carried across).
 
 struct SteadyCyclesStats {
   int64_t jobs = 0;
@@ -252,10 +250,10 @@ struct SteadyCyclesStats {
   int64_t churn_jobs = 0;  // Jobs retired and admitted between cycles.
   int num_threads = 0;
   int num_shards = 0;
-  double cold_cpu = 0.0;       // Cycle 0 (no cache to reuse).
-  double warm_cpu_mean = 0.0;  // Amortized over cycles 1..N-1.
-  double warm_cpu_max = 0.0;
-  double reuse_rate = 0.0;  // Mean candidate-slot reuse over warm cycles.
+  double first_cpu = 0.0;       // Cycle 0.
+  double later_cpu_mean = 0.0;  // Mean over cycles 1..N-1.
+  double later_cpu_max = 0.0;
+  double peak_rss_mb = 0.0;  // Process peak (getrusage ru_maxrss) after the last cycle.
 };
 
 SteadyCyclesStats RunSteadyCycles(bool smoke) {
@@ -310,34 +308,25 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
   stats.num_shards = options.num_shards;
 
   bench::PrintHeader("Steady cycles", "consecutive cycles with ~5% churn",
-                     "one long-lived controller; warm cycles re-price only churned "
-                     "candidates (DESIGN.md §9.7)");
-  std::printf("%6s %10s %10s %10s %10s %10s %8s\n", "cycle", "cpu (ms)", "select", "solve",
-              "scheduled", "transfers", "reuse");
+                     "one long-lived controller; every cycle built from scratch");
+  std::printf("%6s %10s %10s %10s %10s %10s\n", "cycle", "cpu (ms)", "select", "solve",
+              "scheduled", "transfers");
 
-  double warm_total = 0.0;
-  double reuse_total = 0.0;
-  int warm_cycles = 0;
+  double later_total = 0.0;
+  int later_cycles = 0;
   for (int cyc = 0; cyc < cycles; ++cyc) {
     const double cpu_start = ProcessCpuSeconds();
     CycleDecision decision = algorithm.Decide(cyc, replica_state, residual, {});
     const double cpu = ProcessCpuSeconds() - cpu_start;
-    const int64_t slots = decision.cand_slots_reused + decision.cand_slots_repriced;
-    const double reuse =
-        slots > 0 ? static_cast<double>(decision.cand_slots_reused) / static_cast<double>(slots)
-                  : 0.0;
-    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu %7.1f%%\n", cyc, cpu * 1e3,
+    std::printf("%6d %10.1f %10.1f %10.1f %10lld %10zu\n", cyc, cpu * 1e3,
                 decision.select_cpu_seconds * 1e3, decision.solve_cpu_seconds * 1e3,
-                static_cast<long long>(decision.scheduled_blocks), decision.transfers.size(),
-                reuse * 1e2);
+                static_cast<long long>(decision.scheduled_blocks), decision.transfers.size());
     if (cyc == 0) {
-      stats.cold_cpu = cpu;
-      BDS_CHECK_MSG(decision.cand_slots_reused == 0, "first cycle cannot reuse candidates");
+      stats.first_cpu = cpu;
     } else {
-      warm_total += cpu;
-      warm_cycles++;
-      stats.warm_cpu_max = std::max(stats.warm_cpu_max, cpu);
-      reuse_total += reuse;
+      later_total += cpu;
+      later_cycles++;
+      stats.later_cpu_max = std::max(stats.later_cpu_max, cpu);
     }
 
     // Untimed churn: this cycle's transfers land, the oldest jobs finish
@@ -361,11 +350,13 @@ SteadyCyclesStats RunSteadyCycles(bool smoke) {
       admit_job(next_job++);
     }
   }
-  stats.warm_cpu_mean = warm_cycles > 0 ? warm_total / warm_cycles : 0.0;
-  stats.reuse_rate = warm_cycles > 0 ? reuse_total / warm_cycles : 0.0;
-  std::printf("cold %.1f ms; amortized warm %.1f ms (max %.1f ms); reuse %.1f%%\n",
-              stats.cold_cpu * 1e3, stats.warm_cpu_mean * 1e3, stats.warm_cpu_max * 1e3,
-              stats.reuse_rate * 1e2);
+  stats.later_cpu_mean = later_cycles > 0 ? later_total / later_cycles : 0.0;
+  rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  stats.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB.
+  std::printf("first %.1f ms; later cycles mean %.1f ms (max %.1f ms); peak RSS %.0f MB\n",
+              stats.first_cpu * 1e3, stats.later_cpu_mean * 1e3, stats.later_cpu_max * 1e3,
+              stats.peak_rss_mb);
   return stats;
 }
 
@@ -423,8 +414,8 @@ void WriteSweepJson(const std::vector<FleetPoint>& fleet_points,
   }
   std::fprintf(f, "  ],\n");
   // Cross-cycle steady-state section: the `amortized` regression mode gates
-  // the warm-cycle CPU and the candidate reuse-rate floor on these fields.
-  // "warm" means the candidate cache is warm (cycles 1..N-1).
+  // later_cpu_seconds (the mean over cycles 1..N-1); peak_rss_mb is
+  // informational.
   std::fprintf(f,
                "  \"steady_cycles\": {\"jobs\": %lld, \"blocks_per_job\": %lld, "
                "\"blocks\": %lld, \"cycles\": %d, \"churn_jobs\": %lld, "
@@ -433,9 +424,9 @@ void WriteSweepJson(const std::vector<FleetPoint>& fleet_points,
                static_cast<long long>(steady.blocks), steady.cycles,
                static_cast<long long>(steady.churn_jobs), steady.num_threads, steady.num_shards);
   std::fprintf(f,
-               "    \"cold_cpu_seconds\": %.6f, \"warm_cpu_seconds\": %.6f, "
-               "\"warm_cpu_max_seconds\": %.6f, \"reuse_rate\": %.4f}\n",
-               steady.cold_cpu, steady.warm_cpu_mean, steady.warm_cpu_max, steady.reuse_rate);
+               "    \"first_cpu_seconds\": %.6f, \"later_cpu_seconds\": %.6f, "
+               "\"later_cpu_max_seconds\": %.6f, \"peak_rss_mb\": %.1f}\n",
+               steady.first_cpu, steady.later_cpu_mean, steady.later_cpu_max, steady.peak_rss_mb);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -509,9 +500,8 @@ int main(int argc, char** argv) {
       // under the same process conditions as the smoke runs it gates.
       sweep_only = true;
     } else if (std::strcmp(argv[i], "--steady-cycles") == 0) {
-      // Only the cross-cycle steady-state section (fast iteration on the
-      // delta candidate build). The emitted JSON has an empty sweep section,
-      // so it is not a valid regression baseline.
+      // Only the cross-cycle steady-state section. The emitted JSON has an
+      // empty sweep section, so it is not a valid regression baseline.
       steady_only = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;

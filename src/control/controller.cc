@@ -273,10 +273,6 @@ void BdsController::ApplyReplicaEvents(SimTime now) {
     if (e.recovery) {
       BDS_TELEMETRY_COUNT("controller.replica_recoveries", 1);
     } else {
-      // A failing-over controller replica rebuilds its view from scratch;
-      // cross-cycle caches keyed on the previous master's state must not
-      // survive the handoff.
-      algorithm_.InvalidateCycleCache();
       BDS_TELEMETRY_COUNT("controller.replica_failures", 1);
     }
   }
@@ -732,14 +728,6 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
   CycleDecision decision = algorithm_.Decide(stats.cycle, sched_state, residual, in_flight_);
   BDS_TELEMETRY_COUNT("controller.blocks_scheduled", decision.scheduled_blocks);
   BDS_TELEMETRY_COUNT("controller.merged_subtasks", decision.merged_subtasks);
-  // Cross-cycle incrementality observability (DESIGN.md §9.7): how much of
-  // this cycle's candidate array was reused vs repriced, per cycle, in the
-  // trace. The per-process totals land on the scheduler.cand_* counters.
-  telemetry::TraceInstant(
-      "scheduler.cand_reuse", "scheduler",
-      {{"units_reused", static_cast<double>(decision.cand_units_reused)},
-       {"units_repriced", static_cast<double>(decision.cand_units_repriced)},
-       {"slots_reused", static_cast<double>(decision.cand_slots_reused)}});
   stats.scheduled_blocks = decision.scheduled_blocks;
   stats.merged_subtasks = decision.merged_subtasks;
   stats.scheduling_seconds = decision.scheduling_seconds;

@@ -49,8 +49,8 @@ ControllerAlgorithm::ControllerAlgorithm(const Topology* topo, const WanRoutingT
 }
 
 std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
-    int64_t cycle, const ReplicaState& state, const std::vector<Rate>& residual_capacities,
-    const DeliveryKeySet& in_flight, CycleDecision& decision) {
+    const ReplicaState& state, const std::vector<Rate>& residual_capacities,
+    const DeliveryKeySet& in_flight) {
   if (options_.schedule_all) {
     // Joint formulation: every outstanding delivery goes to the solver.
     std::vector<PendingDelivery> pending = state.PendingDeliveries();
@@ -125,8 +125,6 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   // popped delivery's remaining fields (dest server, duplicate count) are
   // recomputed on demand for the few thousand candidates that actually get
   // popped, instead of for the possible millions that never leave the queue.
-  // (The Candidate struct itself lives in the header so the cross-cycle
-  // cache can store slot arrays of it.)
   constexpr uint64_t kBlockMask = (uint64_t{1} << 42) - 1;
   auto pack_key = [](size_t jp, int64_t block, size_t dp) {
     return (static_cast<uint64_t>(jp) << 48) | (static_cast<uint64_t>(block) << 6) |
@@ -168,184 +166,55 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   const SchedulingPolicy policy = options_.policy;
   const int num_shards = options_.num_shards;
   // The candidate build touches every pending delivery (up to 10^7 at the
-  // fleet scale), so it is a delta build: the previous cycle's slot array is
-  // patched — clean (job, 64-block chunk) units are memcpy'd with their
-  // packed job position adjusted, and only units ReplicaState stamped dirty
-  // since the last build are re-priced (CountOwedInRange, one popcount per
-  // block) and re-filled (ForEachOwedInRange with fused salts, in parallel
-  // over exact prefix-summed slots). Amortized cost is O(churn), not
-  // O(pending) (DESIGN.md §9.7). With a cold cache every unit is dirty, which
-  // makes the same code the from-scratch build. Slots reproduce ForEachOwed
-  // order exactly; kSequential's salt is the key itself, since packed
-  // coordinates sort exactly like pending indices.
-  CandidateCache& cache = cand_cache_;
-  // The cache may only be patched forward when it describes the previous
-  // cycle of this exact ReplicaState object under the same policy; any
-  // mismatch (fresh state copy, skipped cycle, explicit invalidation)
-  // degrades to an all-dirty build that refills it.
-  const bool warm = cache.valid && cache.state_uid == state.state_uid() &&
-                    cache.policy == policy && cycle == cache.last_cycle + 1;
-  constexpr int64_t kUnitBlocks = ReplicaState::kDirtyChunkBlocks;
-  // New unit list: one unit per (job, chunk), in ForEachOwed order.
-  std::vector<CandidateUnit> units;
-  {
-    size_t total_units = 0;
-    for (const MulticastJob* job : jobs_by_pos) {
-      total_units += static_cast<size_t>((job->num_blocks() + kUnitBlocks - 1) / kUnitBlocks);
-    }
-    units.reserve(total_units);
-  }
+  // fleet scale), so it runs in parallel: every (job, 64-block range) is
+  // priced with CountOwedInRange (one popcount per block), a prefix sum turns
+  // the counts into exact slots, and each range streams ForEachOwedInRange
+  // into its own slots with fused salts. Slots reproduce ForEachOwed order
+  // exactly; kSequential's salt is the key itself, since packed coordinates
+  // sort exactly like pending indices. Nothing survives to the next cycle:
+  // every Decide() builds from the state it is handed.
+  constexpr int64_t kRangeBlocks = 64;
+  struct Range {
+    size_t jp;
+    int64_t b0;
+  };
+  std::vector<Range> ranges;
   for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-    const MulticastJob* job = jobs_by_pos[jp];
-    const int64_t nblocks = job->num_blocks();
-    for (int64_t b0 = 0; b0 < nblocks; b0 += kUnitBlocks) {
-      CandidateUnit u;
-      u.job = job->id;
-      u.b0 = b0;
-      u.jp = static_cast<uint32_t>(jp);
-      units.push_back(u);
+    for (int64_t b0 = 0; b0 < jobs_by_pos[jp]->num_blocks(); b0 += kRangeBlocks) {
+      ranges.push_back(Range{jp, b0});
     }
   }
-  // Old-unit lookup: a job's units are contiguous and chunk-aligned in
-  // both lists, so old unit = (job's first old unit) + chunk index. Job
-  // retirement only shifts positions — the fill pass patches the packed
-  // jp bit field of reused slots directly.
-  std::vector<int64_t> old_first(jobs_by_pos.size(), -1);
-  if (warm) {
-    std::unordered_map<JobId, int64_t> first_by_job;
-    first_by_job.reserve(jobs_by_pos.size() * 2);
-    for (size_t u = 0; u < cache.units.size(); ++u) {
-      if (u == 0 || cache.units[u].job != cache.units[u - 1].job) {
-        first_by_job.emplace(cache.units[u].job, static_cast<int64_t>(u));
-      }
-    }
-    for (size_t jp = 0; jp < jobs_by_pos.size(); ++jp) {
-      auto it = first_by_job.find(jobs_by_pos[jp]->id);
-      if (it != first_by_job.end()) {
-        old_first[jp] = it->second;
-      }
-    }
-  }
-  // Classify + price pass: clean units keep their cached count; dirty
-  // units are re-priced with one popcount per block.
-  const uint64_t seen = cache.seen_epoch;
-  std::vector<int64_t> unit_count(units.size(), 0);
-  std::vector<int64_t> unit_old(units.size(), -1);  // Old unit idx if clean.
-  pool_.For(units.size(), [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      const CandidateUnit& cu = units[u];
-      const int64_t chunk = cu.b0 / kUnitBlocks;
-      if (warm && old_first[cu.jp] >= 0) {
-        const size_t oi = static_cast<size_t>(old_first[cu.jp] + chunk);
-        if (oi < cache.units.size() && cache.units[oi].job == cu.job &&
-            cache.units[oi].b0 == cu.b0 && state.ChunkVersion(cu.jp, chunk) <= seen) {
-          unit_count[u] = cache.units[oi].count;
-          unit_old[u] = static_cast<int64_t>(oi);
-          continue;
-        }
-      }
-      unit_count[u] = state.CountOwedInRange(cu.jp, cu.b0, cu.b0 + kUnitBlocks);
+  std::vector<int64_t> range_count(ranges.size(), 0);
+  pool_.For(ranges.size(), [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      range_count[r] = state.CountOwedInRange(ranges[r].jp, ranges[r].b0,
+                                              ranges[r].b0 + kRangeBlocks);
     }
   });
-  int64_t units_reused = 0, slots_reused = 0;
-  uint64_t total = 0;
-  for (size_t u = 0; u < units.size(); ++u) {
-    units[u].offset = total;
-    units[u].count = static_cast<uint32_t>(unit_count[u]);
-    total += static_cast<uint64_t>(unit_count[u]);
-    if (unit_old[u] >= 0) {
-      ++units_reused;
-      slots_reused += unit_count[u];
-    }
+  std::vector<size_t> range_offset(ranges.size(), 0);
+  size_t total = 0;
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    range_offset[r] = total;
+    total += static_cast<size_t>(range_count[r]);
   }
-  BDS_CHECK(total == static_cast<uint64_t>(state.num_pending()));
-  // Fill pass into the double buffer: clean units are copied from the old
-  // array with the packed jp field patched (kSequential's salt IS the
-  // key, so it is re-derived); dirty units stream ForEachOwedInRange with
-  // fused salts.
-  CandVec& out = cache.scratch;
-  out.resize(static_cast<size_t>(total));
-  pool_.ForWeighted(unit_count, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      const CandidateUnit& cu = units[u];
-      if (unit_old[u] >= 0) {
-        const CandidateUnit& old = cache.units[static_cast<size_t>(unit_old[u])];
-        const Candidate* src = cache.slots.data() + old.offset;
-        Candidate* dst = out.data() + cu.offset;
-        std::copy(src, src + cu.count, dst);
-        if (old.jp != cu.jp) {
-          // Two's-complement delta: the jp field occupies the top 16 bits,
-          // and the low 48 bits are unchanged, so adding the (possibly
-          // negative) difference shifted into place never borrows across.
-          const uint64_t jp_delta =
-              (static_cast<uint64_t>(cu.jp) - static_cast<uint64_t>(old.jp)) << 48;
-          for (uint32_t i = 0; i < cu.count; ++i) {
-            dst[i].key += jp_delta;
-            if (policy == SchedulingPolicy::kSequential) {
-              dst[i].salt = dst[i].key;
-            }
-          }
-        }
-      } else {
-        size_t w = static_cast<size_t>(cu.offset);
-        state.ForEachOwedInRange(
-            cu.jp, cu.b0, cu.b0 + kUnitBlocks,
-            [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc,
-                int dups) {
-              const uint64_t key = pack_key(jp, block, dp);
-              out[w++] = Candidate{
-                  policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-                  policy == SchedulingPolicy::kSequential ? key
-                                                          : candidate_salt(job.id, block, dc),
-                  key};
-            });
-        BDS_CHECK(w == static_cast<size_t>(cu.offset) + cu.count);
-      }
-    }
-  });
-  std::swap(cache.slots, cache.scratch);
-  cache.units = std::move(units);
-  cache.valid = true;
-  cache.state_uid = state.state_uid();
-  cache.seen_epoch = state.dirty_epoch();
-  cache.last_cycle = cycle;
-  cache.policy = policy;
-  if (options_.debug_verify_incremental) {
-    // From-scratch reference stream, compared slot by slot.
-    size_t idx = 0;
-    bool match = true;
-    state.ForEachOwed(
-        [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
-          const uint64_t key = pack_key(jp, block, dp);
-          const Candidate ref{
-              policy == SchedulingPolicy::kRarestFirst ? dups : 0,
-              policy == SchedulingPolicy::kSequential ? key : candidate_salt(job.id, block, dc),
-              key};
-          const Candidate& got = cache.slots[idx++];
-          if (got.eff_dup != ref.eff_dup || got.salt != ref.salt || got.key != ref.key) {
-            match = false;
-          }
-        });
-    BDS_CHECK_MSG(match && idx == static_cast<size_t>(total),
-                  "incremental candidate build diverged from the from-scratch reference");
-  }
-  // The selection loop permutes its array, so it works on a copy and the
-  // cache keeps the pristine slots for the next cycle's patch pass.
+  BDS_CHECK(total == static_cast<size_t>(state.num_pending()));
   CandVec& cands = cand_work_;
-  cands.resize(static_cast<size_t>(total));
-  pool_.For(cands.size(), [&](size_t begin, size_t end) {
-    std::copy(cache.slots.begin() + static_cast<ptrdiff_t>(begin),
-              cache.slots.begin() + static_cast<ptrdiff_t>(end),
-              cands.begin() + static_cast<ptrdiff_t>(begin));
+  cands.resize(total);
+  pool_.ForWeighted(range_count, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      size_t w = range_offset[r];
+      state.ForEachOwedInRange(
+          ranges[r].jp, ranges[r].b0, ranges[r].b0 + kRangeBlocks,
+          [&](size_t jp, const MulticastJob& job, int64_t block, size_t dp, DcId dc, int dups) {
+            const uint64_t key = pack_key(jp, block, dp);
+            cands[w++] = Candidate{
+                policy == SchedulingPolicy::kRarestFirst ? dups : 0,
+                policy == SchedulingPolicy::kSequential ? key : candidate_salt(job.id, block, dc),
+                key};
+          });
+      BDS_CHECK(w == range_offset[r] + static_cast<size_t>(range_count[r]));
+    }
   });
-  decision.cand_units_reused = units_reused;
-  decision.cand_units_repriced = static_cast<int64_t>(cache.units.size()) - units_reused;
-  decision.cand_slots_reused = slots_reused;
-  decision.cand_slots_repriced = static_cast<int64_t>(total) - slots_reused;
-  BDS_TELEMETRY_COUNT("scheduler.cand_units_reused", decision.cand_units_reused);
-  BDS_TELEMETRY_COUNT("scheduler.cand_units_repriced", decision.cand_units_repriced);
-  BDS_TELEMETRY_COUNT("scheduler.cand_slots_reused", decision.cand_slots_reused);
-  BDS_TELEMETRY_COUNT("scheduler.cand_slots_repriced", decision.cand_slots_repriced);
 
   // Candidate queue. Pops always extract the global minimum of the remaining
   // candidates under the strict total order (eff_dup, salt, index) — indices
@@ -795,7 +664,7 @@ CycleDecision ControllerAlgorithm::Decide(int64_t cycle, const ReplicaState& sta
   std::vector<Selected> selected;
   {
     BDS_TIMED_SCOPE("scheduler.schedule");
-    selected = ScheduleBlocks(cycle, state, residual_capacities, in_flight, decision);
+    selected = ScheduleBlocks(state, residual_capacities, in_flight);
   }
   decision.select_cpu_seconds = ProcessCpuSeconds() - select_cpu0;
   decision.scheduled_blocks = static_cast<int64_t>(selected.size());

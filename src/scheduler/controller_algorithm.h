@@ -107,11 +107,6 @@ struct ControllerAlgorithmOptions {
   // kShedCandidates caps deliveries selected per cycle at this (combined
   // with max_deliveries_per_cycle by min when both are set):
   int64_t shed_deliveries_cap = 4096;
-  // --- Cross-cycle incrementality (DESIGN.md §9.7) ---
-  // Debug cross-check: after every delta candidate build, rebuild from
-  // scratch and BDS_CHECK the arrays are identical. O(pending) extra work
-  // per cycle; test-suite only.
-  bool debug_verify_incremental = false;
 };
 
 class ControllerAlgorithm {
@@ -130,12 +125,6 @@ class ControllerAlgorithm {
   // route sets may have changed (rebuild, link fault); capacity-only changes
   // never require it.
   void InvalidatePathCache() { path_cache_.Invalidate(); }
-
-  // Drops the cross-cycle candidate cache. The controller calls this on
-  // controller-replica failover; the cache's own identity/continuity checks
-  // (state uid, cycle + 1, policy) cover everything else (invalidation
-  // matrix: DESIGN.md §9.7).
-  void InvalidateCycleCache() { cand_cache_.valid = false; }
 
   // Hit/miss/invalidation counters of the overlay path cache (see
   // ServerPathCache::Stats). Sharded and unsharded runs over the same cycle
@@ -181,36 +170,10 @@ class ControllerAlgorithm {
   };
   using CandVec = std::vector<Candidate>;
 
-  // One kDirtyChunkBlocks-aligned slice of one job's candidate slots in the
-  // previous cycle's array (the delta build's unit of reuse).
-  struct CandidateUnit {
-    JobId job = kInvalidJob;
-    int64_t b0 = 0;        // First block of the chunk.
-    uint32_t jp = 0;       // Job position at build time.
-    uint32_t count = 0;    // Candidate slots in the chunk.
-    uint64_t offset = 0;   // First slot index in `slots`.
-  };
-
-  // Previous cycle's candidate array plus the unit index needed to patch it
-  // (DESIGN.md §9.7). Valid only against the exact ReplicaState object it
-  // was built from (state uid), the next cycle (last_cycle + 1), and the
-  // same policy; anything else falls back to an all-dirty (cold) build —
-  // which is the from-scratch build — that refills the cache.
-  struct CandidateCache {
-    bool valid = false;
-    uint64_t state_uid = 0;
-    uint64_t seen_epoch = 0;  // ReplicaState::dirty_epoch() after the build.
-    int64_t last_cycle = 0;
-    SchedulingPolicy policy = SchedulingPolicy::kRarestFirst;
-    std::vector<CandidateUnit> units;
-    CandVec slots;
-    CandVec scratch;  // Double buffer for the patch pass.
-  };
-
   // Scheduling step: rarest-first selection under capacity budgets.
-  std::vector<Selected> ScheduleBlocks(int64_t cycle, const ReplicaState& state,
+  std::vector<Selected> ScheduleBlocks(const ReplicaState& state,
                                        const std::vector<Rate>& residual_capacities,
-                                       const DeliveryKeySet& in_flight, CycleDecision& decision);
+                                       const DeliveryKeySet& in_flight);
 
   // Routing step: merge into subtasks, build the MCF, allocate rates.
   void RouteBlocks(std::vector<Selected> selected, const std::vector<Rate>& residual_capacities,
@@ -227,11 +190,10 @@ class ControllerAlgorithm {
   // re-allocating its MCF instance and path buffers every cycle.
   McfInstance mcf_instance_;
   std::vector<std::vector<ServerPath>> subtask_paths_;
-  // Cross-cycle cache (DESIGN.md §9.7). cand_work_ is the selection loop's
-  // working array, reused so the fleet-scale build stops re-allocating
-  // hundreds of megabytes per cycle.
+  // The selection loop's candidate array. Only its allocation is reused —
+  // the fleet-scale build would otherwise re-allocate hundreds of megabytes
+  // per cycle; every Decide() rebuilds its contents from scratch.
   CandVec cand_work_;
-  CandidateCache cand_cache_;
 };
 
 // Splits `num_blocks` atomic blocks across a subtask's paths proportionally

@@ -43,14 +43,6 @@ struct CycleDecision {
   double select_cpu_seconds = 0.0;
   double solve_cpu_seconds = 0.0;
   double merge_cpu_seconds = 0.0;
-  // Cross-cycle incrementality observability (DESIGN.md §9.7); all excluded
-  // from Fingerprint() — reuse is a performance property, never a decision
-  // input. Units are (job, 64-block chunk) slices of the candidate array;
-  // slots are individual candidates.
-  int64_t cand_units_reused = 0;
-  int64_t cand_units_repriced = 0;
-  int64_t cand_slots_reused = 0;
-  int64_t cand_slots_repriced = 0;
 
   double total_seconds() const { return scheduling_seconds + routing_seconds; }
 

@@ -1,14 +1,8 @@
 #include "src/scheduler/replica_state.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace bds {
-
-uint64_t StateUid::Next() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 namespace {
 // Free-function twin of AssignedServer usable before `this` bookkeeping
@@ -56,9 +50,6 @@ Status ReplicaState::AddJob(const MulticastJob& job) {
   info.job = job;
   int64_t n = job.num_blocks();
   info.blocks.resize(static_cast<size_t>(n));
-  // A new job is dirty everywhere: one fresh epoch covers all its chunks.
-  info.chunk_versions.assign(static_cast<size_t>((n + kDirtyChunkBlocks - 1) / kDirtyChunkBlocks),
-                             ++dirty_epoch_);
   for (int64_t b = 0; b < n; ++b) {
     BlockInfo& block = info.blocks[static_cast<size_t>(b)];
     // Sharding rule: block b starts on its assigned source-DC server —
@@ -101,7 +92,6 @@ Status ReplicaState::AddReplica(JobId job, int64_t block, ServerId server) {
     return Status::Ok();  // Idempotent.
   }
   bi.holders.push_back(server);
-  StampChunk(*info, block);  // Duplicate count (and possibly owed bits) change.
   ++held_by_server_[server];
   DcId dc = topo_->server(server).dc;
   bi.dc_present |= uint64_t{1} << dc;
@@ -151,7 +141,6 @@ void ReplicaState::RemoveServer(ServerId server) {
         continue;
       }
       bi.holders.erase(it);
-      StampChunk(info, b);  // Duplicate count (and possibly owed bits) change.
       if (dc == kInvalidDc) {
         continue;
       }

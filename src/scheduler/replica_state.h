@@ -26,32 +26,6 @@
 
 namespace bds {
 
-// Identity tag for cross-cycle caches keyed on a ReplicaState object. Every
-// construction — including copy and move — mints a fresh process-unique id,
-// and every assignment re-mints the target's id. A cache keyed by
-// state_uid() can therefore only ever hit the exact object (and object
-// lifetime) it was built against: the controller's stale fallback view is a
-// *copy* of the live state and must never alias its cache entries.
-class StateUid {
- public:
-  StateUid() : value_(Next()) {}
-  StateUid(const StateUid&) : value_(Next()) {}
-  StateUid(StateUid&&) noexcept : value_(Next()) {}
-  StateUid& operator=(const StateUid&) {
-    value_ = Next();
-    return *this;
-  }
-  StateUid& operator=(StateUid&&) noexcept {
-    value_ = Next();
-    return *this;
-  }
-  uint64_t value() const { return value_; }
-
- private:
-  static uint64_t Next();
-  uint64_t value_;
-};
-
 // Deterministic placement rule shared by every component that needs to know
 // where a block lives: block `block` of `job` is stored on server index
 // ShardIndex(...) within each DC that holds a copy. The hash scatters one
@@ -142,12 +116,12 @@ class ReplicaState {
     }
   }
 
-  // Range-restricted variants for the sharded candidate build: the owed
+  // Range-restricted variants for the parallel candidate build: the owed
   // deliveries of job position `jp` whose block is in [block_begin,
   // block_end), in the same (block, dc_pos) order ForEachOwed visits them.
   // CountOwedInRange prices a range without visiting destinations (one
-  // popcount per block), so the controller can carve the global candidate
-  // array into exact per-shard slots and fill them in parallel.
+  // popcount per block), so the controller can prefix-sum the counts into
+  // exact slots of the candidate array and fill every range in parallel.
   int64_t CountOwedInRange(size_t jp, int64_t block_begin, int64_t block_end) const {
     const JobInfo& info = jobs_.find(job_ids_[jp])->second;
     const int64_t end =
@@ -256,26 +230,6 @@ class ReplicaState {
   int64_t retired_blocks() const { return retired_blocks_; }
   int64_t num_live_jobs() const { return static_cast<int64_t>(job_ids_.size()); }
 
-  // --- Cross-cycle dirty tracking (incremental candidate build) ---
-  //
-  // Blocks are grouped into fixed chunks of kDirtyChunkBlocks; every mutation
-  // that can change what ForEachOwedInRange would report for a (job, chunk) —
-  // job arrival, replica add (duplicate counts), owed-bit changes, server
-  // failure — stamps that chunk with a fresh monotone epoch. A consumer
-  // snapshots dirty_epoch() right after building; on the next build a chunk
-  // is clean iff ChunkVersion(...) <= that snapshot. Job retirement does not
-  // stamp anything: it only shifts the job *positions* of later jobs, which
-  // the consumer patches directly.
-  static constexpr int64_t kDirtyChunkBlocks = 64;
-  uint64_t state_uid() const { return uid_.value(); }
-  uint64_t dirty_epoch() const { return dirty_epoch_; }
-  // Stamp of chunk `chunk` (blocks [chunk*kDirtyChunkBlocks, (chunk+1)*...))
-  // of the job at position `jp` in job_ids().
-  uint64_t ChunkVersion(size_t jp, int64_t chunk) const {
-    const JobInfo& info = jobs_.find(job_ids_[jp])->second;
-    return info.chunk_versions[static_cast<size_t>(chunk)];
-  }
-
  private:
   // DC sets are 64-bit masks: BDS deployments span 10-30 DCs (the paper's
   // fleet), and AddJob rejects topologies beyond 64.
@@ -288,16 +242,10 @@ class ReplicaState {
     MulticastJob job;
     std::vector<BlockInfo> blocks;
     int64_t owed = 0;  // Outstanding (block, dc) deliveries.
-    // One epoch stamp per kDirtyChunkBlocks-block chunk; see dirty_epoch().
-    std::vector<uint64_t> chunk_versions;
   };
 
   JobInfo* Find(JobId job);
   const JobInfo* Find(JobId job) const;
-
-  void StampChunk(JobInfo& info, int64_t block) {
-    info.chunk_versions[static_cast<size_t>(block / kDirtyChunkBlocks)] = ++dirty_epoch_;
-  }
 
   const Topology* topo_;
   std::unordered_map<JobId, JobInfo> jobs_;
@@ -311,8 +259,6 @@ class ReplicaState {
   int64_t retired_jobs_ = 0;
   int64_t retired_blocks_ = 0;
   std::unordered_map<ServerId, ServerOriginStats> origin_stats_;
-  StateUid uid_;
-  uint64_t dirty_epoch_ = 0;
 };
 
 class ReplicaState::JobCursor {

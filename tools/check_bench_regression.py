@@ -75,24 +75,6 @@ STEADY_METRICS = {
 # toward 1.0 — a +70-150% jump, far beyond both noise and the threshold.
 EDGE_CUTOFF = 0.7
 
-# Amortized (cross-cycle) gates for the "steady_cycles" section written by
-# bench_fig11_scalability: N consecutive cycles of one long-lived controller
-# with ~5% job churn. "Warm" means the candidate cache is warm: cycle 0
-# builds every candidate from scratch, later cycles reuse the delta
-# candidate build (every routing solve is cold). Two families of checks:
-#  - Within-run invariant, gated at any scale: the amortized warm cycle must
-#    beat the cold cycle of the SAME run by at least this ratio.
-#    Comparing warm to cold inside one process cancels machine-speed noise
-#    the same way the config-relative sweep ratios do.
-#  - Absolute checks, gated only when the committed and fresh runs used the
-#    same block count (a smoke run shrinks the workload, which legitimately
-#    moves reuse and CPU): warm CPU vs the committed value under the
-#    large-point threshold, and a floor under the candidate reuse rate.
-WARM_OVER_COLD_MAX = 0.95
-# Reuse rate is workload-determined (same churn schedule every run), so it
-# barely moves between runs; 5 points absolute absorbs hash-ordering drift.
-REUSE_RATE_SLACK = 0.05
-
 
 def load(path):
     with open(path) as f:
@@ -215,50 +197,36 @@ def compare_telemetry_overhead(fresh_data):
 
 
 def compare_amortized(baseline_data, fresh_data, threshold):
-    """Cross-cycle gate for the "steady_cycles" section (see the comment on
-    WARM_OVER_COLD_MAX). Returns (compared, failures) where failures is a
-    list of human-readable strings. Runs whenever both files carry the
-    section; absolute checks only when the block counts match."""
+    """Cross-cycle gate for the "steady_cycles" section written by
+    bench_fig11_scalability: N consecutive cycles of one long-lived
+    controller with ~5% job churn, every cycle built from scratch. The mean
+    CPU of the later cycles (1..N-1) is checked against the committed value
+    under `threshold`, only when both runs used the same block count (a
+    smoke run shrinks the workload, which legitimately moves CPU). The first
+    cycle's CPU and the peak RSS are printed, not gated. Returns (compared,
+    failures) where failures is a list of human-readable strings."""
     base = baseline_data.get("steady_cycles")
     fresh = fresh_data.get("steady_cycles")
     if not base or not fresh:
         return 0, []
-    failures = []
-    compared = 0
-    print("\nsteady cycles (cross-cycle amortization):")
-
-    def check(name, value, ok, detail):
-        nonlocal compared
-        compared += 1
-        flag = ""
-        if not ok:
-            failures.append(f"{name}: {detail}")
-            flag = "  REGRESSION"
-        print(f"  {name:>24}  {value}{flag}")
-
-    cold = fresh.get("cold_cpu_seconds", 0.0)
-    warm = fresh.get("warm_cpu_seconds", 0.0)
-    ratio = warm / cold if cold > 0 else float("inf")
-    check("warm/cold cpu", f"{ratio:.3f} (max {WARM_OVER_COLD_MAX})",
-          ratio <= WARM_OVER_COLD_MAX,
-          f"amortized warm cycle {warm:.3f}s vs cold {cold:.3f}s "
-          f"({ratio:.2f}x; warm cycles lost their edge)")
-
+    print("\nsteady cycles (first cycle "
+          f"{fresh.get('first_cpu_seconds', 0.0):.3f}s, peak RSS "
+          f"{fresh.get('peak_rss_mb', 0.0):.0f} MB; not gated):")
     if base.get("blocks") != fresh.get("blocks"):
         print(f"  (committed run at {base.get('blocks')} blocks, fresh at "
               f"{fresh.get('blocks')}; absolute checks skipped)")
-        return compared, failures
-
-    was, now = base.get("warm_cpu_seconds", 0.0), warm
+        return 0, []
+    was = base.get("later_cpu_seconds", 0.0)
+    now = fresh.get("later_cpu_seconds", 0.0)
     delta = now / was - 1.0 if was > 0 else float("inf")
-    check("warm cpu_seconds", f"{was:.3f} -> {now:.3f} ({delta:+.1%})",
-          delta <= threshold,
-          f"amortized warm CPU {was:.3f}s -> {now:.3f}s ({delta:+.1%})")
-    was, now = base.get("reuse_rate", 0.0), fresh.get("reuse_rate", 0.0)
-    check("reuse_rate", f"{was:.3f} -> {now:.3f}",
-          now >= was - REUSE_RATE_SLACK,
-          f"candidate reuse rate fell {was:.3f} -> {now:.3f}")
-    return compared, failures
+    failures = []
+    flag = ""
+    if delta > threshold:
+        failures.append(f"later cpu_seconds: mean later-cycle CPU {was:.3f}s -> "
+                        f"{now:.3f}s ({delta:+.1%})")
+        flag = "  REGRESSION"
+    print(f"  {'later cpu_seconds':>24}  {was:.3f} -> {now:.3f} ({delta:+.1%}){flag}")
+    return 1, failures
 
 
 def run_bench(bench, smoke):

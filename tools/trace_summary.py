@@ -19,9 +19,7 @@ Checks (exit 1 on the first violation):
 Then prints one table row per (category, name): event count, total time and
 mean of "X" spans, so `fptas.solve` vs `scheduler.schedule` time is readable
 straight from a quickstart/CI artifact. Instant events that carry numeric
-args get a third table summing each arg across the run — e.g. the
-`scheduler.cand_reuse` per-cycle instants roll up to how many candidate
-slots the incremental build reused overall.
+args get a third table summing each arg across the run.
 """
 
 import argparse
