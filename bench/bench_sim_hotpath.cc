@@ -16,9 +16,15 @@
 //   bench_sim_hotpath --smoke --json=out.json       # reduced scale
 //   bench_sim_hotpath --large-only --json=out.json  # only the large points
 //
+// Whole runs hand the simulator a second shape, which the sweep adds as one
+// more point: a single all-pinned, oversubscribed bulk component of 2,100
+// flows (see BuildBulkNet), where the incremental loop skips the re-solve
+// after each departure at its pin and re-solves after each scaled-down one.
+//
 // Two point families are produced:
 //   * gated sweep points (reference vs incremental, bit-identical): the
-//     config-relative regression gate runs on these;
+//     cluster points and the bulk point; the config-relative regression
+//     gate runs on these;
 //   * large incremental-only points (the reference's O(F) event cost cannot
 //     reach them): 1e5 and 1e6 concurrent flows, recorded under
 //     "large_points" and gated on absolute CPU seconds.
@@ -37,6 +43,7 @@
 #include <cstdlib>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -62,6 +69,7 @@ constexpr SweepConfig kSweepConfigs[] = {
 };
 
 struct SweepPoint {
+  const char* shape = "";  // "clusters" or "bulk".
   int64_t flows = 0;
   // Wall / process-CPU seconds for the full drain, min over repetitions.
   // The gate compares the CPU column (stable on contended runners).
@@ -95,6 +103,16 @@ uint64_t DoubleBits(double d) {
   std::memcpy(&bits, &d, sizeof(bits));
   return bits;
 }
+
+struct XorShift64 {
+  uint64_t s;
+  uint64_t Next() {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+  }
+};
 
 // M disjoint DC-pair clusters; cluster c's flows go A-server -> WAN -> B-server.
 struct ClusterNet {
@@ -132,22 +150,80 @@ struct FlowSpec {
 };
 
 std::vector<FlowSpec> MakeWorkload(int64_t num_flows, int num_clusters) {
-  uint64_t s = 0x5DEECE66Dull + static_cast<uint64_t>(num_flows);
-  auto next = [&]() {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-  };
+  XorShift64 rng{0x5DEECE66Dull + static_cast<uint64_t>(num_flows)};
   std::vector<FlowSpec> specs;
   specs.reserve(static_cast<size_t>(num_flows));
   for (int64_t i = 0; i < num_flows; ++i) {
     FlowSpec spec;
     size_t cluster = static_cast<size_t>(i) % static_cast<size_t>(num_clusters);
-    spec.path = cluster * 4 + next() % 4;
-    spec.bytes = MB(1.0 + static_cast<double>(next() % 64));
-    spec.pinned = next() % 5 == 0 ? MBps(0.5 + 0.25 * static_cast<double>(next() % 4)) : 0.0;
+    spec.path = cluster * 4 + rng.Next() % 4;
+    spec.bytes = MB(1.0 + static_cast<double>(rng.Next() % 64));
+    spec.pinned =
+        rng.Next() % 5 == 0 ? MBps(0.5 + 0.25 * static_cast<double>(rng.Next() % 4)) : 0.0;
     specs.push_back(spec);
+  }
+  return specs;
+}
+
+// The component shape of a bulk replication (the bds_perf bulk_oneshot
+// workload's are ~2,100 all-pinned flows): 20 source servers in one DC send
+// to 21 destination servers, 7 in each of three other DCs, five flows per
+// pair, over WAN links that never bind. Paths are [src * 21 + dst].
+constexpr int kBulkSources = 20;
+constexpr int kBulkDestDcs = 3;
+constexpr int kBulkDestsPerDc = 7;
+constexpr int kBulkDests = kBulkDestDcs * kBulkDestsPerDc;
+constexpr int kBulkFlowsPerPair = 5;
+
+ClusterNet BuildBulkNet() {
+  ClusterNet net;
+  DcId src_dc = net.topo.AddDatacenter("src");
+  std::vector<ServerId> srcs;
+  for (int i = 0; i < kBulkSources; ++i) {
+    srcs.push_back(net.topo.AddServer(src_dc, MBps(40.0), MBps(40.0)).value());
+  }
+  std::vector<std::pair<LinkId, LinkId>> dests;  // (WAN link, downlink).
+  for (int d = 0; d < kBulkDestDcs; ++d) {
+    DcId dc = net.topo.AddDatacenter("dst" + std::to_string(d));
+    LinkId wan = net.topo.AddWanLink(src_dc, dc, GBps(10.0)).value();
+    for (int i = 0; i < kBulkDestsPerDc; ++i) {
+      ServerId dst = net.topo.AddServer(dc, MBps(40.0), MBps(40.0)).value();
+      dests.emplace_back(wan, net.topo.server(dst).downlink);
+    }
+  }
+  for (ServerId src : srcs) {
+    for (const auto& [wan, downlink] : dests) {
+      net.paths.push_back({net.topo.server(src).uplink, wan, downlink});
+    }
+  }
+  return net;
+}
+
+// Each source NIC's pins sum to 1.1-1.3x its 40 MB/s, split unevenly among
+// its flows, and sizes are staggered: phase 1 scales flows down at most
+// NICs, and the drain mixes re-solves after scaled-down departures with
+// skipped ones after departures at their pins.
+std::vector<FlowSpec> MakeBulkWorkload() {
+  XorShift64 rng{0x5DEECE66Dull};
+  std::vector<FlowSpec> specs;
+  for (size_t src = 0; src < kBulkSources; ++src) {
+    const size_t first = specs.size();
+    double weight_sum = 0.0;
+    for (size_t dst = 0; dst < kBulkDests; ++dst) {
+      for (int k = 0; k < kBulkFlowsPerPair; ++k) {
+        FlowSpec spec;
+        spec.path = src * kBulkDests + dst;
+        spec.bytes = MB(2.0 + static_cast<double>(rng.Next() % 40));
+        spec.pinned = 1.0 + static_cast<double>(rng.Next() % 4);  // A weight, scaled below.
+        weight_sum += spec.pinned;
+        specs.push_back(spec);
+      }
+    }
+    const Rate nic_pins =
+        MBps(40.0) * (1.1 + 0.2 * static_cast<double>(rng.Next() % 1001) / 1000.0);
+    for (size_t i = first; i < specs.size(); ++i) {
+      specs[i].pinned = nic_pins * specs[i].pinned / weight_sum;
+    }
   }
   return specs;
 }
@@ -345,25 +421,24 @@ SweepResult RunSweep(bool smoke, bool large_only) {
             : std::vector<int64_t>{1'000, 3'000, 10'000};
 
   bench::PrintHeader("Simulator hot path", "drain time of N concurrent flows",
-                     "disjoint DC-pair clusters, ~100 flows each, mixed pinned/fair; "
+                     "disjoint DC-pair clusters, ~100 flows each, mixed pinned/fair, "
+                     "and one all-pinned oversubscribed 2,100-flow bulk component; "
                      "full per-event reallocation vs incremental (bit-identical, "
                      "min over repetitions)");
-  std::printf("%10s  %10s  %12s  %12s  %9s  %10s  %12s\n", "flows", "clusters",
-              "reference", "incremental", "speedup", "events", "comp solves");
+  std::printf("%10s  %12s  %12s  %12s  %9s  %10s  %12s\n", "flows", "shape", "reference",
+              "incremental", "speedup", "events", "comp solves");
   if (large_only) {
     flow_counts.clear();  // Only the large incremental-only family below.
   }
 
-  std::vector<SweepPoint>& points = result.points;
-  for (int64_t num_flows : flow_counts) {
-    int clusters = ClustersFor(num_flows);
-    ClusterNet net = BuildClusters(clusters);
-    std::vector<FlowSpec> specs = MakeWorkload(num_flows, clusters);
+  // Times both configs on one workload and checks they stay bit identical.
+  auto measure = [&](const char* shape, const std::string& label, const ClusterNet& net,
+                     const std::vector<FlowSpec>& specs) {
     (void)DrainOnce(net, specs, /*full_reallocation=*/false);  // Warmup.
-
-    const int reps = num_flows >= 10'000 ? 2 : 3;
+    const int reps = specs.size() >= 10'000 ? 2 : 3;
     SweepPoint point;
-    point.flows = num_flows;
+    point.shape = shape;
+    point.flows = static_cast<int64_t>(specs.size());
     uint64_t fingerprints[std::size(kSweepConfigs)] = {};
     DrainResult last;
     for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
@@ -385,12 +460,20 @@ SweepResult RunSweep(bool smoke, bool large_only) {
     }
     BDS_CHECK_MSG(fingerprints[0] == fingerprints[1],
                   "incremental simulation diverged from full reallocation");
-    std::printf("%10lld  %10d  %9.1f ms  %9.1f ms  %8.2fx  %10lld  %12lld\n",
-                static_cast<long long>(num_flows), clusters, point.seconds[0] * 1e3,
+    std::printf("%10lld  %12s  %9.1f ms  %9.1f ms  %8.2fx  %10lld  %12lld\n",
+                static_cast<long long>(point.flows), label.c_str(), point.seconds[0] * 1e3,
                 point.seconds[1] * 1e3, point.seconds[0] / point.seconds[1],
                 static_cast<long long>(last.events),
                 static_cast<long long>(last.reallocations));
-    points.push_back(point);
+    result.points.push_back(point);
+  };
+  for (int64_t num_flows : flow_counts) {
+    int clusters = ClustersFor(num_flows);
+    measure("clusters", std::to_string(clusters) + " clusters", BuildClusters(clusters),
+            MakeWorkload(num_flows, clusters));
+  }
+  if (!large_only) {
+    measure("bulk", "bulk", BuildBulkNet(), MakeBulkWorkload());
   }
 
   // Large incremental-only family: scales the per-event-O(F) reference
@@ -449,8 +532,8 @@ void WriteSweepJson(const SweepResult& result, bool smoke, const std::string& pa
   }
   std::fprintf(f, "],\n  \"points\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(f, "    {\"flows\": %lld, \"seconds\": {",
-                 static_cast<long long>(points[i].flows));
+    std::fprintf(f, "    {\"shape\": \"%s\", \"flows\": %lld, \"seconds\": {",
+                 points[i].shape, static_cast<long long>(points[i].flows));
     for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
       std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
                    points[i].seconds[ci]);

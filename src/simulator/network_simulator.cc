@@ -18,7 +18,6 @@ NetworkSimulator::NetworkSimulator(const Topology* topo) : topo_(topo) {
     usable_capacity_[static_cast<size_t>(l)] = std::max(0.0, topo->link(l).capacity);
   }
   link_rate_.assign(n, 0.0);
-  off_pin_.assign(n, 0);
   link_dirty_.assign(n, 0);
   incidence_.Reset(topo->num_links());
 }
@@ -145,11 +144,8 @@ StatusOr<FlowId> NetworkSimulator::StartFlow(std::vector<LinkId> links, Bytes by
   live_slots_.push_back(slot);
 
   incidence_.Add(soa_, slot);
-  // A new flow runs at rate 0 until its first solve: off its pin if pinned.
-  const bool pinned = pinned_rate > 0.0;
-  fair_flows_ += !pinned;
+  fair_flows_ += !(pinned_rate > 0.0);
   for (size_t i = 0; i < links.size(); ++i) {
-    off_pin_[static_cast<size_t>(links[i])] += pinned;
     MarkDirty(links[i]);
   }
   ++starts_since_realloc_;
@@ -251,22 +247,16 @@ void NetworkSimulator::DetachFlow(int32_t slot) {
   int32_t n = soa_.num_links(slot);
   Rate rate = soa_.current_rate[s];
   const Rate pin = soa_.meta[s].pinned_rate;
-  const bool off_pin = rate != pin;
   // Re-solve only when the departure can change another rate (DESIGN.md §10,
-  // "Departures that change nothing"): some flow on the path runs off its pin
-  // (the departing flow counts itself), or a fair flow is live or left since
-  // the last reallocation pass. Otherwise none of the path's links was ever
-  // phase 1's worst link and dropping the flow only lowers their loads, so a
-  // re-solve would return the same bits. The pass still runs, so per-event
-  // utilization sampling is unchanged.
-  bool resolve = fair_flows_ > 0;
-  for (int32_t i = 0; i < n && !resolve; ++i) {
-    resolve = off_pin_[static_cast<size_t>(links[i])] > 0;
-  }
+  // "Departures that change nothing"): the departing flow runs off its pin
+  // (scaled down, or cancelled before its first solve at rate 0), or a fair
+  // flow is live or left since the last reallocation pass. Otherwise the flow
+  // was never scaled, so none of its links was ever phase 1's worst link, and
+  // dropping it only lowers their loads: a re-solve would return the same
+  // bits. The pass still runs, so per-event utilization sampling is unchanged.
+  const bool resolve = fair_flows_ > 0 || rate != pin;
   for (int32_t i = 0; i < n; ++i) {
-    size_t l = static_cast<size_t>(links[i]);
-    link_rate_[l] -= rate;
-    off_pin_[l] -= off_pin;
+    link_rate_[static_cast<size_t>(links[i])] -= rate;
     if (resolve) {
       MarkDirty(links[i]);
     }
@@ -462,12 +452,8 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
         }
       }
     }
-    const int32_t off_pin_delta =
-        static_cast<int32_t>(new_rate != comp_pinned_[i]) - (old_rate != comp_pinned_[i]);
     for (int32_t j = comp_off_[i]; j < comp_off_[i + 1]; ++j) {
-      const size_t l = static_cast<size_t>(comp_links_[static_cast<size_t>(j)]);
-      link_rate_[l] += new_rate - old_rate;
-      off_pin_[l] += off_pin_delta;
+      link_rate_[static_cast<size_t>(comp_links_[static_cast<size_t>(j)])] += new_rate - old_rate;
     }
   }
   if (full_realloc_) {

@@ -20,10 +20,11 @@
 //   * reallocation is incremental — only the link-connected component(s) of
 //     the incidence graph marked dirty since the last event are re-solved;
 //     untouched flows keep their rates, anchors, and projected completions;
-//   * a departure dirties nothing when it cannot change another rate: no
-//     flow on its path runs off its pin (per-link off_pin_ counts) and no
-//     fair flow is live, so the pinned phase's loads only drop and its
-//     sequence of worst links stays the same (DESIGN.md §10);
+//   * a departure dirties nothing when it cannot change another rate: the
+//     departing flow runs at its pin (so it was never scaled and none of its
+//     links was ever a worst link) and no fair flow is live, so the pinned
+//     phase's loads only drop and its sequence of worst links stays the same
+//     (DESIGN.md §10);
 //   * per-flow progress is lazy: (anchor_time, remaining, current_rate)
 //     describe a flow between rate changes, so advancing time is O(1) per
 //     untouched flow;
@@ -245,9 +246,9 @@ class NetworkSimulator {
   // Drops stale heap entries and re-heapifies (bounds heap growth under
   // long-running churn).
   void CompactHeap();
-  // Removes the flow's rate from its links, marks them dirty unless the
-  // departure provably changes no other rate, and drops the flow from the
-  // incidence index.
+  // Removes the flow's rate from its links, marks them dirty unless the flow
+  // runs at its pin and no fair flow is live (the departure then provably
+  // changes no other rate), and drops the flow from the incidence index.
   void DetachFlow(int32_t slot);
   // Releases the slot: id map tombstone, live-list swap-erase, pool free.
   void EraseFlow(int32_t slot);
@@ -278,7 +279,6 @@ class NetworkSimulator {
   std::vector<double> fault_factor_;         // Per link, 1 = healthy.
   std::vector<Rate> usable_capacity_;        // max(0, nominal*fault - background).
   std::vector<Rate> link_rate_;              // Aggregate bulk rate per link.
-  std::vector<int32_t> off_pin_;             // Live flows per link with rate != pin.
   int64_t fair_flows_ = 0;  // Live fair flows + fair exits since the last pass.
   int64_t fair_exits_ = 0;  // Fair flows detached since the last pass.
   bool rates_dirty_ = true;

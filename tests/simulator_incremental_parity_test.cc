@@ -9,7 +9,9 @@
 // link-fault factor changes, background-rate changes — and require
 // bitwise-equal completion records, per-link bulk rates, violation metrics,
 // and clocks, plus fingerprint-equal controller runs. A second, all-pinned
-// script covers departures that skip their re-solve altogether.
+// script covers departures that skip their re-solve altogether, and a
+// bulk-shaped drain (one 2,100-flow all-pinned, oversubscribed component)
+// covers them at the scale whole runs produce.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "src/control/controller.h"
 #include "src/core/options.h"
 #include "src/simulator/network_simulator.h"
+#include "src/telemetry/metrics.h"
 #include "src/topology/builders.h"
 #include "src/topology/path.h"
 #include "src/topology/routing.h"
@@ -41,6 +44,19 @@ class Xorshift {
  private:
   uint64_t s_;
 };
+
+// Completion records must agree field-for-field, bit-for-bit, in order.
+void ExpectSameRecords(const std::vector<FlowRecord>& a, const std::vector<FlowRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].bytes, b[i].bytes);
+    EXPECT_EQ(a[i].start_time, b[i].start_time);
+    EXPECT_EQ(a[i].end_time, b[i].end_time);
+    EXPECT_EQ(a[i].tag, b[i].tag);
+    EXPECT_EQ(a[i].tag2, b[i].tag2);
+  }
+}
 
 // Runs the same seeded op script against an incremental and a
 // full-reallocation simulator in lockstep, comparing observable state
@@ -154,16 +170,7 @@ void RunLockstepScript(uint64_t seed, bool all_pinned) {
   ASSERT_EQ(*end_inc, *end_ref);
   compare_links("final");
 
-  // Completion records must agree field-for-field, bit-for-bit, in order.
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].id, rb[i].id);
-    EXPECT_EQ(ra[i].bytes, rb[i].bytes);
-    EXPECT_EQ(ra[i].start_time, rb[i].start_time);
-    EXPECT_EQ(ra[i].end_time, rb[i].end_time);
-    EXPECT_EQ(ra[i].tag, rb[i].tag);
-    EXPECT_EQ(ra[i].tag2, rb[i].tag2);
-  }
+  ExpectSameRecords(ra, rb);
 
   // The incremental run must not have done more component solves than the
   // reference (it skips clean components; the reference never does).
@@ -186,6 +193,100 @@ TEST_P(AllPinnedParityTest, ScriptedRunMatchesFullReallocationBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllPinnedParityTest, ::testing::Range(1, 41));
+
+// What one simulator observes over a bulk-shaped drain: the completion
+// records, every link's bulk rate at each wave boundary, the end time, and
+// the number of departures that skipped their re-solve.
+struct BulkDrain {
+  std::vector<FlowRecord> records;
+  std::vector<Rate> link_rates;
+  SimTime end = 0.0;
+  int64_t resolves_skipped = 0;
+};
+
+// A drain shaped like the bulk_oneshot workload: 20 source servers in DC 0
+// send to 21 destination servers (7 in each of DCs 1-3), five flows per
+// pair, 2,100 pinned flows in one component. The WAN never binds. Each
+// source NIC's pins sum to 1.1-1.3x its 40 MB/s, split unevenly among its
+// flows, so phase 1 scales flows at most NICs; staggered sizes then make
+// flows leave one at a time, some at their pins next to others that are
+// still scaled down. Flows start in three waves 3 s apart, as controller
+// cycles launch them, and each later wave first cancels ~2% of the flows.
+BulkDrain RunBulkDrain(uint64_t seed, bool full_reallocation) {
+  Xorshift rng(seed);
+  Topology topo = BuildFullMesh(4, 20, GBps(10.0), MBps(40.0), MBps(40.0)).value();
+  WanRoutingTable routing = WanRoutingTable::Build(topo, 1).value();
+  std::vector<ServerId> dsts;
+  for (DcId dc = 1; dc < 4; ++dc) {
+    for (int i = 0; i < 7; ++i) {
+      dsts.push_back(topo.ServersIn(dc)[static_cast<size_t>(i)]);
+    }
+  }
+  struct Spec {
+    std::vector<LinkId> links;
+    Bytes bytes;
+    Rate pinned;
+  };
+  std::vector<Spec> specs;
+  for (ServerId src : topo.ServersIn(0)) {
+    const size_t first = specs.size();
+    double weight_sum = 0.0;
+    for (ServerId dst : dsts) {
+      std::vector<LinkId> links = MakeServerPath(topo, routing, src, dst).value().links;
+      for (int k = 0; k < 5; ++k) {
+        const double weight = 1.0 + static_cast<double>(rng.Next(4));
+        specs.push_back({links, MB(2.0 + static_cast<double>(rng.Next(40))), weight});
+        weight_sum += weight;
+      }
+    }
+    const Rate nic_pins = MBps(40.0) * (1.1 + 0.2 * static_cast<double>(rng.Next(1001)) / 1000.0);
+    for (size_t i = first; i < specs.size(); ++i) {
+      specs[i].pinned = nic_pins * specs[i].pinned / weight_sum;
+    }
+  }
+
+  telemetry::SetEnabled(true);
+  const telemetry::MetricsSnapshot before = telemetry::MetricsRegistry::Global().Snapshot();
+  NetworkSimulator sim(&topo);
+  sim.set_full_reallocation(full_reallocation);
+  BulkDrain out;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { out.records.push_back(r); });
+  std::vector<FlowId> started;
+  constexpr int kWaves = 3;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    EXPECT_TRUE(sim.AdvanceTo(3.0 * wave).ok());
+    for (LinkId l = 0; l < topo.num_links(); ++l) {
+      out.link_rates.push_back(sim.LinkBulkRate(l));
+    }
+    for (size_t c = 0; c < started.size() / 50; ++c) {
+      (void)sim.CancelFlow(started[rng.Next(started.size())]);  // May be gone.
+    }
+    for (size_t i = static_cast<size_t>(wave); i < specs.size(); i += kWaves) {
+      started.push_back(sim.StartFlow(specs[i].links, specs[i].bytes, specs[i].pinned).value());
+    }
+  }
+  out.end = sim.RunUntilIdle().value();
+  out.resolves_skipped = telemetry::MetricsRegistry::Global().Snapshot().DiffSince(before)
+                             .CounterValue("sim.resolves_skipped");
+  telemetry::SetEnabled(false);
+  return out;
+}
+
+class BulkShapedParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BulkShapedParityTest, PinnedNicBoundDrainMatchesFullReallocationBitwise) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  BulkDrain inc = RunBulkDrain(seed, /*full_reallocation=*/false);
+  BulkDrain ref = RunBulkDrain(seed, /*full_reallocation=*/true);
+  ASSERT_GT(inc.records.size(), 2000u);
+  EXPECT_EQ(inc.end, ref.end);
+  EXPECT_EQ(inc.link_rates, ref.link_rates);
+  ExpectSameRecords(inc.records, ref.records);
+  // The drain must exercise the at-pin departure skip, not just the re-solves.
+  EXPECT_GT(inc.resolves_skipped, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BulkShapedParityTest, ::testing::Range(1, 11));
 
 TEST(IncrementalSimulatorTest, SimultaneousCompletionsBatchIntoOneEvent) {
   // Four identical flows on disjoint ring paths finish at the same bitwise
@@ -260,30 +361,88 @@ TEST(IncrementalSimulatorTest, AtPinDepartureFromAllAtPinComponentSkipsResolve) 
   EXPECT_EQ(sim.num_reallocations(), 1);
 }
 
-TEST(IncrementalSimulatorTest, DepartureNextToScaledDownFlowResolves) {
+TEST(IncrementalSimulatorTest, DepartureAtPinNextToScaledDownFlowSkips) {
   // Flows 0 and 1 pin 30 MB/s each on server 0's 40 MB/s uplink and are
   // scaled down to 20. Flow 2, at its pin, shares flow 0's WAN link and
-  // destination NIC; when it finishes, a link on its path carries a flow
-  // off its pin, so the component must be re-solved.
+  // destination NIC. It was never scaled, so none of its links was ever
+  // phase 1's worst link: when it finishes the component is not re-solved,
+  // and rates and completions still match a full-reallocation twin bitwise.
   Topology topo = BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
   WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
-  NetworkSimulator sim(&topo);
   ServerId dst = topo.ServersIn(1)[0];
   auto p0 = MakeServerPath(topo, routing, topo.ServersIn(0)[0], dst).value();
   auto p1 =
       MakeServerPath(topo, routing, topo.ServersIn(0)[0], topo.ServersIn(2)[0]).value();
   auto p2 = MakeServerPath(topo, routing, topo.ServersIn(0)[1], dst).value();
-  FlowId f0 = sim.StartFlow(p0.links, MB(1000.0), MBps(30.0)).value();
-  ASSERT_TRUE(sim.StartFlow(p1.links, MB(1000.0), MBps(30.0)).ok());
-  ASSERT_TRUE(sim.StartFlow(p2.links, MB(5.0), MBps(5.0)).ok());  // 1 s.
-  ASSERT_TRUE(sim.AdvanceTo(0.5).ok());
+  NetworkSimulator sim(&topo);
+  NetworkSimulator ref(&topo);
+  ref.set_full_reallocation(true);
+  std::vector<FlowRecord> done;
+  std::vector<FlowRecord> ref_done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
+  ref.SetCompletionCallback([&](const FlowRecord& r) { ref_done.push_back(r); });
+  FlowId f0 = 0;
+  FlowId f1 = 0;
+  for (NetworkSimulator* s : {&sim, &ref}) {
+    f0 = s->StartFlow(p0.links, MB(1000.0), MBps(30.0)).value();
+    f1 = s->StartFlow(p1.links, MB(1000.0), MBps(30.0)).value();
+    ASSERT_TRUE(s->StartFlow(p2.links, MB(5.0), MBps(5.0)).ok());  // 1 s.
+    ASSERT_TRUE(s->AdvanceTo(0.5).ok());
+  }
   ASSERT_EQ(sim.num_reallocations(), 1);
-  const Rate scaled = sim.FindFlow(f0)->current_rate;
-  ASSERT_NEAR(scaled, MBps(20.0), 1e-3);
-  ASSERT_TRUE(sim.AdvanceTo(2.0).ok());
-  ASSERT_EQ(sim.num_active_flows(), 2);
+  ASSERT_NEAR(sim.FindFlow(f0)->current_rate, MBps(20.0), 1e-3);
+  for (NetworkSimulator* s : {&sim, &ref}) {
+    ASSERT_TRUE(s->AdvanceTo(2.0).ok());
+    ASSERT_EQ(s->num_active_flows(), 2);
+  }
+  EXPECT_EQ(sim.num_reallocations(), 1);
+  for (FlowId f : {f0, f1}) {
+    EXPECT_EQ(sim.FindFlow(f)->current_rate, ref.FindFlow(f)->current_rate);
+  }
+  auto end = sim.RunUntilIdle();
+  auto ref_end = ref.RunUntilIdle();
+  ASSERT_TRUE(end.ok());
+  ASSERT_TRUE(ref_end.ok());
+  EXPECT_EQ(*end, *ref_end);
+  ExpectSameRecords(done, ref_done);
+}
+
+TEST(IncrementalSimulatorTest, ScaledDownDepartureResolves) {
+  // Flows 0 and 1 pin 30 MB/s each on server 0's 40 MB/s uplink and are
+  // scaled down to 20. When flow 0 finishes it leaves off its pin, so the
+  // component is re-solved and flow 1 returns to its pin.
+  Topology topo = BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
+  WanRoutingTable routing = WanRoutingTable::Build(topo, 2).value();
+  ServerId src = topo.ServersIn(0)[0];
+  auto p0 = MakeServerPath(topo, routing, src, topo.ServersIn(1)[0]).value();
+  auto p1 = MakeServerPath(topo, routing, src, topo.ServersIn(2)[0]).value();
+  NetworkSimulator sim(&topo);
+  NetworkSimulator ref(&topo);
+  ref.set_full_reallocation(true);
+  std::vector<FlowRecord> done;
+  std::vector<FlowRecord> ref_done;
+  sim.SetCompletionCallback([&](const FlowRecord& r) { done.push_back(r); });
+  ref.SetCompletionCallback([&](const FlowRecord& r) { ref_done.push_back(r); });
+  FlowId f1 = 0;
+  for (NetworkSimulator* s : {&sim, &ref}) {
+    ASSERT_TRUE(s->StartFlow(p0.links, MB(20.0), MBps(30.0)).ok());  // 1 s at 20.
+    f1 = s->StartFlow(p1.links, MB(1000.0), MBps(30.0)).value();
+    ASSERT_TRUE(s->AdvanceTo(0.5).ok());
+  }
+  ASSERT_EQ(sim.num_reallocations(), 1);
+  ASSERT_NEAR(sim.FindFlow(f1)->current_rate, MBps(20.0), 1e-3);
+  for (NetworkSimulator* s : {&sim, &ref}) {
+    ASSERT_TRUE(s->AdvanceTo(2.0).ok());
+    ASSERT_EQ(s->num_active_flows(), 1);
+  }
   EXPECT_EQ(sim.num_reallocations(), 2);
-  EXPECT_EQ(sim.FindFlow(f0)->current_rate, scaled);
+  EXPECT_EQ(sim.FindFlow(f1)->current_rate, MBps(30.0));
+  auto end = sim.RunUntilIdle();
+  auto ref_end = ref.RunUntilIdle();
+  ASSERT_TRUE(end.ok());
+  ASSERT_TRUE(ref_end.ok());
+  EXPECT_EQ(*end, *ref_end);
+  ExpectSameRecords(done, ref_done);
 }
 
 TEST(IncrementalSimulatorTest, FairDepartureBlocksSkipsUntilNextPass) {
