@@ -240,7 +240,7 @@ std::vector<FleetPoint> RunFleetSweep(bool smoke) {
 // and 4 shards. Every cycle builds its candidates and solves its routing
 // from scratch, so the later cycles cost about what the first does; the
 // section records what a controller pays per cycle once the fleet is
-// turning over (DESIGN.md §9.7 records why nothing is carried across).
+// turning over (DESIGN.md §9.6 records why nothing is carried across).
 
 struct SteadyCyclesStats {
   int64_t jobs = 0;

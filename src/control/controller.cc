@@ -531,10 +531,6 @@ void BdsController::ApplyLinkFaults(SimTime now) {
     BDS_CHECK_MSG(s.ok(), s.ToString().c_str());
     telemetry::TraceInstant("fault.link", "fault",
                             {{"link", static_cast<double>(e.link)}, {"factor", e.factor}});
-    // Conservative: any fault event may change which routes are usable, so
-    // drop the cached overlay-path skeletons. Rebuild is a handful of small
-    // copies per active DC pair — cheap next to re-planning the transfers.
-    algorithm_.InvalidatePathCache();
     if (e.factor > 0.0) {
       continue;  // Degradations and recoveries just change capacity; the
                  // allocator throttles (or refills) crossing flows in place.
@@ -1059,7 +1055,7 @@ StatusOr<RunReport> BdsController::Run(SimTime deadline) {
     // recovery or probabilistic control-plane fault can still unwedge a
     // quiet cycle, so the detector defers to the deadline while either is
     // in play. A degraded cycle is never proof of wedge either: rungs above
-    // kNormal deliberately restrict routing (one cached path, shed
+    // kNormal deliberately restrict routing (routes[0] only, shed
     // candidates, or no decision at all), so a quiet cycle there may just
     // mean the restricted plan found nothing — wait for the ladder to
     // recover to kNormal before declaring the run dead.

@@ -38,7 +38,6 @@ ControllerAlgorithm::ControllerAlgorithm(const Topology* topo, const WanRoutingT
     : topo_(topo),
       routing_(routing),
       options_(options),
-      path_cache_(topo, routing, options.max_wan_routes),
       pool_(options.num_threads) {
   BDS_CHECK(topo != nullptr && routing != nullptr);
   BDS_CHECK(options_.cycle_length > 0.0);
@@ -522,26 +521,17 @@ void ControllerAlgorithm::RouteBlocks(std::vector<Selected> selected,
   subtask_paths_.resize(num_subtasks);
 
   // Degradation rung kCachedPaths and above: route every subtask over its
-  // single best cached per-DC-pair path — no alternate-route exploration.
+  // DC pair's routes[0] only — no alternate-route exploration.
   const int route_cap =
       rung_ >= DegradationRung::kCachedPaths ? 1 : options_.max_wan_routes;
 
-  // Serial pre-pass so the parallel materialization below only performs
-  // read-only cache lookups.
-  for (const Subtask& st : subtasks) {
-    path_cache_.EnsurePair(topo_->server(st.src).dc, topo_->server(st.dst).dc);
-  }
-
-  // Per-subtask path materialization and commodity build: independent work
-  // writing to pre-sized slots.
+  // Per-subtask path build and commodity build: independent work writing to
+  // pre-sized slots.
   pool_.For(num_subtasks, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const Subtask& st = subtasks[i];
       std::vector<ServerPath>& paths = subtask_paths_[i];
-      path_cache_.MaterializePaths(st.src, st.dst, &paths);
-      if (static_cast<int>(paths.size()) > route_cap) {
-        paths.resize(static_cast<size_t>(route_cap));
-      }
+      MakeServerPaths(*topo_, *routing_, st.src, st.dst, route_cap, &paths);
       McfCommodity& commodity = instance.commodities[i];
       commodity.demand = st.bytes / options_.cycle_length;
       commodity.paths.resize(paths.size());

@@ -25,7 +25,7 @@
 #include "src/scheduler/decision.h"
 #include "src/scheduler/degradation.h"
 #include "src/scheduler/replica_state.h"
-#include "src/topology/path_cache.h"
+#include "src/topology/path.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
 
@@ -121,21 +121,10 @@ class ControllerAlgorithm {
                        const std::vector<Rate>& residual_capacities,
                        const DeliveryKeySet& in_flight);
 
-  // Drops the cached overlay-path skeletons. Call when the routing table's
-  // route sets may have changed (rebuild, link fault); capacity-only changes
-  // never require it.
-  void InvalidatePathCache() { path_cache_.Invalidate(); }
-
-  // Hit/miss/invalidation counters of the overlay path cache (see
-  // ServerPathCache::Stats). Sharded and unsharded runs over the same cycle
-  // sequence must observe identical miss and invalidation counts — asserted
-  // by the path-cache shard test.
-  ServerPathCache::Stats path_cache_stats() const { return path_cache_.stats(); }
-
   // Degradation ladder (set by the cycle-deadline watchdog before each
   // cycle). Rungs kCachedPaths..kShedCandidates cheapen this Decide() call:
-  // single cached path per subtask, coarser FPTAS epsilon, shed selection
-  // cap. kExtendDecisions is realized by the controller (it skips Decide()
+  // routes[0] only per subtask, coarser FPTAS epsilon, shed selection cap.
+  // kExtendDecisions is realized by the controller (it skips Decide()
   // entirely); the algorithm treats it like kShedCandidates if called.
   void SetDegradationRung(DegradationRung rung) { rung_ = rung; }
   DegradationRung degradation_rung() const { return rung_; }
@@ -183,7 +172,6 @@ class ControllerAlgorithm {
   const WanRoutingTable* routing_;
   ControllerAlgorithmOptions options_;
   DegradationRung rung_ = DegradationRung::kNormal;
-  ServerPathCache path_cache_;
   ParallelRunner pool_;
 
   // Per-cycle scratch reused across Decide() calls so the routing step stops

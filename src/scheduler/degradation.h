@@ -5,8 +5,8 @@
 // ladder one rung at a time; each rung trades decision quality for cycle CPU:
 //
 //   kNormal          full algorithm, configured knobs.
-//   kCachedPaths     route every subtask over its single best cached
-//                    per-DC-pair path (no alternate-route exploration).
+//   kCachedPaths     route every subtask over its DC pair's routes[0] only
+//                    (no alternate-route exploration).
 //   kCoarseEpsilon   additionally coarsen the FPTAS epsilon — fewer phases,
 //                    a (1 - eps)-worse allocation.
 //   kShedCandidates  additionally cap the deliveries selected per cycle, so

@@ -40,6 +40,15 @@ struct ServerPath {
 StatusOr<ServerPath> MakeServerPath(const Topology& topo, const WanRoutingTable& routing,
                                     ServerId src, ServerId dst, int route_index = 0);
 
+// Writes the candidate ServerPaths from `src` to `dst` into `out`: one per
+// WAN route r < min(routes, max_routes) (max_routes >= 1), built from the
+// routing table's route r plus the two NIC links, with wan_route_index = r.
+// A same-DC pair gets one NIC-only path (index -1); src == dst or an
+// unreachable DC pair gets none. `out` is resized and its inner link
+// buffers are reused.
+void MakeServerPaths(const Topology& topo, const WanRoutingTable& routing, ServerId src,
+                     ServerId dst, int max_routes, std::vector<ServerPath>* out);
+
 }  // namespace bds
 
 #endif  // BDS_SRC_TOPOLOGY_PATH_H_

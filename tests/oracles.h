@@ -77,7 +77,7 @@ void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& 
 
 // Enumerates all ServerPaths from `src` to `dst` (one per available WAN
 // route, or the single intra-DC path) by walking the routing table.
-// ServerPathCache must return the same paths.
+// MakeServerPaths must return the same paths.
 std::vector<ServerPath> EnumerateServerPaths(const Topology& topo, const WanRoutingTable& routing,
                                              ServerId src, ServerId dst);
 

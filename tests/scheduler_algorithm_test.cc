@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/scheduler/bandwidth_separator.h"
@@ -163,9 +164,45 @@ TEST(ControllerAlgorithmTest, ZeroResidualMeansNoTransfers) {
   EXPECT_TRUE(dz.transfers.empty());
 }
 
+// A hard-down WAN link reaches routing only as zero residual capacity; the
+// route sets stay as built. The next decision must route DC0 -> DC1 over the
+// detours and never over the dead link.
+TEST(ControllerAlgorithmTest, DeadWanLinkIsRoutedAround) {
+  Fixture f;  // 3-DC full mesh, k = 3, one job DC0 -> DC1, DC2.
+  ASSERT_GT(f.routing.Routes(0, 1).size(), 1u);
+  LinkId dead = kInvalidLink;
+  for (const Link& l : f.topo.links()) {
+    if (l.type == LinkType::kWan && l.src_dc == 0 && l.dst_dc == 1) {
+      dead = l.id;
+    }
+  }
+  ASSERT_NE(dead, kInvalidLink);
+
+  ControllerAlgorithm algo(&f.topo, &f.routing, DefaultOptions());
+  CycleDecision healthy = algo.Decide(0, f.state, f.residual, {});
+  bool used_dead = false;
+  for (const TransferAssignment& t : healthy.transfers) {
+    used_dead |= std::count(t.path.links.begin(), t.path.links.end(), dead) > 0;
+  }
+  ASSERT_TRUE(used_dead);  // Otherwise the fault below changes nothing.
+
+  std::vector<Rate> faulted = f.residual;
+  faulted[static_cast<size_t>(dead)] = 0.0;
+  CycleDecision d = algo.Decide(1, f.state, faulted, {});
+  int to_dc1 = 0;
+  for (const TransferAssignment& t : d.transfers) {
+    EXPECT_EQ(std::count(t.path.links.begin(), t.path.links.end(), dead), 0);
+    if (f.topo.server(t.dst_server).dc == 1) {
+      ++to_dc1;
+      EXPECT_GT(t.path.wan_route_index, 0);
+    }
+  }
+  EXPECT_GT(to_dc1, 0);
+}
+
 // A workload big enough that scheduling hits budget limits and routing has
-// multi-path commodities — the regime where thread count and cache state
-// could plausibly change a decision.
+// multi-path commodities — the regime where thread count could plausibly
+// change a decision.
 Fixture BigFixture() {
   Fixture f(/*blocks=*/200, /*servers=*/3, /*dcs=*/4);
   // Scatter a few replicas so duplicate counts (and thus rarest-first
@@ -192,15 +229,6 @@ TEST(ControllerAlgorithmTest, ThreadCountDoesNotChangeFingerprint) {
     opt.num_threads = threads;
     EXPECT_EQ(DecideFingerprint(f, opt), serial) << threads << " threads";
   }
-}
-
-TEST(ControllerAlgorithmTest, PathCacheSurvivesInvalidation) {
-  Fixture f = BigFixture();
-  ControllerAlgorithm algo(&f.topo, &f.routing, DefaultOptions());
-  CycleDecision before = algo.Decide(0, f.state, f.residual, {});
-  algo.InvalidatePathCache();
-  CycleDecision after = algo.Decide(0, f.state, f.residual, {});
-  EXPECT_EQ(before.Fingerprint(), after.Fingerprint());
 }
 
 TEST(SplitBlocksAcrossPathsTest, ProportionalWithRemainderToLargest) {

@@ -3,9 +3,7 @@
 // unsharded single-threaded controller's decision bit for bit, across full
 // multi-cycle runs where each cycle's decision feeds the next cycle's state.
 // The suite drives randomized topologies/workloads (seeded, deterministic)
-// through the algorithm layer and the whole service, and also checks the
-// path-cache counters stay identical under sharding (route-change
-// invalidation parity).
+// through the algorithm layer and the whole service.
 
 #include <gtest/gtest.h>
 
@@ -173,45 +171,6 @@ TEST(ShardParityTest, ServiceRunReportFingerprintInvariant) {
     const uint64_t base = run(1, 1);
     EXPECT_EQ(run(4, 1), base) << "seed=" << seed;
     EXPECT_EQ(run(8, 4), base) << "seed=" << seed;
-  }
-}
-
-// Sharding must not change what the path cache does: identical hit, miss,
-// and invalidation counts across a run that includes route changes
-// (InvalidatePathCache mid-run, as a link fault would trigger).
-TEST(ShardParityTest, PathCacheCountersMatchUnshardedAcrossRouteChanges) {
-  Scenario sc = MakeScenario(7);
-  auto run = [&](int shards, int threads) {
-    ReplicaState state(&sc.topo);
-    for (const MulticastJob& job : sc.jobs) {
-      BDS_CHECK(state.AddJob(job).ok());
-    }
-    ControllerAlgorithm algo(&sc.topo, &sc.routing, Options(shards, threads));
-    for (int c = 0; c < 6 && !state.AllComplete(); ++c) {
-      if (c == 2 || c == 4) {
-        algo.InvalidatePathCache();  // Route change: skeletons must rebuild.
-      }
-      CycleDecision d = algo.Decide(c, state, sc.residual, {});
-      if (d.transfers.empty()) {
-        break;
-      }
-      for (const TransferAssignment& t : d.transfers) {
-        for (int64_t b : t.blocks) {
-          BDS_CHECK(state.NoteDelivery(t.job, b, t.src_server, t.dst_server).ok());
-        }
-      }
-    }
-    return algo.path_cache_stats();
-  };
-  const ServerPathCache::Stats base = run(1, 1);
-  EXPECT_GT(base.hits, 0);
-  EXPECT_GT(base.misses, 0);
-  EXPECT_EQ(base.invalidations, 2);
-  for (int shards : {2, 4, 8}) {
-    const ServerPathCache::Stats s = run(shards, 4);
-    EXPECT_EQ(s.hits, base.hits) << "shards=" << shards;
-    EXPECT_EQ(s.misses, base.misses) << "shards=" << shards;
-    EXPECT_EQ(s.invalidations, base.invalidations) << "shards=" << shards;
   }
 }
 

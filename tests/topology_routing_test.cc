@@ -247,5 +247,104 @@ TEST(ServerPathTest, ToStringIsInformative) {
   EXPECT_FALSE(p->ToString(t.topo).empty());
 }
 
+void ExpectSamePaths(const std::vector<ServerPath>& got, const std::vector<ServerPath>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].src, want[i].src) << "path " << i;
+    EXPECT_EQ(got[i].dst, want[i].dst) << "path " << i;
+    EXPECT_EQ(got[i].links, want[i].links) << "path " << i;
+    EXPECT_EQ(got[i].wan_route_index, want[i].wan_route_index) << "path " << i;
+  }
+}
+
+// Every ordered server pair, one reused output buffer (so a pair with fewer
+// routes than the last one also checks the shrink).
+void ExpectAllPairsMatchEnumerate(const Topology& topo, const WanRoutingTable& routing) {
+  std::vector<ServerPath> got;
+  for (ServerId src = 0; src < topo.num_servers(); ++src) {
+    for (ServerId dst = 0; dst < topo.num_servers(); ++dst) {
+      MakeServerPaths(topo, routing, src, dst, routing.max_routes_per_pair(), &got);
+      ExpectSamePaths(got, EnumerateServerPaths(topo, routing, src, dst));
+    }
+  }
+}
+
+TEST(MakeServerPathsTest, MatchesEnumerateOnFullMesh) {
+  auto topo = BuildFullMesh(4, 3, 10.0, 1.0, 1.0);
+  ASSERT_TRUE(topo.ok());
+  auto routing = WanRoutingTable::Build(*topo, 3);
+  ASSERT_TRUE(routing.ok());
+  ExpectAllPairsMatchEnumerate(*topo, *routing);
+}
+
+TEST(MakeServerPathsTest, MatchesEnumerateOnGeoTopology) {
+  GeoTopologyOptions opt;
+  opt.num_dcs = 6;
+  opt.servers_per_dc = 2;
+  opt.seed = 7;
+  auto topo = BuildGeoTopology(opt);
+  ASSERT_TRUE(topo.ok());
+  auto routing = WanRoutingTable::Build(*topo, 4);
+  ASSERT_TRUE(routing.ok());
+  ExpectAllPairsMatchEnumerate(*topo, *routing);
+}
+
+TEST(MakeServerPathsTest, TruncatesToMaxRoutes) {
+  // Full mesh of 3 DCs with k=3 yields a direct route plus detours; a cap of
+  // 1 keeps only the primary route.
+  auto topo = BuildFullMesh(3, 1, 10.0, 1.0, 1.0);
+  ASSERT_TRUE(topo.ok());
+  auto routing = WanRoutingTable::Build(*topo, 3);
+  ASSERT_TRUE(routing.ok());
+  ServerId s0 = topo->ServersIn(0)[0];
+  ServerId s1 = topo->ServersIn(1)[0];
+  auto full = EnumerateServerPaths(*topo, *routing, s0, s1);
+  ASSERT_GT(full.size(), 1u);
+
+  std::vector<ServerPath> got;
+  MakeServerPaths(*topo, *routing, s0, s1, 1, &got);
+  full.resize(1);
+  ExpectSamePaths(got, full);
+}
+
+TEST(MakeServerPathsTest, IntraDcPairGetsOneNicOnlyPath) {
+  auto topo = BuildFullMesh(2, 3, 10.0, 1.0, 1.0);
+  ASSERT_TRUE(topo.ok());
+  auto routing = WanRoutingTable::Build(*topo, 2);
+  ASSERT_TRUE(routing.ok());
+  const auto& servers = topo->ServersIn(0);
+  std::vector<ServerPath> got;
+  MakeServerPaths(*topo, *routing, servers[0], servers[1], 2, &got);
+  ExpectSamePaths(got, EnumerateServerPaths(*topo, *routing, servers[0], servers[1]));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].wan_route_index, -1);
+  EXPECT_EQ(got[0].links.size(), 2u);
+}
+
+TEST(MakeServerPathsTest, SelfPairGetsNoPath) {
+  auto topo = BuildFullMesh(2, 2, 10.0, 1.0, 1.0);
+  ASSERT_TRUE(topo.ok());
+  auto routing = WanRoutingTable::Build(*topo, 2);
+  ASSERT_TRUE(routing.ok());
+  std::vector<ServerPath> got(3);  // Stale content must be cleared.
+  MakeServerPaths(*topo, *routing, 0, 0, 2, &got);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(MakeServerPathsTest, UnreachableDcPairGetsNoPath) {
+  Topology topo;
+  DcId a = topo.AddDatacenter("a");
+  DcId b = topo.AddDatacenter("b");  // No WAN link between a and b.
+  ServerId sa = topo.AddServer(a, 10.0, 10.0).value();
+  ServerId sb = topo.AddServer(b, 10.0, 10.0).value();
+  auto routing = WanRoutingTable::Build(topo, 2);
+  ASSERT_TRUE(routing.ok());
+  ASSERT_FALSE(routing->Reachable(a, b));
+  std::vector<ServerPath> got(1);
+  MakeServerPaths(topo, *routing, sa, sb, 2, &got);
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(EnumerateServerPaths(topo, *routing, sa, sb).empty());
+}
+
 }  // namespace
 }  // namespace bds
