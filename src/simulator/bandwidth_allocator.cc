@@ -14,27 +14,24 @@ void BandwidthAllocator::EnsureScratch(size_t num_links) {
     active_count_.resize(num_links, 0);
     link_saturated_.resize(num_links, 0);
     link_row_.resize(num_links, 0);
-    resum_mark_.resize(num_links, 0);
+    over_mark_.resize(num_links, 0);
   }
 }
 
 void BandwidthAllocator::BuildPinnedRows(const int32_t* offsets, const LinkId* links) {
-  row_off_.assign(used_links_.size() + 1, 0);
-  for (int32_t fi : pinned_) {
-    for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-      ++row_off_[static_cast<size_t>(link_row_[static_cast<size_t>(links[i])]) + 1];
-    }
+  if (rows_.size() < over_.size()) {
+    rows_.resize(over_.size());
   }
-  for (size_t r = 0; r < used_links_.size(); ++r) {
-    row_off_[r + 1] += row_off_[r];
+  for (size_t r = 0; r < over_.size(); ++r) {
+    rows_[r].clear();
   }
-  row_flows_.resize(static_cast<size_t>(row_off_.back()));
-  row_fill_.assign(row_off_.begin(), row_off_.end() - 1);
   // pinned_ ascends, so every row comes out in ascending flow order.
   for (int32_t fi : pinned_) {
     for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-      int32_t& pos = row_fill_[static_cast<size_t>(link_row_[static_cast<size_t>(links[i])])];
-      row_flows_[static_cast<size_t>(pos++)] = fi;
+      const size_t l = static_cast<size_t>(links[i]);
+      if (over_mark_[l]) {
+        rows_[static_cast<size_t>(link_row_[l])].push_back(fi);
+      }
     }
   }
 }
@@ -55,7 +52,6 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
       load_[l] = 0.0;
       active_count_[l] = 0;
       link_saturated_[l] = 0;
-      link_row_[l] = static_cast<int32_t>(used_links_.size());
       used_links_.push_back(l);
     }
   };
@@ -84,56 +80,73 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
   // --- Phase 1: pinned flows. ---
   // Start each at its pinned rate, then repeatedly scale down the flows
   // crossing the most oversubscribed link until everything fits. Each
-  // iteration permanently satisfies one link, so this terminates in at most
-  // used_links rounds. The worst link is the lexicographic minimum of
-  // (factor, link id), so the order of used_links_ cannot matter.
+  // iteration satisfies one link for good, so this terminates in at most
+  // used_links rounds; the cap binds only on subnormal rates, where a scaled
+  // row can round back over capacity. The worst link is the lexicographic
+  // minimum of (factor, link id), so the order of used_links_ cannot matter.
+  //
+  // Rounds only multiply rates by factors below 1, and each load is a sum of
+  // non-negative terms in ascending flow order; rounded multiplication and
+  // addition are monotone, so a link's load never rises within the call. A
+  // link that fits once therefore fits for good, and only the links in
+  // over_ need a row, a factor or a re-sum.
   if (!pinned_.empty()) {
-    bool rows_built = false;
-    for (size_t round = 0; round < used_links_.size() + 1; ++round) {
-      double worst_factor = 1.0;
+    auto oversubscribed = [&](size_t l) {
+      return load_[l] > residual_[l] * (1.0 + kFluidEpsilon) && load_[l] > 0.0;
+    };
+    over_.clear();
+    for (size_t l : used_links_) {
+      if (oversubscribed(l)) {
+        over_mark_[l] = 1;
+        link_row_[l] = static_cast<int32_t>(over_.size());
+        over_.push_back(l);
+      }
+    }
+    if (!over_.empty()) {
+      BuildPinnedRows(offsets, links);
+    }
+    for (size_t round = 0; round < used_links_.size() + 1 && !over_.empty(); ++round) {
+      double worst_factor = std::numeric_limits<double>::infinity();
       size_t worst_link = capacities.size();
-      for (size_t l : used_links_) {
-        if (load_[l] > residual_[l] * (1.0 + kFluidEpsilon) && load_[l] > 0.0) {
-          double factor = residual_[l] / load_[l];
-          if (factor < worst_factor || (factor == worst_factor && l < worst_link)) {
-            worst_factor = factor;
-            worst_link = l;
-          }
+      for (size_t l : over_) {
+        double factor = residual_[l] / load_[l];
+        if (factor < worst_factor || (factor == worst_factor && l < worst_link)) {
+          worst_factor = factor;
+          worst_link = l;
         }
       }
-      if (worst_link == capacities.size()) {
-        break;  // Feasible.
-      }
-      if (!rows_built) {
-        BuildPinnedRows(offsets, links);
-        rows_built = true;
-      }
-      // Scale the worst link's flows, then re-sum only the links they cross.
-      // Every row lists its flows in ascending index order, the order of the
-      // first full pass, so each re-sum reproduces a full recompute's bits;
-      // the loads of all other links did not change.
+      // Scale the worst link's flows, then re-sum the oversubscribed links
+      // they cross. Every row lists its flows in ascending index order, the
+      // order of the first pass, so each re-sum reproduces a full
+      // recompute's bits.
+      ++work_.pinned_rounds;
       resum_.clear();
-      const int32_t w = link_row_[worst_link];
-      for (int32_t r = row_off_[w]; r < row_off_[w + 1]; ++r) {
-        int32_t fi = row_flows_[static_cast<size_t>(r)];
+      for (int32_t fi : rows_[static_cast<size_t>(link_row_[worst_link])]) {
         rate[fi] *= worst_factor;
         for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
           size_t l = static_cast<size_t>(links[i]);
-          if (!resum_mark_[l]) {
-            resum_mark_[l] = 1;
+          if (over_mark_[l] == 1) {
+            over_mark_[l] = 2;
             resum_.push_back(l);
           }
         }
       }
       for (size_t l : resum_) {
-        resum_mark_[l] = 0;
-        const int32_t row = link_row_[l];
+        const std::vector<int32_t>& row = rows_[static_cast<size_t>(link_row_[l])];
         double sum = 0.0;
-        for (int32_t r = row_off_[row]; r < row_off_[row + 1]; ++r) {
-          sum += rate[row_flows_[static_cast<size_t>(r)]];
+        for (int32_t fi : row) {
+          sum += rate[fi];
         }
         load_[l] = sum;
+        work_.resum_terms += static_cast<int64_t>(row.size());
+        over_mark_[l] = oversubscribed(l) ? 1 : 0;
       }
+      over_.erase(std::remove_if(over_.begin(), over_.end(),
+                                 [&](size_t l) { return over_mark_[l] == 0; }),
+                  over_.end());
+    }
+    for (size_t l : over_) {
+      over_mark_[l] = 0;  // The round cap ended the loop.
     }
     // Subtract the pinned load from the residual available to fair flows.
     if (!fair_.empty()) {

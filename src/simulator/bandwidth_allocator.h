@@ -17,16 +17,20 @@
 // in tests/oracles.cc (rates agree to floating-point reassociation noise,
 // ~1e-12 relative).
 //
-// Phase 1 sums each link's load once, in ascending flow order. Only when
-// that first round is infeasible does it build component-local link ->
-// pinned-flow rows (ascending flow order again); every scale-down round then
-// re-sums just the links the scaled flows cross, row by row, which gives the
-// bits of a full recompute. The worst link is the lexicographic minimum of
-// (factor, link id), and phase 2 only takes minima over links and updates
-// each link on its own, so neither phase depends on the order in which the
-// component's links were first touched: the solver never sorts them.
-// tests/oracles.cc keeps the full-recompute, sorted-link phase 1 as the
-// bitwise reference (AllocatePinnedReference).
+// Phase 1 sums each link's load once, in ascending flow order, and collects
+// the links still over capacity. Only when that set is non-empty does it
+// build link -> pinned-flow rows (ascending flow order again), and only for
+// the links in the set. Every scale-down round then re-sums, row by row, the
+// links of the set that the scaled flows cross, which gives the bits of a
+// full recompute; a link leaves the set once it fits. Loads never rise
+// within a call (rates only shrink, and rounded addition is monotone), so a
+// link outside the set stays within capacity and needs no work. The worst
+// link is the lexicographic minimum of (factor, link id), and phase 2 only
+// takes minima over links and updates each link on its own, so neither
+// phase depends on the order in which the component's links were first
+// touched: the solver never sorts them. tests/oracles.cc keeps the
+// full-recompute, sorted-link phase 1 as the bitwise reference
+// (AllocatePinnedReference).
 //
 // Scratch state is generation-stamped per link, so a solve costs
 // O(component links + flows), not O(topology links), with no per-call
@@ -37,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -58,9 +63,18 @@ class BandwidthAllocator {
                       const int32_t* offsets, const LinkId* links, const Rate* pinned,
                       Rate* rate);
 
+  // Phase-1 work done since the last TakeWork(): scale-down rounds, and row
+  // terms summed by the re-sums after them. Telemetry only; no rate depends
+  // on it.
+  struct Work {
+    int64_t pinned_rounds = 0;
+    int64_t resum_terms = 0;
+  };
+  Work TakeWork() { return std::exchange(work_, Work{}); }
+
  private:
   void EnsureScratch(size_t num_links);
-  // Fills row_off_/row_flows_ with each used link's pinned flows, ascending.
+  // Fills rows_ with each over_ link's pinned flows, ascending.
   void BuildPinnedRows(const int32_t* offsets, const LinkId* links);
 
   // Generation-stamped per-link scratch (valid when link_gen_[l] == gen_).
@@ -71,19 +85,24 @@ class BandwidthAllocator {
   std::vector<int> active_count_;
   std::vector<char> link_saturated_;
   std::vector<size_t> used_links_;  // In first-touch order.
-  std::vector<int32_t> link_row_;    // Link -> its index in used_links_.
-  std::vector<char> resum_mark_;     // All zero between rounds.
-  std::vector<size_t> resum_;        // Links to re-sum after a scale-down.
 
-  // Phase-1 link -> pinned-flow rows (CSR over used_links_ indices).
-  std::vector<int32_t> row_off_;
-  std::vector<int32_t> row_fill_;
-  std::vector<int32_t> row_flows_;
+  // Phase 1's links still over capacity. over_mark_ is 1 while a link is in
+  // over_ and 2 while it also waits in resum_; it is all zero between calls.
+  std::vector<size_t> over_;
+  std::vector<char> over_mark_;
+  std::vector<int32_t> link_row_;  // Link -> its row: its index in the first over_.
+  std::vector<size_t> resum_;      // Links to re-sum after a scale-down.
+
+  // Phase-1 link -> pinned-flow rows, indexed by link_row_. Rows keep their
+  // capacity across calls.
+  std::vector<std::vector<int32_t>> rows_;
 
   // Per-call flow scratch (indices into the flat arrays being solved).
   std::vector<int32_t> pinned_;
   std::vector<int32_t> fair_;
   std::vector<char> frozen_;
+
+  Work work_;
 };
 
 }  // namespace bds

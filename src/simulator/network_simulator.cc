@@ -699,6 +699,9 @@ void NetworkSimulator::PublishTelemetry() {
   BDS_TELEMETRY_COUNT("sim.reallocations", telem_reallocations_);
   BDS_TELEMETRY_COUNT("sim.dirty_links", telem_dirty_links_);
   BDS_TELEMETRY_COUNT("sim.resolves_skipped", telem_resolves_skipped_);
+  const BandwidthAllocator::Work work = allocator_.TakeWork();
+  BDS_TELEMETRY_COUNT("sim.pinned_rounds", work.pinned_rounds);
+  BDS_TELEMETRY_COUNT("sim.pinned_resum_terms", work.resum_terms);
   if (telem_comp_count_ > 0) {
     BDS_TELEMETRY_HISTOGRAM_BULK("sim.component_flows", 0.0, kCompHistMax, kCompHistBins,
                                  telem_comp_hist_, telem_comp_count_, telem_comp_sum_,

@@ -61,10 +61,11 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon = 0
 
 // Phase 1 of progressive filling (pinned flows only) in its straightforward
 // form, on BandwidthAllocator::AllocateSubset's flat arrays: every round
-// re-sums every pinned path and scans the touched links in ascending id
-// order, so the lowest-id link wins an exact tie. Fair flows (pinned[fi] ==
-// 0) get rate 0. On an all-pinned flow set AllocateSubset must match it bit
-// for bit.
+// re-sums every pinned path, including links that already fit, and scans
+// all touched links in ascending id order, so the lowest-id link wins an
+// exact tie. Fair flows (pinned[fi] == 0) get rate 0. On an all-pinned flow
+// set AllocateSubset, which keeps rows and re-sums only for links still over
+// capacity, must match it bit for bit.
 void AllocatePinnedReference(const std::vector<Rate>& capacities, size_t n,
                              const int32_t* offsets, const LinkId* links, const Rate* pinned,
                              Rate* rate);

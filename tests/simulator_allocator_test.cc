@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -269,15 +270,18 @@ struct FlatFlows {
   }
 };
 
-// Solves `f` with AllocateSubset and with the pinned-phase reference, and
-// requires bitwise-equal rates. Returns AllocateSubset's rates.
+// Solves `f` with AllocateSubset (on `alloc`, or on a fresh allocator) and
+// with the pinned-phase reference, and requires bitwise-equal rates. Returns
+// AllocateSubset's rates.
 std::vector<Rate> ExpectPinnedPhaseMatchesReference(const std::vector<Rate>& caps,
-                                                    const FlatFlows& f) {
+                                                    const FlatFlows& f,
+                                                    BandwidthAllocator* alloc = nullptr) {
   const size_t n = f.pinned.size();
   std::vector<Rate> got(n, -1.0);
   std::vector<Rate> want(n, -2.0);
-  BandwidthAllocator alloc;
-  alloc.AllocateSubset(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(), got.data());
+  BandwidthAllocator fresh;
+  (alloc ? *alloc : fresh)
+      .AllocateSubset(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(), got.data());
   AllocatePinnedReference(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(),
                           want.data());
   for (size_t i = 0; i < n; ++i) {
@@ -341,6 +345,164 @@ TEST_P(PinnedPhaseParityTest, AllocateSubsetMatchesReferenceBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomComponents, PinnedPhaseParityTest, ::testing::Range(1, 201));
+
+// Phase 1 works only on the links that are still over capacity. The cases
+// below pin down what that must not change.
+
+TEST(PinnedPhaseReferenceTest, LinkFixedByAnotherLinksScaleDownIsNeverScaled) {
+  // Both links start over capacity (16 and 12 on 10). Scaling link 0 halves
+  // flows 0 and 1 to 5 and brings link 1 down to 9, so link 1 is never the
+  // worst link and flow 2 keeps its pin exactly.
+  std::vector<Rate> caps{10.0, 10.0};
+  FlatFlows f;
+  f.Add({0, 1}, 8.0);
+  f.Add({0}, 8.0);
+  f.Add({1}, 4.0);
+  std::vector<Rate> rate = ExpectPinnedPhaseMatchesReference(caps, f);
+  EXPECT_EQ(rate[0], 5.0);
+  EXPECT_EQ(rate[1], 5.0);
+  EXPECT_EQ(rate[2], 4.0);
+}
+
+TEST(PinnedPhaseReferenceTest, ZeroCapacityLinkStopsItsPinnedFlows) {
+  // Link 0 has no capacity: its flows drop to 0 and link 1, over capacity
+  // at first (13 on 10), then fits with flow 1 at its pin.
+  std::vector<Rate> caps{0.0, 10.0, 10.0};
+  FlatFlows f;
+  f.Add({0, 1}, 5.0);
+  f.Add({1, 2}, 8.0);
+  f.Add({0}, 3.0);
+  std::vector<Rate> rate = ExpectPinnedPhaseMatchesReference(caps, f);
+  EXPECT_EQ(rate[0], 0.0);
+  EXPECT_EQ(rate[1], 8.0);
+  EXPECT_EQ(rate[2], 0.0);
+}
+
+// The bulk shape of bench_sim_hotpath's MakeBulkWorkload as one flat
+// component: 20 source NICs (links 0-19) send to 21 destination NICs (links
+// 20-40), five flows per pair. Each source's pins sum to 1.1-1.3x its
+// 40 MB/s and are split unevenly among its flows. Every `fair_every`-th flow
+// is left unpinned (0 = none).
+struct BulkCase {
+  std::vector<Rate> caps;
+  FlatFlows flows;
+};
+
+BulkCase MakeBulkCase(uint64_t seed, int fair_every) {
+  auto next = [&]() {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+  };
+  constexpr int kSources = 20;
+  constexpr int kDests = 21;
+  constexpr int kFlowsPerPair = 5;
+  BulkCase bc;
+  bc.caps.assign(kSources + kDests, MBps(40.0));
+  int index = 0;
+  for (int src = 0; src < kSources; ++src) {
+    std::vector<double> weights;
+    double weight_sum = 0.0;
+    for (int k = 0; k < kDests * kFlowsPerPair; ++k) {
+      weights.push_back(1.0 + static_cast<double>(next() % 4));
+      weight_sum += weights.back();
+    }
+    const Rate nic_pins = MBps(40.0) * (1.1 + 0.2 * static_cast<double>(next() % 1001) / 1000.0);
+    for (int k = 0; k < kDests * kFlowsPerPair; ++k, ++index) {
+      const LinkId dst_link = static_cast<LinkId>(kSources + k / kFlowsPerPair);
+      const bool fair = fair_every > 0 && index % fair_every == 0;
+      bc.flows.Add({static_cast<LinkId>(src), dst_link},
+                   fair ? 0.0 : nic_pins * weights[static_cast<size_t>(k)] / weight_sum);
+    }
+  }
+  return bc;
+}
+
+TEST(PinnedPhaseReferenceTest, BulkShapedComponentMatchesReferenceBitwise) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    BulkCase bc = MakeBulkCase(seed, /*fair_every=*/0);
+    ASSERT_EQ(bc.flows.pinned.size(), 2100u);
+    BandwidthAllocator alloc;
+    ExpectPinnedPhaseMatchesReference(bc.caps, bc.flows, &alloc);
+    const BandwidthAllocator::Work work = alloc.TakeWork();
+    EXPECT_GT(work.pinned_rounds, 0) << "seed " << seed;
+    EXPECT_GT(work.resum_terms, 0) << "seed " << seed;
+  }
+}
+
+TEST(PinnedPhaseReferenceTest, BulkShapedComponentWithFairFlowsMatchesReference) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    BulkCase bc = MakeBulkCase(seed, /*fair_every=*/7);
+    const FlatFlows& f = bc.flows;
+    std::vector<Flow> flows;
+    for (size_t i = 0; i < f.pinned.size(); ++i) {
+      flows.push_back(MakeFlow(static_cast<FlowId>(i),
+                               {f.links.begin() + f.offsets[i], f.links.begin() + f.offsets[i + 1]},
+                               f.pinned[i]));
+    }
+    BandwidthAllocator alloc;
+    Allocate(alloc, bc.caps, flows);
+    std::vector<Flow> ref = flows;
+    auto ptrs = Ptrs(ref);
+    AllocateReference(bc.caps, ptrs);
+    for (size_t i = 0; i < flows.size(); ++i) {
+      const double want = ref[i].current_rate;
+      EXPECT_NEAR(flows[i].current_rate, want, 1e-9 * std::max(1.0, std::abs(want)))
+          << "seed " << seed << " flow " << i;
+    }
+  }
+}
+
+TEST(PinnedPhaseReferenceTest, BackToBackCallsLeaveNoMarks) {
+  // One allocator solves four link sets in turn. The second call ends at the
+  // round cap: three flows pinned at the smallest subnormal on link 4, of
+  // twice that capacity, scale by 2/3 and round straight back to their pins,
+  // so the link never fits. The third call reuses link 4 as a link that fits
+  // next to two that do not; a mark left on it would put its flows into
+  // another link's row.
+  const Rate tiny = std::numeric_limits<double>::denorm_min();
+  BandwidthAllocator alloc;
+  {
+    std::vector<Rate> caps(8, 10.0);
+    FlatFlows f;
+    f.Add({0, 1}, 8.0);
+    f.Add({0}, 8.0);
+    f.Add({1, 2}, 4.0);
+    ExpectPinnedPhaseMatchesReference(caps, f, &alloc);
+    alloc.TakeWork();
+  }
+  {
+    std::vector<Rate> caps(8, 10.0);
+    caps[4] = 2.0 * tiny;
+    FlatFlows f;
+    f.Add({3, 4}, tiny);
+    f.Add({4, 5}, tiny);
+    f.Add({4}, tiny);
+    std::vector<Rate> rate = ExpectPinnedPhaseMatchesReference(caps, f, &alloc);
+    EXPECT_EQ(rate[0] + rate[1] + rate[2], 3.0 * tiny);  // Still over capacity.
+    EXPECT_EQ(alloc.TakeWork().pinned_rounds, 4);  // The cap: 3 used links + 1.
+  }
+  {
+    std::vector<Rate> caps(8, 10.0);
+    FlatFlows f;
+    f.Add({4, 6}, 6.0);
+    f.Add({6, 3}, 12.0);
+    f.Add({5, 4}, 3.0);
+    f.Add({5}, 2.0);
+    std::vector<Rate> rate = ExpectPinnedPhaseMatchesReference(caps, f, &alloc);
+    EXPECT_EQ(rate[2], 3.0);
+    EXPECT_EQ(rate[3], 2.0);
+  }
+  {
+    std::vector<Rate> caps(8, 10.0);
+    FlatFlows f;
+    f.Add({3, 5}, 9.0);
+    f.Add({4, 5}, 9.0);
+    f.Add({3, 4, 7}, 3.0);
+    ExpectPinnedPhaseMatchesReference(caps, f, &alloc);
+  }
+}
 
 }  // namespace
 }  // namespace bds

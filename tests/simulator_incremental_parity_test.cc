@@ -195,13 +195,15 @@ TEST_P(AllPinnedParityTest, ScriptedRunMatchesFullReallocationBitwise) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AllPinnedParityTest, ::testing::Range(1, 41));
 
 // What one simulator observes over a bulk-shaped drain: the completion
-// records, every link's bulk rate at each wave boundary, the end time, and
-// the number of departures that skipped their re-solve.
+// records, every link's bulk rate at each wave boundary, the end time, the
+// number of departures that skipped their re-solve, and phase 1's work.
 struct BulkDrain {
   std::vector<FlowRecord> records;
   std::vector<Rate> link_rates;
   SimTime end = 0.0;
   int64_t resolves_skipped = 0;
+  int64_t pinned_rounds = 0;
+  int64_t pinned_resum_terms = 0;
 };
 
 // A drain shaped like the bulk_oneshot workload: 20 source servers in DC 0
@@ -266,8 +268,11 @@ BulkDrain RunBulkDrain(uint64_t seed, bool full_reallocation) {
     }
   }
   out.end = sim.RunUntilIdle().value();
-  out.resolves_skipped = telemetry::MetricsRegistry::Global().Snapshot().DiffSince(before)
-                             .CounterValue("sim.resolves_skipped");
+  const telemetry::MetricsSnapshot diff =
+      telemetry::MetricsRegistry::Global().Snapshot().DiffSince(before);
+  out.resolves_skipped = diff.CounterValue("sim.resolves_skipped");
+  out.pinned_rounds = diff.CounterValue("sim.pinned_rounds");
+  out.pinned_resum_terms = diff.CounterValue("sim.pinned_resum_terms");
   telemetry::SetEnabled(false);
   return out;
 }
@@ -284,6 +289,9 @@ TEST_P(BulkShapedParityTest, PinnedNicBoundDrainMatchesFullReallocationBitwise) 
   ExpectSameRecords(inc.records, ref.records);
   // The drain must exercise the at-pin departure skip, not just the re-solves.
   EXPECT_GT(inc.resolves_skipped, 0);
+  // Phase 1 scales the oversubscribed NICs, and the counters see it.
+  EXPECT_GT(inc.pinned_rounds, 0);
+  EXPECT_GT(inc.pinned_resum_terms, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BulkShapedParityTest, ::testing::Range(1, 11));
