@@ -64,10 +64,15 @@ void Fig13a() {
               "super-linearly (paper: 25 ms vs 4000 ms at 4000 blocks)\n");
 }
 
-void Fig13b() {
+// Fig 13b's tolerance: BDS may finish at most this fraction later than the
+// exact LP at every block count.
+constexpr double kNearOptimalGap = 0.10;
+
+bool Fig13b() {
   bench::PrintHeader("Figure 13b", "near-optimality of BDS vs standard LP",
                      "2 DCs, 4 servers, 20 MB/s (the paper's exact micro setup)");
   AsciiTable table({"# blocks", "BDS completion (m)", "standard LP completion (m)", "gap"});
+  bool holds = true;
   for (int64_t blocks : {200, 800, 1600, 3200}) {
     Bytes size = MB(2.0) * static_cast<double>(blocks);
     auto run = [&](bool exact) {
@@ -84,14 +89,18 @@ void Fig13b() {
     };
     double bds_m = run(false);
     double lp_m = run(true);
+    holds = holds && bds_m <= (1.0 + kNearOptimalGap) * lp_m;
     table.AddRow({std::to_string(blocks), AsciiTable::Num(bds_m, 2), AsciiTable::Num(lp_m, 2),
                   AsciiTable::Num(100.0 * (bds_m - lp_m) / lp_m, 1) + "%"});
   }
   table.Print();
-  std::printf("shape check: BDS within a few %% of the exact LP (paper: curves overlap)\n");
+  std::printf("shape check: BDS within %.0f%% of the exact LP at every block count "
+              "(paper: curves overlap) -> %s\n",
+              100.0 * kNearOptimalGap, holds ? "holds" : "VIOLATED");
+  return holds;
 }
 
-void Fig13c() {
+bool Fig13c() {
   bench::PrintHeader("Figure 13c", "proportion of blocks fetched from the origin DC",
                      "3.2 GB to 9 destination DCs x 8 servers "
                      "(paper: < 20% origin for ~90% of servers)");
@@ -122,18 +131,23 @@ void Fig13c() {
   std::printf("P(origin proportion < 0.2) = %.2f (paper: ~0.90); overlay paths carry "
               "%.0f%% of deliveries\n",
               proportion.CdfAt(0.2), 100.0 * (1.0 - proportion.Mean()));
+  const bool holds = proportion.CdfAt(0.2) >= 0.8;
+  std::printf("shape check: P(origin proportion < 0.2) >= 0.8 -> %s\n",
+              holds ? "holds" : "VIOLATED");
+  return holds;
 }
 
-void Run() {
+bool Run() {
   Fig13a();
-  Fig13b();
-  Fig13c();
+  const bool near_optimal = Fig13b();
+  const bool overlay = Fig13c();
+  return near_optimal && overlay;
 }
 
 }  // namespace
 }  // namespace bds
 
 int main() {
-  bds::Run();
-  return 0;
+  // Non-zero when the figure's shape check fails (ctest label paper-shape).
+  return bds::Run() ? 0 : 1;
 }

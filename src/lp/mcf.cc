@@ -98,9 +98,10 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 // per-path flow — is bit-identical to the straightforward Fleischer loop
 // (tests/oracles.cc, checked by the parity property tests): when a commodity
 // IS consulted, its path lengths are recomputed by fresh scans in link order
-// (the identical floating-point sums), the structured-shape fast kinds only
-// reorder provably-equal arithmetic (sentinel adds of 0.0, hoisted shared
-// loads), and the cached minimum only skips scans whose outcome is proved.
+// (the identical floating-point sums), the packed records only reorder
+// provably-equal arithmetic (pad adds of +0.0, hoisted shared loads, a push
+// that multiplies the lengths its scan just loaded), and the cached minimum
+// only skips scans whose outcome is proved.
 McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
   BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
   BDS_TIMED_SCOPE("fptas.solve");
@@ -111,15 +112,9 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
     return result;  // Nothing can flow.
   }
 
-  const size_t num_edges = flat.num_edges();
   const double delta = mcf_internal::FptasDelta(flat, epsilon);
-  const FptasWorkspace ws(flat, epsilon);
-  // One slot past the real edges is the sentinel padding edge: length 0.0,
-  // never multiplied by a real factor, used by the workspace's unrolled scans.
-  std::vector<double> length(num_edges + 1, 0.0);
-  for (size_t l = 0; l < num_edges; ++l) {
-    length[l] = delta / flat.cap[l];
-  }
+  FptasWorkspace ws(flat, epsilon);
+  std::vector<double> length = mcf_internal::InitialLengths(flat, delta);
   std::vector<double> raw_flow(ws.num_paths, 0.0);
 
   const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
@@ -131,6 +126,8 @@ McfResult SolveMcfFptas(const McfInstance& instance, double epsilon) {
   BDS_TELEMETRY_COUNT("fptas.phases", stats.phases);
   BDS_TELEMETRY_COUNT("fptas.bound_skips", stats.bound_skips);
   BDS_TELEMETRY_COUNT("fptas.commodities_retired", stats.commodities_retired);
+  BDS_TELEMETRY_COUNT("fptas.packed_commodities", static_cast<int64_t>(ws.packed.size()));
+  BDS_TELEMETRY_COUNT("fptas.generic_commodities", ws.generic_commodities);
   telemetry::TraceInstant("fptas.solve", "lp",
                           {{"commodities", static_cast<double>(ws.num_commodities)},
                            {"paths", static_cast<double>(ws.num_paths)},

@@ -61,10 +61,11 @@ McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& opt
 //
 // The default solver runs Fleischer's phase structure over a flat CSR form
 // with incrementally maintained lower bounds: path links, per-link weight
-// factors, and bottleneck capacities are precomputed once; commodities whose
-// paths share endpoint links (the controller's universal shape) get
-// branch-free unrolled scans and a post-push last-link bound that skips the
-// confirmation rescan; a per-commodity cached minimum retires or skips
+// factors, and bottleneck capacities are precomputed once; commodities of the
+// controller's shape (1–3 paths sharing uplink, downlink and a private demand
+// edge) get one packed record each, a branch-free scan and a post-push
+// demand-edge bound that skips the confirmation rescan; every other commodity
+// takes a plain CSR scan; a per-commodity cached minimum retires or skips
 // commodities whole phases at a time. The push sequence — and therefore
 // every per-path flow — is bit-identical to the straightforward Fleischer
 // loop kept as a test oracle (tests/oracles.h; see the parity property

@@ -142,6 +142,9 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
   path_links.resize(total_links);
   path_factor.resize(total_links);
   path_bneck.resize(num_paths);
+  // How many path slots cross each edge: a demand edge is private to its
+  // commodity when its paths are all that cross it.
+  std::vector<int32_t> edge_uses(num_edges, 0);
   for (size_t i = 0; i < num_paths; ++i) {
     double bottleneck = std::numeric_limits<double>::infinity();
     for (int l : paths[i].links) {
@@ -152,6 +155,7 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
     for (int l : paths[i].links) {
       path_links[j] = l;
       path_factor[j] = 1.0 + epsilon * bottleneck / cap[static_cast<size_t>(l)];
+      ++edge_uses[static_cast<size_t>(l)];
       ++j;
     }
   }
@@ -164,126 +168,86 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
     cp_off[c + 1] = static_cast<int32_t>(cp_ids.size());
   }
 
-  // Shared-structure detection (see SolveMcfFptas's commentary in mcf.cc):
-  // every commodity RouteBlocks emits shares one uplink (first link), one
-  // downlink (second-to-last) and its private demand edge (last link) across
-  // all of its paths.
-  com_first.assign(num_commodities, -1);
-  com_penult.assign(num_commodities, -1);
-  com_last.assign(num_commodities, -1);
-  std::vector<uint8_t> com_structured(num_commodities, 0);
+  // Pack every commodity of the controller's shape (see PackedCommodity).
+  // A push writes each slot's scan-time length times its factor, so a
+  // path's real slot links must be distinct; the demand edge's length lives
+  // in the record, so no other commodity may cross it.
+  const int32_t pad_zero = static_cast<int32_t>(num_edges);
+  const int32_t pad_inf = static_cast<int32_t>(num_edges) + 1;
+  com_record.assign(num_commodities, -1);
   for (size_t c = 0; c < num_commodities; ++c) {
-    bool ok = cp_off[c] != cp_off[c + 1];
-    int32_t first = -1, penult = -1, last = -1;
-    for (int32_t idx = cp_off[c]; ok && idx < cp_off[c + 1]; ++idx) {
-      const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-      const int32_t b = path_off[pi], e = path_off[pi + 1];
-      if (e - b < 3) {
-        ok = false;
-        break;
-      }
-      if (idx == cp_off[c]) {
-        first = path_links[static_cast<size_t>(b)];
-        penult = path_links[static_cast<size_t>(e - 2)];
-        last = path_links[static_cast<size_t>(e - 1)];
-      } else if (path_links[static_cast<size_t>(b)] != first ||
-                 path_links[static_cast<size_t>(e - 2)] != penult ||
-                 path_links[static_cast<size_t>(e - 1)] != last) {
-        ok = false;
-      }
-    }
-    if (ok) {
-      com_structured[c] = 1;
-      com_first[c] = first;
-      com_penult[c] = penult;
-      com_last[c] = last;
-    }
-  }
-  // Middle segment (everything between the shared first link and shared
-  // last two) in CSR form; empty ranges for unstructured commodities' paths.
-  mid_off.assign(num_paths + 1, 0);
-  mid_links.reserve(total_links);
-  for (size_t i = 0; i < num_paths; ++i) {
-    if (com_structured[static_cast<size_t>(paths[i].commodity)]) {
-      for (int32_t j = path_off[i] + 1; j < path_off[i + 1] - 2; ++j) {
-        mid_links.push_back(path_links[static_cast<size_t>(j)]);
-      }
-    }
-    mid_off[i + 1] = static_cast<int32_t>(mid_links.size());
-  }
-
-  // Fully unrolled scan kinds for the controller's dominant commodity shapes
-  // (kFast3/kFast1): middles padded to exactly two slots with the sentinel
-  // edge (index num_edges, length pinned to 0.0 — adding 0.0 to a positive
-  // partial sum is bitwise a no-op under round-to-nearest).
-  const int32_t sentinel = static_cast<int32_t>(num_edges);
-  com_kind.assign(num_commodities, kGeneric);
-  fm_base.assign(num_commodities, -1);
-  fast_mids.reserve(2 * num_paths);
-  for (size_t c = 0; c < num_commodities; ++c) {
-    if (!com_structured[c]) {
-      continue;
-    }
-    com_kind[c] = kStructured;
     const int32_t pcount = cp_off[c + 1] - cp_off[c];
-    if (pcount != 3 && pcount != 1) {
+    if (pcount == 0) {
       continue;
     }
-    bool small = true;
-    for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
-      const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-      if (mid_off[pi + 1] - mid_off[pi] > 2) {
-        small = false;
+    PackedCommodity rec;
+    bool ok = pcount <= 3;
+    for (int32_t k = 0; ok && k < pcount; ++k) {
+      const int32_t pi = cp_ids[static_cast<size_t>(cp_off[c] + k)];
+      const int32_t b = path_off[pi], e = path_off[pi + 1];
+      if (e - b < 3 || e - b > 5) {
+        ok = false;
         break;
       }
+      const int32_t* links = path_links.data() + b;
+      const int32_t n = e - b;
+      if (k == 0) {
+        rec.first = links[0];
+        rec.penult = links[n - 2];
+        rec.last = links[n - 1];
+      } else if (links[0] != rec.first || links[n - 2] != rec.penult ||
+                 links[n - 1] != rec.last) {
+        ok = false;
+        break;
+      }
+      for (int32_t x = 0; ok && x < n; ++x) {
+        for (int32_t y = x + 1; y < n; ++y) {
+          if (links[x] == links[y]) {
+            ok = false;
+            break;
+          }
+        }
+      }
+      // Slots first, mid, mid, penultimate, last; a short middle leaves
+      // 0.0-pad slots with factor 1.0 (0.0 * 1.0 == +0.0).
+      rec.path[k] = pi;
+      rec.bneck[k] = path_bneck[static_cast<size_t>(pi)];
+      const double* fac = path_factor.data() + b;
+      rec.mid[2 * k] = n > 3 ? links[1] : pad_zero;
+      rec.mid[2 * k + 1] = n > 4 ? links[2] : pad_zero;
+      rec.fac[k][0] = fac[0];
+      rec.fac[k][1] = n > 3 ? fac[1] : 1.0;
+      rec.fac[k][2] = n > 4 ? fac[2] : 1.0;
+      rec.fac[k][3] = fac[n - 2];
+      rec.fac[k][4] = fac[n - 1];
     }
-    if (!small) {
+    if (!ok || edge_uses[static_cast<size_t>(rec.last)] != pcount) {
+      ++generic_commodities;
       continue;
     }
-    com_kind[c] = pcount == 3 ? kFast3 : kFast1;
-    fm_base[c] = static_cast<int32_t>(fast_mids.size());
-    for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
-      const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-      for (int32_t j = mid_off[pi]; j < mid_off[pi + 1]; ++j) {
-        fast_mids.push_back(mid_links[static_cast<size_t>(j)]);
-      }
-      for (int32_t pad = mid_off[pi + 1] - mid_off[pi]; pad < 2; ++pad) {
-        fast_mids.push_back(sentinel);
-      }
+    for (int32_t k = pcount; k < 3; ++k) {
+      rec.mid[2 * k] = pad_inf;
+      rec.mid[2 * k + 1] = pad_zero;
     }
-  }
-  // Padded push rows for the fast kinds: every fast path's links as exactly
-  // five (link, factor) slots with sentinel slots carrying factor 1.0
-  // (0.0 * 1.0 == +0.0, bitwise).
-  push5_ids.assign(5 * num_paths, sentinel);
-  push5_fac.assign(5 * num_paths, 1.0);
-  for (size_t c = 0; c < num_commodities; ++c) {
-    if (com_kind[c] != kFast3 && com_kind[c] != kFast1) {
-      continue;
-    }
-    for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
-      const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-      int32_t* ids = push5_ids.data() + 5 * static_cast<size_t>(pi);
-      double* fac = push5_fac.data() + 5 * static_cast<size_t>(pi);
-      int slot = 0;
-      for (int32_t j = path_off[pi]; j < path_off[pi + 1]; ++j, ++slot) {
-        // Real width is 3..5; middles shorter than 2 leave sentinel slots in
-        // positions 1..2 (already initialized above).
-        const int real = path_off[pi + 1] - path_off[pi];
-        const int pos = j - path_off[pi];
-        const int out = pos == 0 ? 0 : pos >= real - 2 ? pos + (5 - real) : pos;
-        ids[out] = path_links[static_cast<size_t>(j)];
-        fac[out] = path_factor[static_cast<size_t>(j)];
-      }
-    }
+    com_record[c] = static_cast<int32_t>(packed.size());
+    packed.push_back(rec);
   }
 }
 
-FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
-                                double epsilon, double delta, int64_t max_pushes,
-                                std::vector<double>& length,
+std::vector<double> InitialLengths(const FlatMcf& flat, double delta) {
+  const size_t num_edges = flat.num_edges();
+  std::vector<double> length(num_edges + 2, 0.0);
+  for (size_t l = 0; l < num_edges; ++l) {
+    length[l] = delta / flat.cap[l];
+  }
+  length[num_edges + 1] = std::numeric_limits<double>::infinity();
+  return length;
+}
+
+FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double epsilon,
+                                double delta, int64_t max_pushes, std::vector<double>& length,
                                 std::vector<double>& raw_flow) {
-  BDS_CHECK(length.size() == ws.num_edges + 1);
+  BDS_CHECK(length.size() == ws.num_edges + 2);
   BDS_CHECK(raw_flow.size() == ws.num_paths);
   FptasLoopStats stats;
 
@@ -293,9 +257,10 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
   const auto& path_bneck = ws.path_bneck;
   const auto& cp_off = ws.cp_off;
   const auto& cp_ids = ws.cp_ids;
-  constexpr uint8_t kFast3 = FptasWorkspace::kFast3;
-  constexpr uint8_t kFast1 = FptasWorkspace::kFast1;
-  constexpr uint8_t kStructured = FptasWorkspace::kStructured;
+  for (PackedCommodity& r : ws.packed) {
+    r.len_last = length[static_cast<size_t>(r.last)];
+    r.flow[0] = r.flow[1] = r.flow[2] = 0.0;
+  }
 
   // cached_min: 0.0 understates any real length and forces a first fresh
   // scan (still a valid lower bound afterwards — lengths only grow).
@@ -316,43 +281,36 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     size_t out = 0;
     for (size_t k = 0; k < active.size(); ++k) {
       const int32_t c = active[k];
-      if (cached_min[static_cast<size_t>(c)] >= threshold) {
+      const size_t cs = static_cast<size_t>(c);
+      if (cached_min[cs] >= threshold) {
         // Provably nothing to push: the cached minimum understates the
         // current one. Retire the commodity if even thresholds of 1 are
         // out of reach.
         ++stats.bound_skips;
-        if (cached_min[static_cast<size_t>(c)] < 1.0) {
+        if (cached_min[cs] < 1.0) {
           active[out++] = c;
         }
         continue;
       }
       bool retired = false;
-      const uint8_t kind = ws.com_kind[static_cast<size_t>(c)];
-      const size_t cs = static_cast<size_t>(c);
-      // Shared push + post-push bound check for the structured kinds (see
-      // the commentary in mcf.cc's solver entry point).
-      auto push_path = [&](int32_t best) {
-        raw_flow[static_cast<size_t>(best)] += path_bneck[static_cast<size_t>(best)];
-        for (int32_t j = path_off[best]; j < path_off[best + 1]; ++j) {
-          length[static_cast<size_t>(path_links[static_cast<size_t>(j)])] *=
-              path_factor[static_cast<size_t>(j)];
-        }
-      };
-      if (kind == kFast3) {
-        const double* L = length.data();
-        const int32_t f0 = ws.com_first[cs], f1 = ws.com_penult[cs], f2 = ws.com_last[cs];
-        const int32_t* fm = ws.fast_mids.data() + ws.fm_base[cs];
-        const int32_t p0 = cp_ids[static_cast<size_t>(cp_off[c])];
-        const int32_t p1 = cp_ids[static_cast<size_t>(cp_off[c]) + 1];
-        const int32_t p2 = cp_ids[static_cast<size_t>(cp_off[c]) + 2];
+      const int32_t rec = ws.com_record[cs];
+      if (rec >= 0) {
+        // Packed scan: the nine slot lengths once, path sums in link order
+        // (pads add +0.0 or make a missing path +inf), then a first-wins
+        // strict-< argmin — the bits of the plain scan below.
+        PackedCommodity& r = ws.packed[static_cast<size_t>(rec)];
+        double* L = length.data();
         for (;;) {
-          const double h0 = L[f0], h1 = L[f1], h2 = L[f2];
-          double s0 = h0 + L[fm[0]];
-          double s1 = h0 + L[fm[2]];
-          double s2 = h0 + L[fm[4]];
-          s0 += L[fm[1]];
-          s1 += L[fm[3]];
-          s2 += L[fm[5]];
+          const double h0 = L[r.first], h1 = L[r.penult], h2 = r.len_last;
+          const double a0 = L[r.mid[0]], b0 = L[r.mid[1]];
+          const double a1 = L[r.mid[2]], b1 = L[r.mid[3]];
+          const double a2 = L[r.mid[4]], b2 = L[r.mid[5]];
+          double s0 = h0 + a0;
+          double s1 = h0 + a1;
+          double s2 = h0 + a2;
+          s0 += b0;
+          s1 += b1;
+          s2 += b2;
           s0 += h1;
           s1 += h1;
           s2 += h1;
@@ -360,14 +318,58 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
           s1 += h2;
           s2 += h2;
           double m = s0;
-          int32_t best = p0;
-          if (s1 < m) {
-            m = s1;
-            best = p1;
+          int best = 0;
+          best = s1 < m ? 1 : best;
+          m = s1 < m ? s1 : m;
+          best = s2 < m ? 2 : best;
+          m = s2 < m ? s2 : m;
+          if (m >= threshold) {
+            cached_min[cs] = m;
+            retired = m >= 1.0;
+            break;
           }
-          if (s2 < m) {
-            m = s2;
-            best = p2;
+          // The path's real slot links are distinct, so every loaded length
+          // is still current: write it times its factor. Its middle lengths
+          // are selected, not read back from an array indexed by `best`: that
+          // stack round trip made the loop ~1.5× slower.
+          const double a = best == 0 ? a0 : best == 1 ? a1 : a2;
+          const double b = best == 0 ? b0 : best == 1 ? b1 : b2;
+          const double* f = r.fac[best];
+          r.flow[best] += r.bneck[best];
+          L[r.first] = h0 * f[0];
+          L[r.mid[2 * best]] = a * f[1];
+          L[r.mid[2 * best + 1]] = b * f[2];
+          L[r.penult] = h1 * f[3];
+          r.len_last = h2 * f[4];
+          if (++pushes >= max_pushes) {
+            break;
+          }
+          // Every path ends on the demand edge, so its length bounds the
+          // new minimum from below and can prove the rescan futile.
+          if (r.len_last >= threshold) {
+            cached_min[cs] = r.len_last;
+            retired = r.len_last >= 1.0;
+            ++stats.bound_skips;
+            break;
+          }
+        }
+      } else {
+        for (;;) {
+          // Fresh scan of the commodity's paths, in path then link order —
+          // the exact operation sequence (and so the exact doubles) of the
+          // reference's rescan. Strict < keeps the first-wins tie-break.
+          double m = std::numeric_limits<double>::infinity();
+          int32_t best = -1;
+          for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
+            const int32_t pi = cp_ids[static_cast<size_t>(idx)];
+            double s = 0.0;
+            for (int32_t j = path_off[pi]; j < path_off[pi + 1]; ++j) {
+              s += length[static_cast<size_t>(path_links[static_cast<size_t>(j)])];
+            }
+            if (s < m) {
+              m = s;
+              best = pi;
+            }
           }
           if (m >= threshold) {
             cached_min[cs] = m;
@@ -375,119 +377,12 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
             break;
           }
           raw_flow[static_cast<size_t>(best)] += path_bneck[static_cast<size_t>(best)];
-          {
-            double* Lw = length.data();
-            const int32_t* qi = ws.push5_ids.data() + 5 * static_cast<size_t>(best);
-            const double* qf = ws.push5_fac.data() + 5 * static_cast<size_t>(best);
-            Lw[qi[0]] *= qf[0];
-            Lw[qi[1]] *= qf[1];
-            Lw[qi[2]] *= qf[2];
-            Lw[qi[3]] *= qf[3];
-            Lw[qi[4]] *= qf[4];
+          for (int32_t j = path_off[best]; j < path_off[best + 1]; ++j) {
+            length[static_cast<size_t>(path_links[static_cast<size_t>(j)])] *=
+                path_factor[static_cast<size_t>(j)];
           }
           if (++pushes >= max_pushes) {
             break;
-          }
-          const double lb = L[f2];
-          if (lb >= threshold) {
-            cached_min[cs] = lb;
-            retired = lb >= 1.0;
-            ++stats.bound_skips;
-            break;
-          }
-        }
-      } else if (kind == kFast1) {
-        const double* L = length.data();
-        const int32_t f0 = ws.com_first[cs], f1 = ws.com_penult[cs], f2 = ws.com_last[cs];
-        const int32_t* fm = ws.fast_mids.data() + ws.fm_base[cs];
-        const int32_t p0 = cp_ids[static_cast<size_t>(cp_off[c])];
-        for (;;) {
-          double s0 = L[f0] + L[fm[0]];
-          s0 += L[fm[1]];
-          s0 += L[f1];
-          s0 += L[f2];
-          if (s0 >= threshold) {
-            cached_min[cs] = s0;
-            retired = s0 >= 1.0;
-            break;
-          }
-          raw_flow[static_cast<size_t>(p0)] += path_bneck[static_cast<size_t>(p0)];
-          {
-            double* Lw = length.data();
-            const int32_t* qi = ws.push5_ids.data() + 5 * static_cast<size_t>(p0);
-            const double* qf = ws.push5_fac.data() + 5 * static_cast<size_t>(p0);
-            Lw[qi[0]] *= qf[0];
-            Lw[qi[1]] *= qf[1];
-            Lw[qi[2]] *= qf[2];
-            Lw[qi[3]] *= qf[3];
-            Lw[qi[4]] *= qf[4];
-          }
-          if (++pushes >= max_pushes) {
-            break;
-          }
-          const double lb = L[f2];
-          if (lb >= threshold) {
-            cached_min[cs] = lb;
-            retired = lb >= 1.0;
-            ++stats.bound_skips;
-            break;
-          }
-        }
-      } else {
-        const bool structured = kind == kStructured;
-        for (;;) {
-          // Fresh scan of the commodity's paths, in path then link order —
-          // the exact operation sequence (and so the exact doubles) of the
-          // reference's rescan. Strict < keeps the first-wins tie-break.
-          double m = std::numeric_limits<double>::infinity();
-          int32_t best = -1;
-          if (structured) {
-            const double h0 = length[static_cast<size_t>(ws.com_first[cs])];
-            const double h1 = length[static_cast<size_t>(ws.com_penult[cs])];
-            const double h2 = length[static_cast<size_t>(ws.com_last[cs])];
-            for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
-              const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-              double s = h0;
-              for (int32_t j = ws.mid_off[pi]; j < ws.mid_off[pi + 1]; ++j) {
-                s += length[static_cast<size_t>(ws.mid_links[static_cast<size_t>(j)])];
-              }
-              s += h1;
-              s += h2;
-              if (s < m) {
-                m = s;
-                best = pi;
-              }
-            }
-          } else {
-            for (int32_t idx = cp_off[c]; idx < cp_off[c + 1]; ++idx) {
-              const int32_t pi = cp_ids[static_cast<size_t>(idx)];
-              double s = 0.0;
-              for (int32_t j = path_off[pi]; j < path_off[pi + 1]; ++j) {
-                s += length[static_cast<size_t>(path_links[static_cast<size_t>(j)])];
-              }
-              if (s < m) {
-                m = s;
-                best = pi;
-              }
-            }
-          }
-          if (m >= threshold) {
-            cached_min[cs] = m;
-            retired = m >= 1.0;
-            break;
-          }
-          push_path(best);
-          if (++pushes >= max_pushes) {
-            break;
-          }
-          if (structured) {
-            const double lb = length[static_cast<size_t>(ws.com_last[cs])];
-            if (lb >= threshold) {
-              cached_min[cs] = lb;
-              retired = lb >= 1.0;
-              ++stats.bound_skips;
-              break;
-            }
           }
         }
       }
@@ -503,6 +398,15 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
     }
     active.resize(out);
     alpha *= 1.0 + epsilon;
+  }
+
+  // Every exit, the push cap's included, lands here: hand the records'
+  // state back to the caller's arrays.
+  for (const PackedCommodity& r : ws.packed) {
+    length[static_cast<size_t>(r.last)] = r.len_last;
+    for (int k = 0; k < 3 && r.path[k] >= 0; ++k) {
+      raw_flow[static_cast<size_t>(r.path[k])] += r.flow[k];
+    }
   }
 
   stats.pushes = pushes;

@@ -9,8 +9,8 @@
 //    delta, the alpha phase ladder, the push budget, the finalize scale —
 //    is a function of THIS struct, so two solvers sharing one FlatMcf share
 //    the exact numeric trajectory.
-//  * FptasWorkspace — the CSR layout + structured-shape acceleration tables
-//    of the tuned solver, precomputed once per instance.
+//  * FptasWorkspace — the tuned solver's packed commodity records and CSR
+//    layout, precomputed once per instance.
 //  * RunFptasPushLoop — the tuned phase loop over every commodity.
 //  * FinalizeFptas — theoretical rescale + global feasibility normalization
 //    + two greedy augmentation rounds; a pure function of (flat, raw_flow).
@@ -68,10 +68,32 @@ McfResult MakeEmptyFptasResult(const McfInstance& instance);
 void FinalizeFptas(const FlatMcf& flat, double epsilon, double delta,
                    std::vector<double>& raw_flow, McfResult& result);
 
-// Precomputed acceleration tables for RunFptasPushLoop (the tuned solver's
-// CSR layout, per-path bottlenecks/factors, structured-shape detection and
-// padded fast rows). Pure function of (flat, epsilon); read-only during the
-// loop.
+// The controller's commodity shape, packed into one contiguous record:
+// 1–3 paths that share their first link (uplink), penultimate link
+// (downlink) and last link (the commodity's private demand edge), each with
+// at most two middle links. Every path has five slots, in link order: first,
+// two middles, penultimate, last. A short middle is padded with the 0.0 pad
+// edge and a missing path with the +inf pad edge (see InitialLengths), so one
+// unrolled scan sums every shape to the bits of a plain link-order scan.
+struct PackedCommodity {
+  int32_t first = 0;
+  int32_t penult = 0;
+  int32_t last = 0;
+  int32_t path[3] = {-1, -1, -1};  // Flat path ids; -1 for a missing path.
+  int32_t mid[6] = {};             // Path k's middle links: mid[2k], mid[2k+1].
+  // RunFptasPushLoop's state, reset at its entry and scattered at its exit:
+  // the demand edge's length (no other commodity touches that edge) and the
+  // raw flow pushed on each path.
+  double len_last = 0.0;
+  double flow[3] = {0.0, 0.0, 0.0};
+  double bneck[3] = {0.0, 0.0, 0.0};  // Static bottleneck capacity per path.
+  double fac[3][5] = {};              // Per-slot length multiplier of a push.
+};
+
+// Precomputed tables for RunFptasPushLoop: a packed record per
+// controller-shaped commodity, the CSR layout every other commodity is
+// scanned through. Pure function of (flat, epsilon), except the records'
+// loop state.
 struct FptasWorkspace {
   FptasWorkspace(const FlatMcf& flat, double epsilon);
 
@@ -86,21 +108,16 @@ struct FptasWorkspace {
   // CSR: commodity c's path ids at cp_ids[cp_off[c] .. cp_off[c+1]).
   std::vector<int32_t> cp_off;
   std::vector<int32_t> cp_ids;
-  // Structured-shape tables (shared first/penultimate/last links; see
-  // SolveMcfFptas's commentary).
-  std::vector<int32_t> com_first;
-  std::vector<int32_t> com_penult;
-  std::vector<int32_t> com_last;
-  std::vector<uint8_t> com_kind;  // kGeneric/kStructured/kFast3/kFast1.
-  std::vector<int32_t> mid_off;
-  std::vector<int32_t> mid_links;
-  std::vector<int32_t> fm_base;
-  std::vector<int32_t> fast_mids;
-  std::vector<int32_t> push5_ids;
-  std::vector<double> push5_fac;
-
-  static constexpr uint8_t kGeneric = 0, kStructured = 1, kFast3 = 2, kFast1 = 3;
+  // Commodity c's index into `packed`, or -1 when it takes the CSR scan.
+  std::vector<int32_t> com_record;
+  std::vector<PackedCommodity> packed;
+  int64_t generic_commodities = 0;  // Commodities with paths but no record.
 };
+
+// The push loop's starting edge lengths, delta / capacity per edge, plus the
+// two pad edges the packed records point at: index num_edges (0.0) and
+// num_edges + 1 (+inf).
+std::vector<double> InitialLengths(const FlatMcf& flat, double delta);
 
 struct FptasLoopStats {
   int64_t pushes = 0;
@@ -110,11 +127,10 @@ struct FptasLoopStats {
 };
 
 // The tuned Fleischer phase loop over every commodity (commodities without
-// paths are skipped). Reads and multiplies `length` (size
-// flat.num_edges() + 1; the last slot is the sentinel padding edge and must
-// be 0.0) and accumulates into `raw_flow` (size flat.num_paths()). delta and
-// max_pushes come from FptasDelta / MaxPushes.
-FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, const FptasWorkspace& ws,
+// paths are skipped). Reads and multiplies `length` (as built by
+// InitialLengths) and accumulates into `raw_flow` (size flat.paths.size(),
+// zero on entry). delta and max_pushes come from FptasDelta / MaxPushes.
+FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws,
                                 double epsilon, double delta, int64_t max_pushes,
                                 std::vector<double>& length,
                                 std::vector<double>& raw_flow);

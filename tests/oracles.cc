@@ -10,25 +10,11 @@
 
 namespace bds {
 
-McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
-  BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
-  McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
-  const mcf_internal::FlatMcf flat = mcf_internal::FlattenMcf(instance);
+int64_t FptasPushLoopReference(const mcf_internal::FlatMcf& flat, double epsilon, double delta,
+                               int64_t max_pushes, std::vector<double>& length,
+                               std::vector<double>& raw_flow) {
   const std::vector<double>& cap = flat.cap;
   const std::vector<mcf_internal::FlatPath>& paths = flat.paths;
-  result.ok = true;
-  if (paths.empty()) {
-    return result;  // Nothing can flow.
-  }
-
-  const size_t num_edges = flat.num_edges();
-  const double delta = mcf_internal::FptasDelta(flat, epsilon);
-  std::vector<double> length(num_edges);
-  for (size_t l = 0; l < num_edges; ++l) {
-    length[l] = delta / cap[l];
-  }
-  std::vector<double> raw_flow(paths.size(), 0.0);
-
   auto path_length = [&](const mcf_internal::FlatPath& p) {
     double s = 0.0;
     for (int l : p.links) {
@@ -43,7 +29,6 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
   // commodity keeps pushing along its cheapest path while that path is
   // shorter than min(1, alpha * (1 + eps)); when every commodity's cheapest
   // path reaches 1 the algorithm stops.
-  const int64_t max_pushes = mcf_internal::MaxPushes(flat, epsilon, delta);
   int64_t pushes = 0;
   double alpha = delta * static_cast<double>(flat.max_len);
   while (alpha < 1.0 && pushes < max_pushes) {
@@ -80,7 +65,27 @@ McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
     }
     alpha *= 1.0 + epsilon;
   }
+  return pushes;
+}
 
+McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon) {
+  BDS_CHECK_MSG(epsilon > 0.0 && epsilon <= 0.5, "epsilon must be in (0, 0.5]");
+  McfResult result = mcf_internal::MakeEmptyFptasResult(instance);
+  const mcf_internal::FlatMcf flat = mcf_internal::FlattenMcf(instance);
+  result.ok = true;
+  if (flat.paths.empty()) {
+    return result;  // Nothing can flow.
+  }
+
+  const size_t num_edges = flat.num_edges();
+  const double delta = mcf_internal::FptasDelta(flat, epsilon);
+  std::vector<double> length(num_edges);
+  for (size_t l = 0; l < num_edges; ++l) {
+    length[l] = delta / flat.cap[l];
+  }
+  std::vector<double> raw_flow(flat.paths.size(), 0.0);
+  FptasPushLoopReference(flat, epsilon, delta, mcf_internal::MaxPushes(flat, epsilon, delta),
+                         length, raw_flow);
   mcf_internal::FinalizeFptas(flat, epsilon, delta, raw_flow, result);
   return result;
 }

@@ -10,6 +10,7 @@
 
 #include "src/common/types.h"
 #include "src/lp/mcf.h"
+#include "src/lp/mcf_internal.h"
 #include "src/topology/path.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
@@ -58,6 +59,15 @@ struct Flow {
 // lengths per push, every commodity visited every phase). SolveMcfFptas must
 // match it bit for bit.
 McfResult SolveMcfFptasReference(const McfInstance& instance, double epsilon = 0.1);
+
+// SolveMcfFptasReference's push loop on its own, for a caller-chosen push
+// cap: runs the phases from `length` (size flat.num_edges()) and accumulates
+// into `raw_flow` (size flat.paths.size()), stopping after `max_pushes`
+// pushes. Returns the number of pushes made. RunFptasPushLoop must leave the
+// same lengths and raw flows after the same number of pushes.
+int64_t FptasPushLoopReference(const mcf_internal::FlatMcf& flat, double epsilon, double delta,
+                               int64_t max_pushes, std::vector<double>& length,
+                               std::vector<double>& raw_flow);
 
 // Phase 1 of progressive filling (pinned flows only) in its straightforward
 // form, on BandwidthAllocator::AllocateSubset's flat arrays: every round
