@@ -151,7 +151,8 @@ BdsController::BdsController(const Topology* topo, const WanRoutingTable* routin
                   DecentralizedEngine::Options o = options.fallback;
                   o.seed = options.seed ^ 0xFA11BACC;
                   return o;
-                }()) {
+                }()),
+      watchdog_(OverloadOptions{}, options.algorithm) {
   BDS_CHECK(topo != nullptr && routing != nullptr);
   sim_.SetCompletionCallback([this](const FlowRecord& r) { OnFlowComplete(r); });
   fallback_.SetDeliveryCallback([this](JobId job, int64_t block, ServerId src, ServerId dst) {
@@ -279,14 +280,7 @@ void BdsController::ApplyReplicaEvents(SimTime now) {
 }
 
 void BdsController::ConfigureOverload(const OverloadOptions& options) {
-  OverloadOptions o = options;
-  // Pricing knobs must match what actually runs, so they come from the
-  // algorithm options regardless of what the caller filled in.
-  o.cycle_length = options_.algorithm.cycle_length;
-  o.max_wan_routes = options_.algorithm.max_wan_routes;
-  o.fptas_epsilon = options_.algorithm.fptas_epsilon;
-  o.degraded_epsilon_factor = options_.algorithm.degraded_epsilon_factor;
-  watchdog_ = CycleWatchdog(o);
+  watchdog_ = CycleWatchdog(options, options_.algorithm);
 }
 
 void BdsController::ConfigureAdmission(const AdmissionOptions& options) {
@@ -734,8 +728,7 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
     ts_solve_cpu_ += decision.solve_cpu_seconds;
     ts_merge_cpu_ += decision.merge_cpu_seconds;
   }
-  if ((options_.measure_delays || options_.model_decision_latency) &&
-      !active_agent_dcs_.empty()) {
+  if (!active_agent_dcs_.empty()) {
     stats.feedback_delay =
         agent_monitor_.SampleFeedbackLoop(active_agent_dcs_, decision.total_seconds());
   }
@@ -754,7 +747,8 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
   // in-flight transfers keep running meanwhile (non-blocking update).
   SimTime lead = 0.0;
   if (options_.model_decision_latency && stats.feedback_delay > 0.0) {
-    lead = std::min(stats.feedback_delay, options_.algorithm.cycle_length * 0.9);
+    lead = std::min(stats.feedback_delay,
+                    kMaxDecisionLagFraction * options_.algorithm.cycle_length);
   }
   if (watchdog_.enabled()) {
     lead = std::max(lead, watchdog_.StalenessFor(cycle_cost));

@@ -65,8 +65,6 @@ struct ControllerOptions {
   // rate could linger forever while its blocks stay locked. Generous by
   // default so healthy long transfers are left alone.
   double restall_cycles = 20.0;
-  // Sample control-plane delays (Fig 11b/11c). Costs a little RNG work.
-  bool measure_delays = true;
   // Charge the feedback-loop delay against the cycle: transfers start only
   // after status collection + algorithm execution + decision push. This is
   // what makes very short update cycles counter-productive (Fig 12c's knee
@@ -191,9 +189,8 @@ class BdsController {
   Status ScheduleReplicaRecovery(int replica, SimTime at);
 
   // --- Long-running service mode. Configure before Run(). ---
-  // Cycle-deadline watchdog + degradation ladder. Knobs the cost model needs
-  // (cycle length, route count, epsilon) are taken from the algorithm
-  // options, not from `options`, so pricing always matches what runs.
+  // Cycle-deadline watchdog + degradation ladder, priced from this
+  // controller's algorithm options.
   void ConfigureOverload(const OverloadOptions& options);
   // Admission control over open-loop arrivals (script-submitted jobs are
   // always accepted — they model operator-initiated work).

@@ -20,11 +20,9 @@ struct BdsOptions {
   Rate bulk_rate_cap = 0.0;  // Per-WAN-link hard cap; <= 0 disables.
 
   // Decision algorithm (§4).
-  int max_wan_routes = 3;
   double fptas_epsilon = 0.1;
   bool merge_subtasks = true;
   bool use_exact_lp = false;  // "Standard LP" ablation mode.
-  int64_t max_deliveries_per_cycle = 0;
   // Fleet-scale controller parallelism: worker threads for the per-subtask /
   // per-candidate passes, and shards for the selection queue (DESIGN.md
   // "Sharded controller"). Either value may be raised without changing any
@@ -35,7 +33,6 @@ struct BdsOptions {
   // Control plane.
   DcId controller_dc = 0;
   int controller_replicas = 3;
-  bool measure_delays = true;
   // Charge the control-plane feedback loop against each cycle (Fig 12c).
   bool model_decision_latency = false;
   int fallback_visibility = 3;  // Decentralized-fallback source visibility.

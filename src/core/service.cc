@@ -10,8 +10,6 @@ ControllerOptions ToControllerOptions(const BdsOptions& options) {
   c.algorithm.fptas_epsilon = options.fptas_epsilon;
   c.algorithm.merge_subtasks = options.merge_subtasks;
   c.algorithm.use_exact_lp = options.use_exact_lp;
-  c.algorithm.max_wan_routes = options.max_wan_routes;
-  c.algorithm.max_deliveries_per_cycle = options.max_deliveries_per_cycle;
   c.algorithm.num_threads = options.num_threads;
   c.algorithm.num_shards = options.num_shards;
   c.separation.safety_threshold = options.safety_threshold;
@@ -19,7 +17,6 @@ ControllerOptions ToControllerOptions(const BdsOptions& options) {
   c.fallback.visibility = options.fallback_visibility;
   c.replication.num_replicas = options.controller_replicas;
   c.controller_dc = options.controller_dc;
-  c.measure_delays = options.measure_delays;
   c.model_decision_latency = options.model_decision_latency;
   c.validate_invariants = options.validate_invariants;
   c.seed = options.seed;
@@ -42,7 +39,7 @@ StatusOr<std::unique_ptr<BdsService>> BdsService::Create(Topology topo, BdsOptio
   if (options.block_size <= 0.0 || options.cycle_length <= 0.0) {
     return InvalidArgumentError("BdsService: block size and cycle length must be positive");
   }
-  auto routing = WanRoutingTable::Build(topo, options.max_wan_routes);
+  auto routing = WanRoutingTable::Build(topo, ControllerAlgorithmOptions{}.max_wan_routes);
   if (!routing.ok()) {
     return routing.status();
   }

@@ -33,6 +33,18 @@ double ProcessCpuSeconds() {
 
 }  // namespace
 
+RungKnobs KnobsForRung(DegradationRung rung, const ControllerAlgorithmOptions& options) {
+  constexpr int64_t kShedCap = 4096;
+  const int64_t cap = options.max_deliveries_per_cycle;
+  const int64_t shed_cap = cap > 0 ? std::min(cap, kShedCap) : kShedCap;
+  return RungKnobs{
+      rung >= DegradationRung::kFirstRouteOnly ? 1 : options.max_wan_routes,
+      rung >= DegradationRung::kCoarseEpsilon ? std::min(0.5, options.fptas_epsilon * 4.0)
+                                              : options.fptas_epsilon,
+      rung >= DegradationRung::kShedCandidates ? shed_cap : cap,
+      rung == DegradationRung::kExtendDecisions};
+}
+
 ControllerAlgorithm::ControllerAlgorithm(const Topology* topo, const WanRoutingTable* routing,
                                          ControllerAlgorithmOptions options)
     : topo_(topo),
@@ -344,14 +356,8 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   int64_t stale_requeues = 0;
   bool early_exit = false;
 
-  // Effective per-cycle selection cap: the configured cap, tightened to
-  // shed_deliveries_cap when the degradation ladder reached kShedCandidates.
-  int64_t max_deliveries = options_.max_deliveries_per_cycle;
-  if (rung_ >= DegradationRung::kShedCandidates && options_.shed_deliveries_cap > 0) {
-    max_deliveries = max_deliveries > 0
-                         ? std::min(max_deliveries, options_.shed_deliveries_cap)
-                         : options_.shed_deliveries_cap;
-  }
+  // Per-cycle selection cap: the configured one, tightened on the shed rung.
+  const int64_t max_deliveries = KnobsForRung(rung_, options_).max_deliveries;
 
   std::vector<Selected> selected;
   while (!queue_empty()) {
@@ -520,10 +526,9 @@ void ControllerAlgorithm::RouteBlocks(std::vector<Selected> selected,
   instance.commodities.resize(num_subtasks);
   subtask_paths_.resize(num_subtasks);
 
-  // Degradation rung kCachedPaths and above: route every subtask over its
-  // DC pair's routes[0] only — no alternate-route exploration.
-  const int route_cap =
-      rung_ >= DegradationRung::kCachedPaths ? 1 : options_.max_wan_routes;
+  // The degradation rung may cut routes per subtask to routes[0] only and
+  // coarsen epsilon (fewer FPTAS phases).
+  const RungKnobs knobs = KnobsForRung(rung_, options_);
 
   // Per-subtask path build and commodity build: independent work writing to
   // pre-sized slots.
@@ -531,7 +536,7 @@ void ControllerAlgorithm::RouteBlocks(std::vector<Selected> selected,
     for (size_t i = begin; i < end; ++i) {
       const Subtask& st = subtasks[i];
       std::vector<ServerPath>& paths = subtask_paths_[i];
-      MakeServerPaths(*topo_, *routing_, st.src, st.dst, route_cap, &paths);
+      MakeServerPaths(*topo_, *routing_, st.src, st.dst, knobs.route_cap, &paths);
       McfCommodity& commodity = instance.commodities[i];
       commodity.demand = st.bytes / options_.cycle_length;
       commodity.paths.resize(paths.size());
@@ -546,15 +551,8 @@ void ControllerAlgorithm::RouteBlocks(std::vector<Selected> selected,
     }
   });
 
-  // Rung kCoarseEpsilon and above trades routing precision for running time
-  // by coarsening epsilon.
-  const double fptas_epsilon =
-      rung_ >= DegradationRung::kCoarseEpsilon
-          ? std::min(0.5, options_.fptas_epsilon * options_.degraded_epsilon_factor)
-          : options_.fptas_epsilon;
-
   const McfResult flows = options_.use_exact_lp ? SolveMcfSimplex(instance)
-                                                : SolveMcfFptas(instance, fptas_epsilon);
+                                                : SolveMcfFptas(instance, knobs.fptas_epsilon);
   // Phase accounting: instance build + the whole solve (finalize included)
   // count as "solve"; the block-split/transfer-emission tail below is
   // "merge".

@@ -100,14 +100,20 @@ struct ControllerAlgorithmOptions {
   // (see the shard-parity suite). Routing is one SolveMcfFptas call for
   // every K. Ignored by schedule_all.
   int num_shards = 1;
-  // Degradation-ladder knob positions (src/scheduler/degradation.h); only
-  // consulted when SetDegradationRung raises the rung above kNormal.
-  // kCoarseEpsilon multiplies fptas_epsilon by this factor (capped at 0.5):
-  double degraded_epsilon_factor = 4.0;
-  // kShedCandidates caps deliveries selected per cycle at this (combined
-  // with max_deliveries_per_cycle by min when both are set):
-  int64_t shed_deliveries_cap = 4096;
 };
+
+// One degradation rung's knob positions.
+struct RungKnobs {
+  int route_cap = 0;            // WAN routes per subtask.
+  double fptas_epsilon = 0.0;   // Routing precision.
+  int64_t max_deliveries = 0;   // Selection cap per cycle; 0 = capacity-driven.
+  bool skip_decisions = false;  // No scheduling or routing this cycle.
+};
+
+// The knobs `rung` runs with, from the configured ones in `options` (see the
+// ladder in src/scheduler/degradation.h). The only place the rungs' positions
+// are written down: the algorithm runs them and the watchdog prices them.
+RungKnobs KnobsForRung(DegradationRung rung, const ControllerAlgorithmOptions& options);
 
 class ControllerAlgorithm {
  public:
@@ -122,12 +128,11 @@ class ControllerAlgorithm {
                        const DeliveryKeySet& in_flight);
 
   // Degradation ladder (set by the cycle-deadline watchdog before each
-  // cycle). Rungs kCachedPaths..kShedCandidates cheapen this Decide() call:
-  // routes[0] only per subtask, coarser FPTAS epsilon, shed selection cap.
-  // kExtendDecisions is realized by the controller (it skips Decide()
-  // entirely); the algorithm treats it like kShedCandidates if called.
+  // cycle). Rungs kFirstRouteOnly..kShedCandidates cheapen this Decide()
+  // call with the knobs KnobsForRung gives them. kExtendDecisions is
+  // realized by the controller (it skips Decide() entirely); the algorithm
+  // treats it like kShedCandidates if called.
   void SetDegradationRung(DegradationRung rung) { rung_ = rung; }
-  DegradationRung degradation_rung() const { return rung_; }
 
   const ControllerAlgorithmOptions& options() const { return options_; }
 

@@ -5,12 +5,13 @@
 // ladder one rung at a time; each rung trades decision quality for cycle CPU:
 //
 //   kNormal          full algorithm, configured knobs.
-//   kCachedPaths     route every subtask over its DC pair's routes[0] only
+//   kFirstRouteOnly  route every subtask over its DC pair's routes[0] only
 //                    (no alternate-route exploration).
-//   kCoarseEpsilon   additionally coarsen the FPTAS epsilon — fewer phases,
-//                    a (1 - eps)-worse allocation.
-//   kShedCandidates  additionally cap the deliveries selected per cycle, so
-//                    the candidate build and the MCF stay small.
+//   kCoarseEpsilon   additionally coarsen the FPTAS epsilon to
+//                    min(0.5, 4 * eps) — fewer phases, a worse allocation.
+//   kShedCandidates  additionally cap the deliveries selected per cycle at
+//                    4096 (or the configured cap, if lower), so the
+//                    candidate build and the MCF stay small.
 //   kExtendDecisions additionally skip scheduling + routing entirely;
 //                    in-flight transfers keep their allocations (the §5.1
 //                    non-blocking update extended for one more cycle).
@@ -25,7 +26,7 @@ namespace bds {
 
 enum class DegradationRung : int {
   kNormal = 0,
-  kCachedPaths = 1,
+  kFirstRouteOnly = 1,
   kCoarseEpsilon = 2,
   kShedCandidates = 3,
   kExtendDecisions = 4,
@@ -37,8 +38,8 @@ inline const char* DegradationRungName(DegradationRung rung) {
   switch (rung) {
     case DegradationRung::kNormal:
       return "normal";
-    case DegradationRung::kCachedPaths:
-      return "cached_paths";
+    case DegradationRung::kFirstRouteOnly:
+      return "first_route_only";
     case DegradationRung::kCoarseEpsilon:
       return "coarse_epsilon";
     case DegradationRung::kShedCandidates:

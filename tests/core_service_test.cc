@@ -141,9 +141,7 @@ TEST(BdsServiceTest, ControllerOutageFallsBackAndRecovers) {
 }
 
 TEST(BdsServiceTest, MeasuresControlDelays) {
-  BdsOptions opt;
-  opt.measure_delays = true;
-  auto service = MakeService(3, 2, opt);
+  auto service = MakeService(3, 2);
   ASSERT_TRUE(service->CreateJob(0, {1, 2}, MB(20.0)).ok());
   auto report = service->Run();
   ASSERT_TRUE(report.ok());

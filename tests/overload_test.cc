@@ -45,20 +45,24 @@ TEST(CycleCostModelTest, CalibrationAnchorPricesNearMeasuredCycle) {
 OverloadOptions WatchdogOptions() {
   OverloadOptions o;
   o.enabled = true;
-  o.cycle_length = 1.0;
-  o.overrun_threshold = 1.0;
-  o.recover_threshold = 0.5;
   o.recover_cycles = 2;
   return o;
+}
+
+// A 1 s cycle: overrun above 1.0 s of cost, calm below 0.5 s.
+ControllerAlgorithmOptions WatchdogAlgorithm() {
+  ControllerAlgorithmOptions a;
+  a.cycle_length = 1.0;
+  return a;
 }
 
 // --------------------------------------------------------------------------
 // CycleWatchdog ladder dynamics.
 
 TEST(CycleWatchdogTest, EscalatesOneRungPerOverrunAndSaturates) {
-  CycleWatchdog wd(WatchdogOptions());
+  CycleWatchdog wd(WatchdogOptions(), WatchdogAlgorithm());
   EXPECT_EQ(wd.rung(), DegradationRung::kNormal);
-  EXPECT_EQ(wd.Observe(0, 2.0), DegradationRung::kCachedPaths);
+  EXPECT_EQ(wd.Observe(0, 2.0), DegradationRung::kFirstRouteOnly);
   EXPECT_EQ(wd.Observe(1, 2.0), DegradationRung::kCoarseEpsilon);
   EXPECT_EQ(wd.Observe(2, 2.0), DegradationRung::kShedCandidates);
   EXPECT_EQ(wd.Observe(3, 2.0), DegradationRung::kExtendDecisions);
@@ -70,28 +74,28 @@ TEST(CycleWatchdogTest, EscalatesOneRungPerOverrunAndSaturates) {
 }
 
 TEST(CycleWatchdogTest, RecoversAfterConsecutiveCalmCycles) {
-  CycleWatchdog wd(WatchdogOptions());
-  wd.Observe(0, 2.0);  // -> kCachedPaths
-  EXPECT_EQ(wd.Observe(1, 0.1), DegradationRung::kCachedPaths);  // calm 1 of 2
-  EXPECT_EQ(wd.Observe(2, 0.1), DegradationRung::kNormal);       // calm 2 of 2
+  CycleWatchdog wd(WatchdogOptions(), WatchdogAlgorithm());
+  wd.Observe(0, 2.0);  // -> kFirstRouteOnly
+  EXPECT_EQ(wd.Observe(1, 0.1), DegradationRung::kFirstRouteOnly);  // calm 1 of 2
+  EXPECT_EQ(wd.Observe(2, 0.1), DegradationRung::kNormal);          // calm 2 of 2
   ASSERT_EQ(wd.transitions().size(), 2u);
-  EXPECT_EQ(wd.transitions()[1].from, DegradationRung::kCachedPaths);
+  EXPECT_EQ(wd.transitions()[1].from, DegradationRung::kFirstRouteOnly);
   EXPECT_EQ(wd.transitions()[1].to, DegradationRung::kNormal);
 }
 
 TEST(CycleWatchdogTest, MiddlingCycleResetsCalmStreak) {
-  CycleWatchdog wd(WatchdogOptions());
-  wd.Observe(0, 2.0);  // -> kCachedPaths
+  CycleWatchdog wd(WatchdogOptions(), WatchdogAlgorithm());
+  wd.Observe(0, 2.0);  // -> kFirstRouteOnly
   wd.Observe(1, 0.1);  // calm 1 of 2
   // 0.7 is neither an overrun (> 1.0) nor calm (< 0.5): hold and reset.
-  EXPECT_EQ(wd.Observe(2, 0.7), DegradationRung::kCachedPaths);
-  EXPECT_EQ(wd.Observe(3, 0.1), DegradationRung::kCachedPaths);  // calm 1 of 2 again
+  EXPECT_EQ(wd.Observe(2, 0.7), DegradationRung::kFirstRouteOnly);
+  EXPECT_EQ(wd.Observe(3, 0.1), DegradationRung::kFirstRouteOnly);  // calm 1 of 2 again
   EXPECT_EQ(wd.Observe(4, 0.1), DegradationRung::kNormal);
   EXPECT_EQ(wd.overrun_cycles(), 1);
 }
 
 TEST(CycleWatchdogTest, RungOccupancyCoversEveryObservedCycle) {
-  CycleWatchdog wd(WatchdogOptions());
+  CycleWatchdog wd(WatchdogOptions(), WatchdogAlgorithm());
   for (int64_t c = 0; c < 10; ++c) {
     wd.Observe(c, c < 3 ? 2.0 : 0.1);
   }
@@ -100,13 +104,11 @@ TEST(CycleWatchdogTest, RungOccupancyCoversEveryObservedCycle) {
     total += n;
   }
   EXPECT_EQ(total, 10);
-  EXPECT_GT(wd.rung_cycles()[static_cast<size_t>(DegradationRung::kCachedPaths)], 0);
+  EXPECT_GT(wd.rung_cycles()[static_cast<size_t>(DegradationRung::kFirstRouteOnly)], 0);
 }
 
 TEST(CycleWatchdogTest, StalenessZeroUnderBudgetAndCapped) {
-  OverloadOptions o = WatchdogOptions();
-  o.max_staleness_fraction = 0.9;
-  CycleWatchdog wd(o);
+  CycleWatchdog wd(WatchdogOptions(), WatchdogAlgorithm());
   EXPECT_DOUBLE_EQ(wd.StalenessFor(0.5), 0.0);
   EXPECT_DOUBLE_EQ(wd.StalenessFor(1.0), 0.0);
   EXPECT_DOUBLE_EQ(wd.StalenessFor(1.4), 0.4);
@@ -114,32 +116,74 @@ TEST(CycleWatchdogTest, StalenessZeroUnderBudgetAndCapped) {
 }
 
 TEST(CycleWatchdogTest, ModelCostReflectsRungKnobs) {
-  OverloadOptions o = WatchdogOptions();
-  o.max_wan_routes = 3;
-  o.fptas_epsilon = 0.1;
-  o.degraded_epsilon_factor = 4.0;
-  CycleWatchdog wd(o);
+  const OverloadOptions o = WatchdogOptions();
+  ControllerAlgorithmOptions a = WatchdogAlgorithm();
+  a.max_wan_routes = 3;
+  a.fptas_epsilon = 0.1;
+  CycleWatchdog wd(o, a);
   const double normal = wd.ModelCost(1000, 100, 90);
-  wd.Observe(0, 2.0);  // -> kCachedPaths: one route instead of three.
-  const double cached = wd.ModelCost(1000, 100, 90);
-  EXPECT_LT(cached, normal);
+  wd.Observe(0, 2.0);  // -> kFirstRouteOnly: one route instead of three.
+  const double first_route = wd.ModelCost(1000, 100, 90);
+  EXPECT_LT(first_route, normal);
   wd.Observe(1, 2.0);  // -> kCoarseEpsilon: fewer FPTAS phases on top.
   const double coarse = wd.ModelCost(1000, 100, 90);
-  EXPECT_LT(coarse, cached);
+  EXPECT_LT(coarse, first_route);
   wd.Observe(2, 2.0);  // -> kShedCandidates
   wd.Observe(3, 2.0);  // -> kExtendDecisions: base cost only.
   EXPECT_DOUBLE_EQ(wd.ModelCost(1000, 100, 90), o.cost.base_seconds);
 }
 
+TEST(DegradationRungTest, KnobsForRungTable) {
+  ControllerAlgorithmOptions a;
+  a.max_wan_routes = 3;
+  a.fptas_epsilon = 0.2;
+  struct Row {
+    DegradationRung rung;
+    const char* name;
+    int route_cap;
+    double epsilon;
+    int64_t max_deliveries;
+    bool skip;
+  };
+  const Row rows[] = {
+      {DegradationRung::kNormal, "normal", 3, 0.2, 0, false},
+      {DegradationRung::kFirstRouteOnly, "first_route_only", 1, 0.2, 0, false},
+      // 4 x 0.2 = 0.8, capped at 0.5.
+      {DegradationRung::kCoarseEpsilon, "coarse_epsilon", 1, 0.5, 0, false},
+      {DegradationRung::kShedCandidates, "shed_candidates", 1, 0.5, 4096, false},
+      {DegradationRung::kExtendDecisions, "extend_decisions", 1, 0.5, 4096, true},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_STREQ(DegradationRungName(row.rung), row.name);
+    const RungKnobs k = KnobsForRung(row.rung, a);
+    EXPECT_EQ(k.route_cap, row.route_cap);
+    EXPECT_DOUBLE_EQ(k.fptas_epsilon, row.epsilon);
+    EXPECT_EQ(k.max_deliveries, row.max_deliveries);
+    EXPECT_EQ(k.skip_decisions, row.skip);
+  }
+  a.fptas_epsilon = 0.1;  // 4 x 0.1 stays under the cap.
+  EXPECT_DOUBLE_EQ(KnobsForRung(DegradationRung::kCoarseEpsilon, a).fptas_epsilon, 0.4);
+  // A configured selection cap holds above the shed rung and is combined
+  // with the shed cap by min on it.
+  a.max_deliveries_per_cycle = 100;
+  EXPECT_EQ(KnobsForRung(DegradationRung::kCoarseEpsilon, a).max_deliveries, 100);
+  EXPECT_EQ(KnobsForRung(DegradationRung::kShedCandidates, a).max_deliveries, 100);
+  a.max_deliveries_per_cycle = 10'000;
+  EXPECT_EQ(KnobsForRung(DegradationRung::kNormal, a).max_deliveries, 10'000);
+  EXPECT_EQ(KnobsForRung(DegradationRung::kShedCandidates, a).max_deliveries, 4096);
+  EXPECT_EQ(KnobsForRung(DegradationRung::kExtendDecisions, a).max_deliveries, 4096);
+}
+
 TEST(CycleWatchdogTest, TransitionDigestIsDeterministicAndOrderSensitive) {
-  CycleWatchdog a(WatchdogOptions());
-  CycleWatchdog b(WatchdogOptions());
+  CycleWatchdog a(WatchdogOptions(), WatchdogAlgorithm());
+  CycleWatchdog b(WatchdogOptions(), WatchdogAlgorithm());
   for (int64_t c = 0; c < 8; ++c) {
     a.Observe(c, c % 3 == 0 ? 2.0 : 0.1);
     b.Observe(c, c % 3 == 0 ? 2.0 : 0.1);
   }
   EXPECT_EQ(a.TransitionDigest(), b.TransitionDigest());
-  CycleWatchdog c(WatchdogOptions());
+  CycleWatchdog c(WatchdogOptions(), WatchdogAlgorithm());
   for (int64_t i = 0; i < 8; ++i) {
     c.Observe(i, i % 2 == 0 ? 2.0 : 0.1);
   }
@@ -346,6 +390,32 @@ TEST(WedgeWatchdogTest, DegradedRungDefersTheWedgeVerdict) {
   EXPECT_EQ(report->stop_reason, StopReason::kDrained);
   const auto& rungs = controller.watchdog().rung_cycles();
   EXPECT_GT(rungs[static_cast<size_t>(DegradationRung::kExtendDecisions)], 0);
+}
+
+TEST(CycleWatchdogTest, ControllerPricesTheKnobsItRuns) {
+  // The watchdog must price the route count and epsilon the algorithm is
+  // configured with, not defaults of its own.
+  Fixture f(/*dcs=*/4, /*servers=*/2);
+  ControllerOptions options = Defaults();
+  options.algorithm.max_wan_routes = 2;
+  options.algorithm.fptas_epsilon = 0.05;
+  BdsController controller(&f.topo, &f.routing, options);
+  const MulticastJob job = MakeJob(0, 0, {1, 2, 3}, MB(16.0)).value();
+  ASSERT_TRUE(controller.SubmitJob(job).ok());
+  OverloadOptions overload;
+  overload.enabled = true;
+  controller.ConfigureOverload(overload);
+  auto report = controller.Run();
+  ASSERT_TRUE(report.ok());
+  ASSERT_FALSE(report->cycles.empty());
+  const CycleStats& first = report->cycles.front();
+  ASSERT_EQ(first.cycle, 0);
+  ASSERT_EQ(first.rung, static_cast<int>(DegradationRung::kNormal));
+  ASSERT_GT(first.merged_subtasks, 0);
+  const int64_t pending = job.num_blocks() * 3;
+  EXPECT_EQ(first.modeled_cost_seconds,
+            CycleCostModel{}.Cost(pending, first.scheduled_blocks, first.merged_subtasks,
+                                  /*routes_per_subtask=*/2, /*epsilon=*/0.05));
 }
 
 // --------------------------------------------------------------------------

@@ -72,8 +72,6 @@ SteadyStateOptions SoakOptions(SimTime duration) {
   o.overload.enabled = true;
   o.overload.cost.base_seconds = 1e-4;
   o.overload.cost.per_pending_seconds = 1.2e-2;
-  o.overload.overrun_threshold = 1.0;
-  o.overload.recover_threshold = 0.5;
   o.overload.recover_cycles = 5;
 
   o.retire_completed = true;

@@ -240,7 +240,7 @@ def self_test():
               "reason": "max_backlog_cycles", "backlog": 900},
              {"e": "admission", "t": 300.0, "verdict": "accept",
               "reason": "under_budget", "backlog": 10},
-             {"e": "schedule", "t": 300.0, "cycle": 100, "rung": "cached_paths",
+             {"e": "schedule", "t": 300.0, "cycle": 100, "rung": "first_route_only",
               "src": 0, "dst": 4, "rate": 1e6, "blocks": 10},
              {"e": "fault", "t": 500.0, "fault": "link_down", "subject": 3},
              {"e": "cancel", "t": 500.0, "reason": "link_down", "credited": 4},
@@ -270,7 +270,7 @@ def self_test():
         sys.stdout = out
     for needle in ("completed in 15.00m", "fault-touched", "link_down",
                    "deferred 1x", "bottleneck:", "max_backlog_cycles",
-                   "cached_paths"):
+                   "first_route_only"):
         assert needle in text, f"missing {needle!r} in:\n{text}"
 
     out, sys.stdout = sys.stdout, io.StringIO()
