@@ -35,13 +35,11 @@ double ProcessCpuSeconds() {
 
 RungKnobs KnobsForRung(DegradationRung rung, const ControllerAlgorithmOptions& options) {
   constexpr int64_t kShedCap = 4096;
-  const int64_t cap = options.max_deliveries_per_cycle;
-  const int64_t shed_cap = cap > 0 ? std::min(cap, kShedCap) : kShedCap;
   return RungKnobs{
       rung >= DegradationRung::kFirstRouteOnly ? 1 : options.max_wan_routes,
       rung >= DegradationRung::kCoarseEpsilon ? std::min(0.5, options.fptas_epsilon * 4.0)
                                               : options.fptas_epsilon,
-      rung >= DegradationRung::kShedCandidates ? shed_cap : cap,
+      rung >= DegradationRung::kShedCandidates ? kShedCap : 0,
       rung == DegradationRung::kExtendDecisions};
 }
 
@@ -356,7 +354,7 @@ std::vector<ControllerAlgorithm::Selected> ControllerAlgorithm::ScheduleBlocks(
   int64_t stale_requeues = 0;
   bool early_exit = false;
 
-  // Per-cycle selection cap: the configured one, tightened on the shed rung.
+  // Per-cycle selection cap: none, except on the shed rung.
   const int64_t max_deliveries = KnobsForRung(rung_, options_).max_deliveries;
 
   std::vector<Selected> selected;

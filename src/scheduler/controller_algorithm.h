@@ -85,8 +85,6 @@ struct ControllerAlgorithmOptions {
   // every scheduled demand in full, so transfers finish within the cycle
   // instead of straggling into the next one and blocking its budget.
   double budget_fraction = 0.9;
-  // Optional hard cap on deliveries scheduled per cycle; 0 = capacity-driven.
-  int64_t max_deliveries_per_cycle = 0;
   // Worker threads for the per-subtask and per-candidate passes. 1 (the
   // default) runs everything on the calling thread; higher values fan the
   // independent work out over a small pool. Decisions are byte-identical
@@ -106,7 +104,7 @@ struct ControllerAlgorithmOptions {
 struct RungKnobs {
   int route_cap = 0;            // WAN routes per subtask.
   double fptas_epsilon = 0.0;   // Routing precision.
-  int64_t max_deliveries = 0;   // Selection cap per cycle; 0 = capacity-driven.
+  int64_t max_deliveries = 0;   // Selection cap per cycle; 0 = none.
   bool skip_decisions = false;  // No scheduling or routing this cycle.
 };
 

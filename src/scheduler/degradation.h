@@ -10,8 +10,7 @@
 //   kCoarseEpsilon   additionally coarsen the FPTAS epsilon to
 //                    min(0.5, 4 * eps) — fewer phases, a worse allocation.
 //   kShedCandidates  additionally cap the deliveries selected per cycle at
-//                    4096 (or the configured cap, if lower), so the
-//                    candidate build and the MCF stay small.
+//                    4096, so the candidate build and the MCF stay small.
 //   kExtendDecisions additionally skip scheduling + routing entirely;
 //                    in-flight transfers keep their allocations (the §5.1
 //                    non-blocking update extended for one more cycle).

@@ -19,6 +19,7 @@ NetworkSimulator::NetworkSimulator(const Topology* topo) : topo_(topo) {
   }
   link_rate_.assign(n, 0.0);
   link_dirty_.assign(n, 0);
+  link_ret_gen_.assign(n, 0);
   incidence_.Reset(topo->num_links());
 }
 
@@ -45,8 +46,10 @@ void NetworkSimulator::ReorderSlotsForLocality() {
   // component (components enumerated by ascending seed link, so the order is
   // deterministic however live_slots_ is arranged), so a component solve
   // gathers from a contiguous id-ordered slot range.
+  // The solve scratch is free to borrow for the permutation: the starts that
+  // trigger a reorder have dropped the retained arrays.
   incidence_.BeginEpoch();
-  comp_slots_.clear();  // Borrow the solve scratch for the permutation.
+  comp_slots_.clear();
   comp_slots_.reserve(static_cast<size_t>(n));
   for (LinkId l = 0; l < topo_->num_links(); ++l) {
     size_t before = comp_slots_.size();
@@ -148,6 +151,10 @@ StatusOr<FlowId> NetworkSimulator::StartFlow(std::vector<LinkId> links, Bytes by
   for (size_t i = 0; i < links.size(); ++i) {
     MarkDirty(links[i]);
   }
+  // The retained arrays would miss the new flow, and it may reuse a departed
+  // member's slot; dropping them on every start rules out both (and covers
+  // the locality reorder, which only follows starts).
+  ret_gen_ = 0;
   ++starts_since_realloc_;
   // No per-flow trace instant here: at 1e5+ concurrent flows it would both
   // flood the ring (evicting the decision-level events) and pay a clock read
@@ -315,10 +322,14 @@ void NetworkSimulator::MaybeCompactIdMap() {
 }
 
 void NetworkSimulator::ReallocateComponent(LinkId seed) {
-  comp_slots_.clear();
-  if (!incidence_.GatherFrom(seed, soa_, &comp_slots_)) {
+  // Gather into separate scratch: a seed that yields nothing must leave the
+  // retained arrays intact.
+  bfs_slots_.clear();
+  if (!incidence_.GatherFrom(seed, soa_, &bfs_slots_)) {
     return;
   }
+  comp_slots_.swap(bfs_slots_);
+  ret_gen_ = 0;  // The comp_* arrays are about to hold this component.
   const size_t n = comp_slots_.size();
   // Canonical order: AllocateSubset must see the same sequence no matter
   // which seed found the component or how BFS traversed it, so members go in
@@ -374,12 +385,11 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
       }
     }
   }
-  // One scattered pass gathers every input the solve and epilogue need; the
-  // rest of this function works on the contiguous copies.
+  // One scattered pass gathers every input the solve and epilogue need;
+  // SolveComponent works on the contiguous copies.
   comp_off_.clear();
   comp_links_.clear();
   comp_pinned_.resize(n);
-  comp_rate_.resize(n);
   bool has_fair = false;
   for (size_t i = 0; i < n; ++i) {
     // Each iteration reads ~5 scattered lines of a slot; issue the loads a
@@ -410,6 +420,57 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
     has_fair |= !(m.pinned_rate > 0.0);
   }
   comp_off_.push_back(static_cast<int32_t>(comp_links_.size()));
+  SolveComponent(has_fair);
+  if (full_realloc_ || has_fair) {
+    return;
+  }
+  // Retain the arrays. Every link of every member carries the new tag, so a
+  // dirty link with the tag is one the set crosses and its flows are members.
+  ret_gen_ = ++last_ret_gen_;
+  for (LinkId l : comp_links_) {
+    link_ret_gen_[static_cast<size_t>(l)] = ret_gen_;
+  }
+}
+
+void NetworkSimulator::ResolveRetained() {
+  // Compact the departed members out in place: every write index trails its
+  // read index, so nothing is overwritten unread. No start has run since the
+  // arrays were retained, so a live slot still holds its member.
+  const size_t n = comp_slots_.size();
+  size_t w = 0;
+  int32_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t slot = comp_slots_[i];
+    if (!soa_.live(slot)) {
+      continue;
+    }
+    const int32_t begin = comp_off_[i];
+    const int32_t end = comp_off_[i + 1];
+    if (w != i) {
+      comp_off_[w] = out;
+      for (int32_t j = begin; j < end; ++j) {
+        comp_links_[static_cast<size_t>(out++)] = comp_links_[static_cast<size_t>(j)];
+      }
+      comp_slots_[w] = slot;
+      comp_pinned_[w] = comp_pinned_[i];
+    } else {
+      out = end;  // No departure yet: the member is already in place.
+    }
+    ++w;
+  }
+  comp_off_[w] = out;
+  comp_slots_.resize(w);
+  comp_pinned_.resize(w);
+  comp_off_.resize(w + 1);
+  comp_links_.resize(static_cast<size_t>(out));
+  ++num_retained_solves_;
+  ++telem_retained_solves_;
+  SolveComponent(/*has_fair=*/false);
+}
+
+void NetworkSimulator::SolveComponent(bool has_fair) {
+  const size_t n = comp_slots_.size();
+  comp_rate_.resize(n);
   allocator_.AllocateSubset(usable_capacity_, n, comp_off_.data(), comp_links_.data(),
                             comp_pinned_.data(), comp_rate_.data());
   ++num_reallocations_;
@@ -471,12 +532,32 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
   //     every member with a positive rate.
   // heap_epoch == rate_epoch means the slot's current-epoch entry (same key,
   // pushed by an earlier solve) is still in the heap; pushing again would
-  // complete the flow twice in one batch.
+  // complete the flow twice in one batch. Keys are the same bits as
+  // CompletionKeyAt: the epilogue above already scattered any rate change
+  // back, so the slot columns are current (and still hot).
+  auto push = [this](int32_t slot, SimTime key) {
+    size_t s = static_cast<size_t>(slot);
+    soa_.heap_epoch[s] = soa_.rate_epoch[s];
+    heap_.push_back(CompletionEntry{key, soa_.meta[s].id, slot, soa_.rate_epoch[s]});
+    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  };
+  if (!has_fair) {
+    // Only members that get an entry need a key.
+    for (size_t i = 0; i < n; ++i) {
+      const size_t s = static_cast<size_t>(comp_slots_[i]);
+      if (!(comp_rate_[i] > 0.0) || soa_.heap_epoch[s] == soa_.rate_epoch[s]) {
+        continue;
+      }
+      const SimTime key = soa_.anchor_time[s] + soa_.remaining[s] / comp_rate_[i];
+      if (key != kTimeInfinity) {
+        push(comp_slots_[i], key);
+      }
+    }
+    return;
+  }
   comp_keys_.resize(n);
   SimTime best = kTimeInfinity;
   for (size_t i = 0; i < n; ++i) {
-    // Same bits as CompletionKeyAt: the epilogue above already scattered any
-    // rate change back, so the slot columns are current (and still hot).
     size_t s = static_cast<size_t>(comp_slots_[i]);
     comp_keys_[i] = comp_rate_[i] > 0.0
                         ? soa_.anchor_time[s] + soa_.remaining[s] / comp_rate_[i]
@@ -489,17 +570,10 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
     return;  // No member has a positive rate.
   }
   for (size_t i = 0; i < n; ++i) {
-    if (has_fair ? comp_keys_[i] != best : comp_keys_[i] == kTimeInfinity) {
-      continue;
+    size_t s = static_cast<size_t>(comp_slots_[i]);
+    if (comp_keys_[i] == best && soa_.heap_epoch[s] != soa_.rate_epoch[s]) {
+      push(comp_slots_[i], best);
     }
-    int32_t slot = comp_slots_[i];
-    size_t s = static_cast<size_t>(slot);
-    if (soa_.heap_epoch[s] == soa_.rate_epoch[s]) {
-      continue;
-    }
-    soa_.heap_epoch[s] = soa_.rate_epoch[s];
-    heap_.push_back(CompletionEntry{comp_keys_[i], soa_.meta[s].id, slot, soa_.rate_epoch[s]});
-    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
   }
 }
 
@@ -529,7 +603,25 @@ void NetworkSimulator::Reallocate() {
     }
   } else {
     std::sort(dirty_links_.begin(), dirty_links_.end());
+    // A tag above `fresh` was handed out by a BFS solve in this pass, so its
+    // links are already stamped; `solved` is the retained set's tag once this
+    // pass has re-solved it. Either way the component is done for this pass.
+    const uint64_t fresh = last_ret_gen_;
+    uint64_t solved = 0;
     for (LinkId l : dirty_links_) {
+      const uint64_t tag = link_ret_gen_[static_cast<size_t>(l)];
+      if (tag != 0 && (tag == solved || tag > fresh)) {
+        continue;
+      }
+      if (tag != 0 && tag == ret_gen_) {
+        // A tagged link's flows are all retained members; a drained one
+        // seeds nothing, as GatherFrom would say.
+        if (!incidence_.at(l).empty()) {
+          ResolveRetained();
+          solved = tag;
+        }
+        continue;
+      }
       ReallocateComponent(l);
     }
   }
@@ -680,22 +772,23 @@ StatusOr<SimTime> NetworkSimulator::RunUntilIdle(SimTime deadline) {
 // `sim.advance` trace instant. The per-event cost model (DESIGN.md §11)
 // wants plain increments inside the drain loop; the registry's shard stores
 // and the trace ring write happen here, once per drive call. A call that
-// solved and completed nothing leaves no instant.
+// solved and completed nothing leaves no instant. A trace event keeps at
+// most TraceRecorder::kMaxArgs (4) arguments; the other accumulators are
+// counters only.
 void NetworkSimulator::PublishTelemetry() {
   if (telem_reallocations_ > 0 || telem_events_ > 0) {
     telemetry::TraceInstant(
         "sim.advance", "simulator",
         {{"reallocations", static_cast<double>(telem_reallocations_)},
          {"events", static_cast<double>(telem_events_)},
-         {"flows_completed", static_cast<double>(telem_flows_completed_)},
-         {"dirty_links", static_cast<double>(telem_dirty_links_)},
          {"component_solves", static_cast<double>(telem_component_solves_)},
-         {"resolves_skipped", static_cast<double>(telem_resolves_skipped_)}});
+         {"retained_solves", static_cast<double>(telem_retained_solves_)}});
   }
   BDS_TELEMETRY_COUNT("sim.flows_started", telem_flows_started_);
   BDS_TELEMETRY_COUNT("sim.flows_completed", telem_flows_completed_);
   BDS_TELEMETRY_COUNT("sim.events", telem_events_);
   BDS_TELEMETRY_COUNT("sim.component_solves", telem_component_solves_);
+  BDS_TELEMETRY_COUNT("sim.retained_solves", telem_retained_solves_);
   BDS_TELEMETRY_COUNT("sim.reallocations", telem_reallocations_);
   BDS_TELEMETRY_COUNT("sim.dirty_links", telem_dirty_links_);
   BDS_TELEMETRY_COUNT("sim.resolves_skipped", telem_resolves_skipped_);
@@ -715,6 +808,7 @@ void NetworkSimulator::PublishTelemetry() {
   telem_flows_completed_ = 0;
   telem_events_ = 0;
   telem_component_solves_ = 0;
+  telem_retained_solves_ = 0;
   telem_reallocations_ = 0;
   telem_dirty_links_ = 0;
   telem_resolves_skipped_ = 0;

@@ -39,7 +39,14 @@
 //     RunUntilIdle runs one reallocation pass over the union of dirty
 //     components. When that pass follows a bulk load (>= 4,096 starts that
 //     make up at least half the pool) it first reorders the pool so each
-//     component's flows sit in adjacent slots.
+//     component's flows sit in adjacent slots;
+//   * the last all-pinned component a BFS pass solved keeps its id-ordered
+//     flat arrays, and its links carry a generation tag. Until the next
+//     start (or another BFS solve, which reuses the arrays), a pass that
+//     reaches one of its dirty links drops the departed members from the
+//     arrays in place and re-solves them with no BFS, ordering or gather.
+//     Split parts are solved together, which phase 1 decomposes exactly
+//     (DESIGN.md §10, "Retained component").
 // Completed flows leave the simulator only through the completion callback;
 // no history is kept.
 // set_full_reallocation(true) re-solves every component at every event and
@@ -175,6 +182,9 @@ class NetworkSimulator {
   bool full_reallocation() const { return full_realloc_; }
 
   int64_t num_reallocations() const { return num_reallocations_; }
+  // Component solves that re-used the retained arrays (a subset of
+  // num_reallocations()).
+  int64_t num_retained_solves() const { return num_retained_solves_; }
   int64_t num_completion_events() const { return num_events_; }
 
  private:
@@ -234,10 +244,17 @@ class NetworkSimulator {
   // components in full mode), updating anchors, epochs, per-link rates, and
   // the completion heap for every flow whose rate actually changed.
   void Reallocate();
-  // Solves the component containing `seed` (members in ascending id order),
-  // scatters changed rates back, and pushes heap entries (see the file
-  // comment for the two push policies).
+  // Gathers the component containing `seed` into the comp_* arrays (members
+  // in ascending id order) and solves it. Outside full mode an all-pinned
+  // component's arrays become the retained ones; any other solve drops them.
   void ReallocateComponent(LinkId seed);
+  // Drops the retained members that have departed (slot freed) from the
+  // comp_* arrays, keeping id order, and solves what remains: every current
+  // component those members form.
+  void ResolveRetained();
+  // Solves the flows in the comp_* arrays, scatters changed rates back, and
+  // pushes heap entries (see the file comment for the two push policies).
+  void SolveComponent(bool has_fair);
   // Earliest projected completion among active flows; kTimeInfinity if none.
   SimTime NextCompletionTime();
   // Completes every flow whose projected completion equals `t` (now_ == t),
@@ -292,8 +309,10 @@ class NetworkSimulator {
   // Component-solve scratch: the component's slots are scattered across the
   // pool, so ReallocateComponent gathers every per-flow input in one pass
   // (in canonical id order) and runs the solve + epilogue on these
-  // contiguous copies, scattering back only what changed.
+  // contiguous copies, scattering back only what changed. After an
+  // all-pinned solve they double as the retained arrays (see ret_gen_).
   std::vector<int32_t> comp_slots_;                  // Canonical (id) order.
+  std::vector<int32_t> bfs_slots_;                   // GatherFrom output (BFS order).
   std::vector<std::pair<FlowId, int32_t>> comp_ids_;  // Sort scratch.
   std::vector<uint8_t> present_;  // Dense-window ordering scratch.
   std::vector<int32_t> comp_off_;   // CSR offsets into comp_links_.
@@ -301,10 +320,18 @@ class NetworkSimulator {
   std::vector<Rate> comp_pinned_;
   std::vector<Rate> comp_rate_;      // Solver output.
   std::vector<SimTime> comp_keys_;  // Projected completions after the solve.
+  // Retained component: when ret_gen_ != 0 the comp_* arrays hold the
+  // all-pinned flow set last solved under that generation, and exactly the
+  // links its members crossed carry link_ret_gen_ == ret_gen_. Generations
+  // only grow, so a dropped set's tags never match again.
+  std::vector<uint64_t> link_ret_gen_;
+  uint64_t ret_gen_ = 0;       // 0 = nothing retained.
+  uint64_t last_ret_gen_ = 0;  // Last generation handed out.
   std::vector<std::pair<FlowId, int32_t>> batch_;  // (id, slot), sorted by id.
   std::vector<FlowRecord> batch_records_;          // Records of batch_.
 
   int64_t num_reallocations_ = 0;
+  int64_t num_retained_solves_ = 0;
   int64_t num_events_ = 0;
 
   // Telemetry accumulators: the event loop bumps plain members and
@@ -317,6 +344,7 @@ class NetworkSimulator {
   int64_t telem_flows_completed_ = 0;
   int64_t telem_events_ = 0;
   int64_t telem_component_solves_ = 0;
+  int64_t telem_retained_solves_ = 0;
   int64_t telem_reallocations_ = 0;
   int64_t telem_dirty_links_ = 0;
   int64_t telem_resolves_skipped_ = 0;  // Departures that dirtied no link.

@@ -164,15 +164,6 @@ TEST(DegradationRungTest, KnobsForRungTable) {
   }
   a.fptas_epsilon = 0.1;  // 4 x 0.1 stays under the cap.
   EXPECT_DOUBLE_EQ(KnobsForRung(DegradationRung::kCoarseEpsilon, a).fptas_epsilon, 0.4);
-  // A configured selection cap holds above the shed rung and is combined
-  // with the shed cap by min on it.
-  a.max_deliveries_per_cycle = 100;
-  EXPECT_EQ(KnobsForRung(DegradationRung::kCoarseEpsilon, a).max_deliveries, 100);
-  EXPECT_EQ(KnobsForRung(DegradationRung::kShedCandidates, a).max_deliveries, 100);
-  a.max_deliveries_per_cycle = 10'000;
-  EXPECT_EQ(KnobsForRung(DegradationRung::kNormal, a).max_deliveries, 10'000);
-  EXPECT_EQ(KnobsForRung(DegradationRung::kShedCandidates, a).max_deliveries, 4096);
-  EXPECT_EQ(KnobsForRung(DegradationRung::kExtendDecisions, a).max_deliveries, 4096);
 }
 
 TEST(CycleWatchdogTest, TransitionDigestIsDeterministicAndOrderSensitive) {

@@ -97,10 +97,18 @@ TEST(ControllerAlgorithmTest, RarestFirstPrefersScarceBlocks) {
   Fixture f(/*blocks=*/8);
   // Give block 0 two extra replicas so it is the most duplicated.
   ASSERT_TRUE(f.state.AddReplica(1, 0, f.state.AssignedServer(1, 0, 1)).ok());
-  ControllerAlgorithmOptions opt = DefaultOptions();
-  opt.max_deliveries_per_cycle = 4;  // Force a choice.
-  ControllerAlgorithm algo(&f.topo, &f.routing, opt);
+  // Force a choice: each destination server's 3 s download budget at
+  // 0.5 MB/s (1.35 MB) takes one 2 MB block, so at most 4 of the 15 pending
+  // deliveries fit.
+  for (DcId dc = 1; dc < 3; ++dc) {
+    for (ServerId s : f.topo.ServersIn(dc)) {
+      f.residual[static_cast<size_t>(f.topo.server(s).downlink)] = MBps(0.5);
+    }
+  }
+  ControllerAlgorithm algo(&f.topo, &f.routing, DefaultOptions());
   CycleDecision d = algo.Decide(0, f.state, f.residual, {});
+  ASSERT_GT(d.scheduled_blocks, 0);
+  ASSERT_LE(d.scheduled_blocks, 4);
   for (const TransferAssignment& t : d.transfers) {
     for (int64_t b : t.blocks) {
       // The duplicated block must not be chosen while rarer ones wait.

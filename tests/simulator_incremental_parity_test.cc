@@ -482,6 +482,225 @@ TEST(IncrementalSimulatorTest, FairDepartureBlocksSkipsUntilNextPass) {
   EXPECT_DOUBLE_EQ(done[0].end_time, 20.0);
 }
 
+// An incremental simulator and its full-reallocation twin on the same
+// 4-DC x 2-server mesh (100 MB/s WAN, 40 MB/s NICs), driven in lockstep.
+// Every Advance compares the clock, the active count and every link's bulk
+// rate bitwise; Finish drains both and compares the completion records.
+// Link ids: DC d server k has uplink 4d + 2k and downlink 4d + 2k + 1; the
+// WAN links come after all NICs.
+class RetainedTwins {
+ public:
+  RetainedTwins()
+      : topo_(BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value()),
+        routing_(WanRoutingTable::Build(topo_, 2).value()),
+        inc_(&topo_),
+        ref_(&topo_) {
+    ref_.set_full_reallocation(true);
+    inc_.SetCompletionCallback([this](const FlowRecord& r) { inc_done_.push_back(r); });
+    ref_.SetCompletionCallback([this](const FlowRecord& r) { ref_done_.push_back(r); });
+  }
+
+  const Topology& topo() const { return topo_; }
+  const NetworkSimulator& inc() const { return inc_; }
+
+  // DC `src_dc` server `src_k` -> DC `dst_dc` server `dst_k`.
+  std::vector<LinkId> Path(DcId src_dc, int src_k, DcId dst_dc, int dst_k) const {
+    return MakeServerPath(topo_, routing_, topo_.ServersIn(src_dc)[static_cast<size_t>(src_k)],
+                          topo_.ServersIn(dst_dc)[static_cast<size_t>(dst_k)])
+        .value()
+        .links;
+  }
+  FlowId Start(const std::vector<LinkId>& links, Bytes bytes, Rate pinned) {
+    FlowId a = inc_.StartFlow(links, bytes, pinned).value();
+    FlowId b = ref_.StartFlow(links, bytes, pinned).value();
+    EXPECT_EQ(a, b);
+    return a;
+  }
+  void Cancel(FlowId id) {
+    auto a = inc_.CancelFlow(id);
+    auto b = ref_.CancelFlow(id);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(*a, *b);
+  }
+  void Fault(LinkId link, double factor) {
+    ASSERT_TRUE(inc_.SetLinkFaultFactor(link, factor).ok());
+    ASSERT_TRUE(ref_.SetLinkFaultFactor(link, factor).ok());
+  }
+  void Advance(SimTime t) {
+    ASSERT_TRUE(inc_.AdvanceTo(t).ok());
+    ASSERT_TRUE(ref_.AdvanceTo(t).ok());
+    ASSERT_EQ(inc_.now(), ref_.now());
+    ASSERT_EQ(inc_.num_active_flows(), ref_.num_active_flows());
+    for (LinkId l = 0; l < topo_.num_links(); ++l) {
+      ASSERT_EQ(inc_.LinkBulkRate(l), ref_.LinkBulkRate(l)) << "t=" << t << " link " << l;
+    }
+  }
+  Rate RateOf(FlowId id) const {
+    const Rate a = inc_.FindFlow(id)->current_rate;
+    EXPECT_EQ(a, ref_.FindFlow(id)->current_rate) << "flow " << id;
+    return a;
+  }
+  void Finish() {
+    auto a = inc_.RunUntilIdle();
+    auto b = ref_.RunUntilIdle();
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(*a, *b);
+    ExpectSameRecords(inc_done_, ref_done_);
+  }
+
+ private:
+  Topology topo_;
+  WanRoutingTable routing_;
+  NetworkSimulator inc_;
+  NetworkSimulator ref_;
+  std::vector<FlowRecord> inc_done_;
+  std::vector<FlowRecord> ref_done_;
+};
+
+TEST(RetainedComponentTest, SplitByAtPinDepartureThenScaledDepartureResolvesBoth) {
+  // f0 and f1 pin 30 MB/s on DC0 server 0's uplink (link 0) and run at 20;
+  // f2 and f3 pin 30 MB/s into DC2 server 1's downlink (link 11) and run at
+  // 20. Bridge f4 runs at its 5 MB/s pin, sharing f0's destination NIC and
+  // f2's source NIC, so all five form one all-pinned component, which the
+  // first pass retains. f4 finishes at its pin (no re-solve) and splits the
+  // retained set into {f0, f1} and {f2, f3}. Then scaled-down f2 finishes:
+  // the retained set, now both parts, is re-solved in one go, and each part
+  // gets the bits of its own solve.
+  RetainedTwins tw;
+  const FlowId f0 = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(30.0));
+  const FlowId f1 = tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(30.0));
+  tw.Start(tw.Path(3, 0, 2, 1), MB(40.0), MBps(30.0));  // f2: 2 s at 20.
+  const FlowId f3 = tw.Start(tw.Path(3, 1, 2, 1), MB(1000.0), MBps(30.0));
+  tw.Start(tw.Path(3, 0, 1, 0), MB(5.0), MBps(5.0));  // f4: 1 s at its pin.
+  tw.Advance(0.5);
+  ASSERT_EQ(tw.inc().num_reallocations(), 1);
+  ASSERT_NEAR(tw.RateOf(f3), MBps(20.0), 1e-3);
+  tw.Advance(1.5);  // f4 left at its pin: nothing re-solved.
+  ASSERT_EQ(tw.inc().num_active_flows(), 4);
+  EXPECT_EQ(tw.inc().num_reallocations(), 1);
+  tw.Advance(2.5);  // f2 left scaled down.
+  ASSERT_EQ(tw.inc().num_active_flows(), 3);
+  EXPECT_EQ(tw.inc().num_reallocations(), 2);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_EQ(tw.RateOf(f3), MBps(30.0));
+  EXPECT_NEAR(tw.RateOf(f0), MBps(20.0), 1e-3);
+  EXPECT_NEAR(tw.RateOf(f1), MBps(20.0), 1e-3);
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, StartOnARetainedLinkDropsTheRetainedArrays) {
+  // After the retained {f0, f1} has been solved, g starts on link 0, which
+  // the retained set crosses. The next pass must gather the component anew
+  // (g included) rather than re-solve the retained arrays without g.
+  RetainedTwins tw;
+  const FlowId f0 = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(30.0));
+  tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(30.0));
+  tw.Advance(0.5);
+  const FlowId g = tw.Start(tw.Path(0, 0, 3, 0), MB(100.0), MBps(10.0));
+  tw.Advance(1.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 0);
+  EXPECT_GT(tw.RateOf(g), 0.0);
+  EXPECT_LT(tw.RateOf(f0), MBps(20.0));
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, StartReusingAMemberSlotElsewhereDropsTheRetainedArrays) {
+  // Retained {f0, f1, b}: f0 and f1 share link 0 and run at 20; b runs at
+  // its pin into f0's destination NIC. In one step b is cancelled at its
+  // pin (no re-solve), g starts in DC2 -> DC3, away from every retained
+  // link, and takes b's freed slot, and scaled-down f1 is cancelled. The
+  // slot that held b is live again, now holding g, so the retained arrays
+  // (which would give g b's path and pin) must not survive the start: the
+  // pass gathers {f0} and {g} anew.
+  RetainedTwins tw;
+  const FlowId f0 = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(30.0));
+  const FlowId f1 = tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(30.0));
+  const FlowId b = tw.Start(tw.Path(0, 1, 1, 0), MB(1000.0), MBps(5.0));
+  tw.Advance(0.5);
+  ASSERT_EQ(tw.RateOf(b), MBps(5.0));
+  tw.Cancel(b);
+  const std::vector<LinkId> elsewhere = tw.Path(2, 0, 3, 0);
+  for (LinkId l : elsewhere) {
+    ASSERT_GT(l, 0);  // Link 0, the retained set's, is reached before g's.
+  }
+  const FlowId g = tw.Start(elsewhere, MB(100.0), MBps(10.0));
+  tw.Cancel(f1);
+  tw.Advance(1.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 0);
+  EXPECT_EQ(tw.RateOf(f0), MBps(30.0));
+  EXPECT_EQ(tw.RateOf(g), MBps(10.0));
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, LocalityReorderDropsTheRetainedArrays) {
+  // The retained {f0, f1} sit in slots 2 and 3 (two cancelled flows freed
+  // slots 0 and 1 first). A 4,096-flow load away from the retained links
+  // triggers the locality reorder, which moves f0 and f1 to slots 0 and 1,
+  // and a fault on link 0 in the same step dirties the retained set. Its
+  // arrays name the old slots; the load's starts have dropped them, so the
+  // pass must gather the set anew from the reordered pool.
+  RetainedTwins tw;
+  const std::vector<LinkId> elsewhere = tw.Path(2, 0, 3, 0);
+  const FlowId d0 = tw.Start(elsewhere, MB(1.0), MBps(1.0));
+  const FlowId d1 = tw.Start(elsewhere, MB(1.0), MBps(1.0));
+  const FlowId f0 = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(30.0));
+  const FlowId f1 = tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(30.0));
+  tw.Cancel(d0);
+  tw.Cancel(d1);
+  tw.Advance(0.5);
+  for (int i = 0; i < 4096; ++i) {
+    tw.Start(elsewhere, MB(1.0), MBps(0.009));
+  }
+  tw.Fault(0, 0.5);
+  tw.Advance(1.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 0);
+  EXPECT_NEAR(tw.RateOf(f0), MBps(10.0), 1e-3);
+  EXPECT_NEAR(tw.RateOf(f1), MBps(10.0), 1e-3);
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, FaultOnARetainedLinkResolvesTheRetainedArrays) {
+  // A capacity change only dirties links, so halving link 0 under the
+  // retained {f0, f1} re-solves it from the retained arrays.
+  RetainedTwins tw;
+  const FlowId f0 = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(30.0));
+  const FlowId f1 = tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(30.0));
+  tw.Advance(0.5);
+  tw.Fault(0, 0.5);
+  tw.Advance(1.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_NEAR(tw.RateOf(f0), MBps(10.0), 1e-3);
+  EXPECT_NEAR(tw.RateOf(f1), MBps(10.0), 1e-3);
+  tw.Fault(0, 1.0);
+  tw.Advance(2.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 2);
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, DrainedDirtyLinkLeavesTheRetainedArraysIntact) {
+  // h runs alone from DC0 server 0, pinned above its 40 MB/s NIC, so it is
+  // scaled down; the first pass solves it before the retained {f0, f1} on
+  // DC2 server 0's uplink (link 8). Cancelling h dirties its now-empty links
+  // 0, 5 and a WAN link, and halving link 8 dirties the retained set. The
+  // pass reaches link 0 first: a seed that gathers nothing must leave the
+  // retained arrays for link 8.
+  RetainedTwins tw;
+  const FlowId h = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(50.0));
+  const FlowId f0 = tw.Start(tw.Path(2, 0, 3, 0), MB(1000.0), MBps(30.0));
+  const FlowId f1 = tw.Start(tw.Path(2, 0, 3, 1), MB(1000.0), MBps(30.0));
+  tw.Advance(0.5);
+  ASSERT_EQ(tw.RateOf(h), MBps(40.0));
+  tw.Cancel(h);
+  tw.Fault(8, 0.5);
+  tw.Advance(1.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_NEAR(tw.RateOf(f0), MBps(10.0), 1e-3);
+  EXPECT_NEAR(tw.RateOf(f1), MBps(10.0), 1e-3);
+  tw.Finish();
+}
+
 TEST(IncrementalParityTest2, ControllerFingerprintMatchesFullReallocation) {
   // End-to-end: a full controller run (cycles, LP, cancel-and-credit churn)
   // over the incremental simulator produces the exact fingerprint of the
