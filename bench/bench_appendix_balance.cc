@@ -69,7 +69,7 @@ SimTime RunSeeded(const Topology& topo, const WanRoutingTable& routing, ReplicaS
   return sim.now();
 }
 
-void Run() {
+bool Run() {
   const int kM = 6;           // Destination DCs.
   const int64_t kBlocks = 600;
   const Bytes kRho = MB(2.0);
@@ -80,6 +80,7 @@ void Run() {
                      "(paper: t_A < t_B for every k1 < k < k2)");
 
   AsciiTable analytic({"k (balanced)", "k1/k2 (imbalanced)", "t_A (s)", "t_B (s)", "t_A < t_B"});
+  bool analytic_holds = true;
   for (int k = 2; k < kM; ++k) {
     for (int k1 = 1; k1 < k; ++k1) {
       int k2 = 2 * k - k1;
@@ -91,9 +92,11 @@ void Run() {
       analytic.AddRow({std::to_string(k), std::to_string(k1) + "/" + std::to_string(k2),
                        AsciiTable::Num(ta, 1), AsciiTable::Num(tb, 1),
                        ta < tb ? "yes" : "NO"});
+      analytic_holds &= ta < tb;
     }
   }
   analytic.Print();
+  std::printf("analytic: t_A < t_B in every row -> %s\n", analytic_holds ? "holds" : "VIOLATED");
 
   // Simulation cross-check: pre-seed a 7-DC deployment (1 origin + 6 dests)
   // with balanced (k=2) vs imbalanced (k1=1, k2=3) replica placement and
@@ -125,16 +128,18 @@ void Run() {
   auto imbalanced = seeded_state(false);
   SimTime t_imbalanced = RunSeeded(topo, routing, *imbalanced);
 
+  const bool simulated_holds = t_balanced <= t_imbalanced;
   std::printf("simulated completion: balanced availability %.1f s, imbalanced %.1f s -> %s\n",
               t_balanced, t_imbalanced,
-              t_balanced <= t_imbalanced ? "balanced wins (matches the theorem)" : "VIOLATED");
+              simulated_holds ? "balanced wins (matches the theorem)" : "VIOLATED");
   std::printf("this is why the scheduling step equalizes duplicate counts (rarest-first, §4.3)\n");
+  return analytic_holds && simulated_holds;
 }
 
 }  // namespace
 }  // namespace bds
 
 int main() {
-  bds::Run();
-  return 0;
+  // Non-zero when a shape check reads VIOLATED (ctest label paper-shape).
+  return bds::Run() ? 0 : 1;
 }

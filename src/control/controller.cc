@@ -779,6 +779,10 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
   telemetry::FlightRecorder& fr = telemetry::FlightRecorder::Global();
   const bool fr_on = fr.active();
   const char* rung_name = DegradationRungName(static_cast<DegradationRung>(stats.rung));
+  // Launched transfers whose planned rate cannot carry their bytes within
+  // one cycle: the stragglers whose overlap with the next cycle's pins the
+  // simulator later scales down. Telemetry only.
+  int64_t planned_past_cycle = 0;
   for (TransferAssignment& a : decision.transfers) {
     if (push_dropped(a.dst_server)) {
       continue;
@@ -796,10 +800,12 @@ SimTime BdsController::RunCentralizedCycle(SimTime now, CycleStats& stats) {
       fr.Schedule(a.job, sim_.now(), stats.cycle, rung_name, a.src_server, a.dst_server, a.rate,
                   static_cast<int64_t>(a.blocks.size()));
     }
+    planned_past_cycle += a.bytes > a.rate * options_.algorithm.cycle_length;
     transfers_.emplace(tag, CtrlTransfer{std::move(a), dest_dc, *flow});
     ++stats.transfers_started;
   }
   BDS_TELEMETRY_COUNT("controller.transfers_started", stats.transfers_started);
+  BDS_TELEMETRY_COUNT("controller.transfers_planned_past_cycle", planned_past_cycle);
   if (watchdog_.enabled()) {
     // Fold the cycle into the ladder and set the rung the NEXT cycle runs at.
     algorithm_.SetDegradationRung(watchdog_.Observe(stats.cycle, cycle_cost));

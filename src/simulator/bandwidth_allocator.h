@@ -17,12 +17,12 @@
 // in tests/oracles.cc (rates agree to floating-point reassociation noise,
 // ~1e-12 relative).
 //
-// Phase 1 sums each link's load once, in ascending flow order, and collects
-// the links still over capacity. Only when that set is non-empty does it
-// build link -> pinned-flow rows (ascending flow order again), and only for
-// the links in the set. Every scale-down round then re-sums, row by row, the
-// links of the set that the scaled flows cross, which gives the bits of a
-// full recompute; a link leaves the set once it fits. Loads never rise
+// Phase 1 makes one pass over the flows that fills, for every link, its
+// first-round load (the sum of the pins crossing it, in ascending flow
+// order) and its row (the pinned flows crossing it, ascending), then collects
+// the links over capacity. Every scale-down round then re-sums, row by row,
+// the links of that set that the scaled flows cross, which gives the bits of
+// a full recompute; a link leaves the set once it fits. Loads never rise
 // within a call (rates only shrink, and rounded addition is monotone), so a
 // link outside the set stays within capacity and needs no work. The worst
 // link is the lexicographic minimum of (factor, link id), and phase 2 only
@@ -31,6 +31,18 @@
 // touched: the solver never sorts them. tests/oracles.cc keeps the
 // full-recompute, sorted-link phase 1 as the bitwise reference
 // (AllocatePinnedReference).
+//
+// The rows and first-round loads outlive the call. After an all-pinned call
+// the simulator may drop members (Depart) and re-solve the rest
+// (ResolveRetained) on the same flat arrays, with no pass over the members'
+// paths: a departure leaves a tombstone in its links' rows and marks their
+// loads stale. A stale load still bounds the live members' load from above
+// (members only leave, and dropping a non-negative term from a left-to-right
+// sum cannot raise it), so a re-solve re-sums a stale row, dropping its
+// tombstones, only when that bound does not prove the link within its
+// current capacity. The links over capacity then run the same rounds, capped
+// at the number of links that still carry a live member, exactly as a fresh
+// call on the live members would count them.
 //
 // Scratch state is generation-stamped per link, so a solve costs
 // O(component links + flows), not O(topology links), with no per-call
@@ -63,6 +75,18 @@ class BandwidthAllocator {
                       const int32_t* offsets, const LinkId* links, const Rate* pinned,
                       Rate* rate);
 
+  // Re-solving the last AllocateSubset call's flow set after some of its
+  // members left. That call must have been all-pinned, and no other call may
+  // come between; the caller passes the same flat arrays again. Depart
+  // tombstones member fi, at most once per member. ResolveRetained writes
+  // into rate[fi], for every member not departed, the bits AllocateSubset
+  // returns for those members alone (in ascending order, under the current
+  // `capacities`); departed members' entries are overwritten with their pins.
+  void Depart(int32_t fi, const int32_t* offsets, const LinkId* links);
+  void ResolveRetained(const std::vector<Rate>& capacities, size_t n,
+                       const int32_t* offsets, const LinkId* links, const Rate* pinned,
+                       Rate* rate);
+
   // Phase-1 work done since the last TakeWork(): scale-down rounds, and row
   // terms summed by the re-sums after them. Telemetry only; no rate depends
   // on it.
@@ -74,14 +98,21 @@ class BandwidthAllocator {
 
  private:
   void EnsureScratch(size_t num_links);
-  // Fills rows_ with each over_ link's pinned flows, ascending.
-  void BuildPinnedRows(const int32_t* offsets, const LinkId* links);
+  // Adds `l` to over_, with its first-round load, when that load is over
+  // residual_[l].
+  void CollectIfOver(size_t l);
+  // Phase 1's scale-down rounds over over_, at most `round_cap` of them (see
+  // the file comment); empties over_ and clears its marks.
+  void ScaleDown(size_t round_cap, const int32_t* offsets, const LinkId* links, Rate* rate);
 
-  // Generation-stamped per-link scratch (valid when link_gen_[l] == gen_).
+  // Generation-stamped per-link state (valid when link_gen_[l] == gen_).
   uint64_t gen_ = 0;
   std::vector<uint64_t> link_gen_;
   std::vector<Rate> residual_;
-  std::vector<Rate> load_;
+  std::vector<Rate> load_;      // Phase-1 working loads, for links in over_.
+  std::vector<Rate> pin_load_;  // First-round load; an upper bound while stale.
+  std::vector<char> stale_;     // A member on the link departed since its sum.
+  std::vector<int32_t> row_live_;  // Members on the link that have not departed.
   std::vector<int> active_count_;
   std::vector<char> link_saturated_;
   std::vector<size_t> used_links_;  // In first-touch order.
@@ -90,12 +121,14 @@ class BandwidthAllocator {
   // over_ and 2 while it also waits in resum_; it is all zero between calls.
   std::vector<size_t> over_;
   std::vector<char> over_mark_;
-  std::vector<int32_t> link_row_;  // Link -> its row: its index in the first over_.
+  std::vector<int32_t> link_row_;  // Link -> its row: its index in used_links_.
   std::vector<size_t> resum_;      // Links to re-sum after a scale-down.
 
-  // Phase-1 link -> pinned-flow rows, indexed by link_row_. Rows keep their
-  // capacity across calls.
+  // Link -> pinned-flow rows in ascending flow order, indexed by link_row_;
+  // a departed member stays in its rows until a re-sum drops it. Rows keep
+  // their capacity across calls.
   std::vector<std::vector<int32_t>> rows_;
+  std::vector<char> departed_;  // Per flow of the last AllocateSubset call.
 
   // Per-call flow scratch (indices into the flat arrays being solved).
   std::vector<int32_t> pinned_;

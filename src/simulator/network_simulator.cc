@@ -420,7 +420,14 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
     has_fair |= !(m.pinned_rate > 0.0);
   }
   comp_off_.push_back(static_cast<int32_t>(comp_links_.size()));
-  SolveComponent(has_fair);
+  comp_live_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    comp_live_[i] = static_cast<int32_t>(i);
+  }
+  comp_rate_.resize(n);
+  allocator_.AllocateSubset(usable_capacity_, n, comp_off_.data(), comp_links_.data(),
+                            comp_pinned_.data(), comp_rate_.data());
+  ApplyRates(has_fair);
   if (full_realloc_ || has_fair) {
     return;
   }
@@ -433,46 +440,28 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
 }
 
 void NetworkSimulator::ResolveRetained() {
-  // Compact the departed members out in place: every write index trails its
-  // read index, so nothing is overwritten unread. No start has run since the
-  // arrays were retained, so a live slot still holds its member.
-  const size_t n = comp_slots_.size();
+  // A member has departed when its slot is no longer live: no start has run
+  // since the arrays were retained, so a live slot still holds its member.
+  // The arrays themselves stay as they are; the allocator tombstones the
+  // departed members in its kept rows.
   size_t w = 0;
-  int32_t out = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t slot = comp_slots_[i];
-    if (!soa_.live(slot)) {
-      continue;
-    }
-    const int32_t begin = comp_off_[i];
-    const int32_t end = comp_off_[i + 1];
-    if (w != i) {
-      comp_off_[w] = out;
-      for (int32_t j = begin; j < end; ++j) {
-        comp_links_[static_cast<size_t>(out++)] = comp_links_[static_cast<size_t>(j)];
-      }
-      comp_slots_[w] = slot;
-      comp_pinned_[w] = comp_pinned_[i];
+  for (int32_t i : comp_live_) {
+    if (soa_.live(comp_slots_[static_cast<size_t>(i)])) {
+      comp_live_[w++] = i;
     } else {
-      out = end;  // No departure yet: the member is already in place.
+      allocator_.Depart(i, comp_off_.data(), comp_links_.data());
     }
-    ++w;
   }
-  comp_off_[w] = out;
-  comp_slots_.resize(w);
-  comp_pinned_.resize(w);
-  comp_off_.resize(w + 1);
-  comp_links_.resize(static_cast<size_t>(out));
+  comp_live_.resize(w);
   ++num_retained_solves_;
   ++telem_retained_solves_;
-  SolveComponent(/*has_fair=*/false);
+  allocator_.ResolveRetained(usable_capacity_, comp_slots_.size(), comp_off_.data(),
+                             comp_links_.data(), comp_pinned_.data(), comp_rate_.data());
+  ApplyRates(/*has_fair=*/false);
 }
 
-void NetworkSimulator::SolveComponent(bool has_fair) {
-  const size_t n = comp_slots_.size();
-  comp_rate_.resize(n);
-  allocator_.AllocateSubset(usable_capacity_, n, comp_off_.data(), comp_links_.data(),
-                            comp_pinned_.data(), comp_rate_.data());
+void NetworkSimulator::ApplyRates(bool has_fair) {
+  const size_t n = comp_live_.size();
   ++num_reallocations_;
   ++telem_component_solves_;
   {
@@ -488,7 +477,8 @@ void NetworkSimulator::SolveComponent(bool has_fair) {
       telem_comp_max_ = v;
     }
   }
-  for (size_t i = 0; i < n; ++i) {
+  for (const int32_t member : comp_live_) {
+    const size_t i = static_cast<size_t>(member);
     size_t s = static_cast<size_t>(comp_slots_[i]);
     Rate new_rate = comp_rate_[i];
     Rate old_rate = soa_.current_rate[s];
@@ -543,7 +533,8 @@ void NetworkSimulator::SolveComponent(bool has_fair) {
   };
   if (!has_fair) {
     // Only members that get an entry need a key.
-    for (size_t i = 0; i < n; ++i) {
+    for (const int32_t member : comp_live_) {
+      const size_t i = static_cast<size_t>(member);
       const size_t s = static_cast<size_t>(comp_slots_[i]);
       if (!(comp_rate_[i] > 0.0) || soa_.heap_epoch[s] == soa_.rate_epoch[s]) {
         continue;
@@ -555,6 +546,8 @@ void NetworkSimulator::SolveComponent(bool has_fair) {
     }
     return;
   }
+  // A component with a fair flow is never retained, so its members are
+  // exactly 0..n-1.
   comp_keys_.resize(n);
   SimTime best = kTimeInfinity;
   for (size_t i = 0; i < n; ++i) {

@@ -41,12 +41,15 @@
 //     make up at least half the pool) it first reorders the pool so each
 //     component's flows sit in adjacent slots;
 //   * the last all-pinned component a BFS pass solved keeps its id-ordered
-//     flat arrays, and its links carry a generation tag. Until the next
+//     flat arrays, and its links carry a generation tag; the allocator keeps
+//     that solve's per-link rows and first-round loads. Until the next
 //     start (or another BFS solve, which reuses the arrays), a pass that
-//     reaches one of its dirty links drops the departed members from the
-//     arrays in place and re-solves them with no BFS, ordering or gather.
-//     Split parts are solved together, which phase 1 decomposes exactly
-//     (DESIGN.md §10, "Retained component").
+//     reaches one of its dirty links tombstones the departed members in the
+//     allocator's rows and re-solves the live ones with no BFS, ordering,
+//     gather or pass over their paths; a row is re-summed only when a
+//     member left it and its old load no longer proves it fits. Split parts
+//     are solved together, which phase 1 decomposes exactly (DESIGN.md §10,
+//     "Retained component").
 // Completed flows leave the simulator only through the completion callback;
 // no history is kept.
 // set_full_reallocation(true) re-solves every component at every event and
@@ -248,13 +251,13 @@ class NetworkSimulator {
   // in ascending id order) and solves it. Outside full mode an all-pinned
   // component's arrays become the retained ones; any other solve drops them.
   void ReallocateComponent(LinkId seed);
-  // Drops the retained members that have departed (slot freed) from the
-  // comp_* arrays, keeping id order, and solves what remains: every current
-  // component those members form.
+  // Tombstones the retained members that have departed (slot freed), both in
+  // comp_live_ and in the allocator's rows, and re-solves the live ones:
+  // every current component those members form.
   void ResolveRetained();
-  // Solves the flows in the comp_* arrays, scatters changed rates back, and
-  // pushes heap entries (see the file comment for the two push policies).
-  void SolveComponent(bool has_fair);
+  // Scatters the solved rates of the comp_live_ members back and pushes heap
+  // entries (see the file comment for the two push policies).
+  void ApplyRates(bool has_fair);
   // Earliest projected completion among active flows; kTimeInfinity if none.
   SimTime NextCompletionTime();
   // Completes every flow whose projected completion equals `t` (now_ == t),
@@ -319,11 +322,14 @@ class NetworkSimulator {
   std::vector<LinkId> comp_links_;  // Concatenated component paths.
   std::vector<Rate> comp_pinned_;
   std::vector<Rate> comp_rate_;      // Solver output.
+  std::vector<int32_t> comp_live_;   // Indices of the members still live, ascending.
   std::vector<SimTime> comp_keys_;  // Projected completions after the solve.
   // Retained component: when ret_gen_ != 0 the comp_* arrays hold the
-  // all-pinned flow set last solved under that generation, and exactly the
-  // links its members crossed carry link_ret_gen_ == ret_gen_. Generations
-  // only grow, so a dropped set's tags never match again.
+  // all-pinned flow set last solved under that generation (departed members
+  // included, until a BFS solve reuses the arrays), the allocator holds that
+  // set's rows and first-round loads, and exactly the links its members
+  // crossed carry link_ret_gen_ == ret_gen_. Generations only grow, so a
+  // dropped set's tags never match again.
   std::vector<uint64_t> link_ret_gen_;
   uint64_t ret_gen_ = 0;       // 0 = nothing retained.
   uint64_t last_ret_gen_ = 0;  // Last generation handed out.

@@ -504,5 +504,92 @@ TEST(PinnedPhaseReferenceTest, BackToBackCallsLeaveNoMarks) {
   }
 }
 
+// Retained re-solves: after an all-pinned AllocateSubset call, Depart and
+// ResolveRetained on the same arrays must give the live members the bits a
+// fresh AllocateSubset call on just those members gives them, and do the
+// same phase-1 work (rounds and re-summed terms), whatever left and however
+// the capacities moved in between. Four re-solves per case; between them a
+// quarter of the live members leave (sometimes none) and some capacities
+// are cut or raised, so stale bounds meet both.
+class RetainedResolveParityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RetainedResolveParityTest, ResolveMatchesFreshSolveOfTheLiveMembersBitwise) {
+  uint64_t seed = static_cast<uint64_t>(GetParam()) * 0xD1B54A32D192ED03ull + 7;
+  auto next = [&]() {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+  };
+  static const Rate kCaps[] = {10.0, 20.0, 40.0};
+  static const Rate kPins[] = {5.0, 10.0, 20.0, 7.5};
+  static const double kCapMoves[] = {0.5, 0.8, 1.0, 1.0, 1.25};
+  const int num_links = 2 + static_cast<int>(next() % 11);
+  const int num_flows = 1 + static_cast<int>(next() % 60);
+  std::vector<Rate> caps;
+  for (int l = 0; l < num_links; ++l) {
+    caps.push_back(kCaps[next() % 3]);
+  }
+  FlatFlows f;
+  for (int fi = 0; fi < num_flows; ++fi) {
+    std::vector<LinkId> path;
+    const int len = 1 + static_cast<int>(next() % 4);
+    for (int i = 0; i < len; ++i) {
+      LinkId l = static_cast<LinkId>(next() % static_cast<uint64_t>(num_links));
+      if (std::find(path.begin(), path.end(), l) == path.end()) {
+        path.push_back(l);
+      }
+    }
+    f.Add(path, kPins[next() % 4]);
+  }
+  const size_t n = f.pinned.size();
+  BandwidthAllocator retained;
+  std::vector<Rate> got(n);
+  retained.AllocateSubset(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(),
+                          got.data());
+  std::vector<int32_t> live(n);
+  for (size_t i = 0; i < n; ++i) {
+    live[i] = static_cast<int32_t>(i);
+  }
+  for (int resolve = 0; resolve < 4; ++resolve) {
+    std::vector<int32_t> kept;
+    for (int32_t fi : live) {
+      if (next() % 4 == 0) {
+        retained.Depart(fi, f.offsets.data(), f.links.data());
+      } else {
+        kept.push_back(fi);
+      }
+    }
+    live = kept;
+    if (live.empty()) {
+      break;
+    }
+    for (Rate& cap : caps) {
+      cap *= kCapMoves[next() % 5];
+    }
+    retained.TakeWork();
+    retained.ResolveRetained(caps, n, f.offsets.data(), f.links.data(), f.pinned.data(),
+                             got.data());
+    FlatFlows sub;
+    for (int32_t fi : live) {
+      sub.Add({f.links.begin() + f.offsets[static_cast<size_t>(fi)],
+               f.links.begin() + f.offsets[static_cast<size_t>(fi) + 1]},
+              f.pinned[static_cast<size_t>(fi)]);
+    }
+    BandwidthAllocator fresh;
+    const std::vector<Rate> want = ExpectPinnedPhaseMatchesReference(caps, sub, &fresh);
+    for (size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(got[static_cast<size_t>(live[i])], want[i])
+          << "re-solve " << resolve << " flow " << live[i];
+    }
+    const BandwidthAllocator::Work a = retained.TakeWork();
+    const BandwidthAllocator::Work b = fresh.TakeWork();
+    EXPECT_EQ(a.pinned_rounds, b.pinned_rounds) << "re-solve " << resolve;
+    EXPECT_EQ(a.resum_terms, b.resum_terms) << "re-solve " << resolve;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomComponents, RetainedResolveParityTest, ::testing::Range(1, 101));
+
 }  // namespace
 }  // namespace bds

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/control/controller.h"
@@ -483,15 +485,19 @@ TEST(IncrementalSimulatorTest, FairDepartureBlocksSkipsUntilNextPass) {
 }
 
 // An incremental simulator and its full-reallocation twin on the same
-// 4-DC x 2-server mesh (100 MB/s WAN, 40 MB/s NICs), driven in lockstep.
-// Every Advance compares the clock, the active count and every link's bulk
-// rate bitwise; Finish drains both and compares the completion records.
-// Link ids: DC d server k has uplink 4d + 2k and downlink 4d + 2k + 1; the
-// WAN links come after all NICs.
+// topology, by default a 4-DC x 2-server mesh (100 MB/s WAN, 40 MB/s NICs),
+// driven in lockstep. Every Advance compares the clock, the active count and
+// every link's bulk rate bitwise; Finish drains both and compares the
+// completion records. Link ids: DC d server k has uplink 4d + 2k and
+// downlink 4d + 2k + 1; the WAN links come after all NICs.
 class RetainedTwins {
  public:
-  RetainedTwins()
-      : topo_(BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value()),
+  static Topology Mesh() {
+    return BuildFullMesh(4, 2, MBps(100.0), MBps(40.0), MBps(40.0)).value();
+  }
+
+  explicit RetainedTwins(Topology topo = Mesh())
+      : topo_(std::move(topo)),
         routing_(WanRoutingTable::Build(topo_, 2).value()),
         inc_(&topo_),
         ref_(&topo_) {
@@ -698,6 +704,121 @@ TEST(RetainedComponentTest, DrainedDirtyLinkLeavesTheRetainedArraysIntact) {
   EXPECT_EQ(tw.inc().num_retained_solves(), 1);
   EXPECT_NEAR(tw.RateOf(f0), MBps(10.0), 1e-3);
   EXPECT_NEAR(tw.RateOf(f1), MBps(10.0), 1e-3);
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, StaleLoadIsReSummedWhenAFaultCutsItsLink) {
+  // f0 and f1 pin 30 MB/s on link 0 and run at 20. b (5) and c (3) share
+  // f0's destination NIC, link 5, whose first-round load is 38: under its
+  // 40. c leaves at its pin (no re-solve), so link 5 keeps 38 as a stale
+  // bound on its 35. Then a fault cuts link 5 to 20 MB/s: the bound no
+  // longer proves the link fits, so the retained re-solve must re-sum it.
+  // Its factor 20/35 beats link 0's 40/60. Catches a re-solve that trusts
+  // the stale bound as the load (factor 20/38).
+  RetainedTwins tw;
+  const FlowId f0 = tw.Start(tw.Path(0, 0, 1, 0), MB(1000.0), MBps(30.0));
+  const FlowId f1 = tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(30.0));
+  const FlowId b = tw.Start(tw.Path(3, 0, 1, 0), MB(1000.0), MBps(5.0));
+  tw.Start(tw.Path(3, 1, 1, 0), MB(3.0), MBps(3.0));  // c: 1 s at its pin.
+  tw.Advance(0.5);
+  ASSERT_NEAR(tw.RateOf(f0), MBps(20.0), 1e-3);
+  tw.Advance(1.5);
+  ASSERT_EQ(tw.inc().num_active_flows(), 3);
+  ASSERT_EQ(tw.inc().num_reallocations(), 1);  // c's departure skipped.
+  tw.Fault(5, 0.5);
+  tw.Advance(2.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_NEAR(tw.RateOf(b), MBps(5.0 * 20.0 / 35.0), 1e-3);
+  EXPECT_LT(tw.RateOf(f0), tw.RateOf(f1));
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, EveryMemberOfALinkDeparts) {
+  // f0 and f1 are link 0's only flows: pinned at 30, run at 20, and both
+  // finish at 2 s in one event. g0 and g1 pin 25 on link 2 and run at 20;
+  // g0 shares the DC0 -> DC1 WAN link with f0, so all four are one retained
+  // set. The re-solve after f0 and f1 leave finds link 0 with no live
+  // member; a fault on link 2 later re-solves the set again. Catches an
+  // epilogue that walks every retained member, departed ones included (it
+  // writes their pins back into the drained links' bulk rates).
+  RetainedTwins tw;
+  tw.Start(tw.Path(0, 0, 1, 0), MB(40.0), MBps(30.0));  // f0: 2 s at 20.
+  tw.Start(tw.Path(0, 0, 2, 0), MB(40.0), MBps(30.0));  // f1: 2 s at 20.
+  const FlowId g0 = tw.Start(tw.Path(0, 1, 1, 1), MB(1000.0), MBps(25.0));
+  const FlowId g1 = tw.Start(tw.Path(0, 1, 3, 0), MB(1000.0), MBps(25.0));
+  tw.Advance(1.0);
+  ASSERT_NEAR(tw.RateOf(g0), MBps(20.0), 1e-3);
+  tw.Advance(2.5);
+  ASSERT_EQ(tw.inc().num_active_flows(), 2);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_EQ(tw.inc().LinkBulkRate(0), 0.0);
+  tw.Fault(2, 0.25);
+  tw.Advance(3.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 2);
+  EXPECT_NEAR(tw.RateOf(g1), MBps(5.0), 1e-3);
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, DeparturesOnOverAndFittingLinksAcrossConsecutiveResolves) {
+  // Source NIC link 0 carries f0..f4 (pins 20, load 100: over) and link 2
+  // carries g0..g2 (pins 15, load 45: over). f0, f1, g0 and f2 finish
+  // scaled down at 1.25, 2.25, 2.7 and 3.0 s, each re-solving the retained
+  // set; the rest then fit and leave at their pins. h0..h2 run at their
+  // 4 MB/s pins into destination NICs that stay within capacity (each at
+  // most 39 MB/s) and leave at 0.5, 1.5 and 2.5 s without a re-solve, so
+  // those links stay stale across re-solves while the over links are
+  // re-summed. Catches a re-sum that drops a departed member from the load
+  // but not from the row: the next round's re-sum of that row counts it
+  // again.
+  RetainedTwins tw;
+  const int dest[5][2] = {{1, 0}, {2, 0}, {3, 0}, {1, 1}, {2, 1}};
+  for (int i = 0; i < 5; ++i) {
+    tw.Start(tw.Path(0, 0, dest[i][0], dest[i][1]), MB(10.0 * (i + 1)), MBps(20.0));
+  }
+  tw.Start(tw.Path(0, 1, 3, 1), MB(36.0), MBps(15.0));   // g0.
+  tw.Start(tw.Path(0, 1, 1, 0), MB(80.0), MBps(15.0));   // g1.
+  tw.Start(tw.Path(0, 1, 2, 0), MB(100.0), MBps(15.0));  // g2.
+  tw.Start(tw.Path(3, 0, 1, 0), MB(2.0), MBps(4.0));     // h0.
+  tw.Start(tw.Path(3, 1, 2, 0), MB(6.0), MBps(4.0));     // h1.
+  tw.Start(tw.Path(2, 1, 3, 1), MB(10.0), MBps(4.0));    // h2.
+  for (int step = 1; step <= 24; ++step) {
+    tw.Advance(0.25 * step);
+  }
+  EXPECT_EQ(tw.inc().num_retained_solves(), 4);
+  EXPECT_EQ(tw.inc().num_reallocations(), 5);
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, RoundCapCountsOnlyLinksWithALiveMember) {
+  // Link 0 has a capacity of 10 subnormal units (denorm_min). Ten flows
+  // pinned at 1 unit and one at 8 share it alone; d (pin 4) crosses it and
+  // links 1 and 3, so the retained set spans three links. The first solve
+  // fits in one round (d runs at 2). Cancelling d re-solves the set with
+  // one live link: 18 units scale to 14, 13, 12, 12, ..., and the round cap
+  // (live links + 1 = 2) stops at 13, the big flow at 3. Catches a cap
+  // that counts every retained link (3 + 1 rounds: the big flow at 2).
+  const Rate tiny = std::numeric_limits<double>::denorm_min();
+  Topology topo = RetainedTwins::Mesh();
+  ASSERT_TRUE(topo.SetLinkCapacity(0, 10.0 * tiny).ok());
+  RetainedTwins tw(std::move(topo));
+  std::vector<FlowId> all;
+  for (int i = 0; i < 10; ++i) {
+    all.push_back(tw.Start({0}, MB(1.0), tiny));
+  }
+  const FlowId big = tw.Start({0}, MB(1.0), 8.0 * tiny);
+  const FlowId d = tw.Start({0, 1, 3}, MB(1.0), 4.0 * tiny);
+  all.push_back(big);
+  tw.Advance(1.0);
+  ASSERT_EQ(tw.RateOf(big), 4.0 * tiny);
+  ASSERT_EQ(tw.RateOf(d), 2.0 * tiny);
+  tw.Cancel(d);
+  tw.Advance(2.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_EQ(tw.RateOf(big), 3.0 * tiny);
+  EXPECT_EQ(tw.RateOf(all[0]), tiny);
+  for (FlowId id : all) {
+    tw.Cancel(id);
+  }
   tw.Finish();
 }
 

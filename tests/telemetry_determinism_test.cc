@@ -86,6 +86,10 @@ TEST(TelemetryDeterminismTest, InstrumentedSubsystemsAllReport) {
   EXPECT_GT(snap.CounterValue("fptas.solves"), 0);
   EXPECT_GT(snap.CounterValue("sim.flows_started"), 0);
   EXPECT_GT(snap.CounterValue("sim.flows_completed"), 0);
+  // Stragglers: launched transfers planned to outlast their cycle.
+  EXPECT_GT(snap.CounterValue("controller.transfers_planned_past_cycle"), 0);
+  EXPECT_LE(snap.CounterValue("controller.transfers_planned_past_cycle"),
+            snap.CounterValue("controller.transfers_started"));
   const auto* cycle_timer = snap.FindHistogram("controller.cycle");
   ASSERT_NE(cycle_timer, nullptr);
   EXPECT_GT(cycle_timer->hist.total(), 0);
