@@ -445,7 +445,7 @@ void PrintDelayCdfs() {
   bench::PrintHeader("Figure 11b", "control-message network delay CDF",
                      "5000 one-way agent<->controller messages over a 5-35 ms WAN "
                      "(paper: 90% < 50 ms, mean ~25 ms)");
-  AgentMonitor monitor(&topo, 0, LatencyModel::Options{});
+  AgentMonitor monitor(&topo, 0);
   for (int i = 0; i < 5000; ++i) {
     monitor.SampleStatusDelay(static_cast<DcId>(i % topo.num_dcs()));
   }
@@ -460,7 +460,7 @@ void PrintDelayCdfs() {
   bench::PrintHeader("Figure 11c", "feedback-loop delay CDF",
                      "status in + algorithm + push out, 1000 cycles "
                      "(paper: 80% < 200 ms)");
-  AgentMonitor loop_monitor(&topo, 0, LatencyModel::Options{});
+  AgentMonitor loop_monitor(&topo, 0);
   std::vector<DcId> agent_dcs;
   for (DcId d = 0; d < topo.num_dcs(); ++d) {
     agent_dcs.push_back(d);

@@ -107,8 +107,8 @@ SweepPoint RunPoint(double load_factor) {
     }
   }
   p.transitions = static_cast<int64_t>(report->transitions.size());
-  p.peak_live_pending = report->peak_live_pending;
-  p.retired_jobs = report->retired_jobs;
+  p.peak_live_pending = report->run.peak_live_pending;
+  p.retired_jobs = report->run.retired_jobs;
   p.fingerprint = report->Fingerprint();
   p.stop_reason = StopReasonName(report->run.stop_reason);
   return p;

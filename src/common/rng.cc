@@ -101,56 +101,6 @@ double Rng::LogNormal(double mu_log, double sigma_log) {
   return std::exp(Normal(mu_log, sigma_log));
 }
 
-double Rng::Pareto(double x_m, double alpha) {
-  BDS_CHECK(x_m > 0.0 && alpha > 0.0);
-  double u = 1.0 - NextDouble();  // (0, 1]
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
-int64_t Rng::Zipf(int64_t n, double s) {
-  BDS_CHECK(n >= 1);
-  if (n == 1) {
-    return 1;
-  }
-  if (s <= 0.0) {
-    return UniformInt(1, n);
-  }
-  // Rejection-inversion (Hörmann). Works for any s > 0, O(1) expected time.
-  double sx = s;
-  auto h = [sx](double x) {
-    // Integral of x^-s.
-    if (sx == 1.0) {
-      return std::log(x);
-    }
-    return (std::pow(x, 1.0 - sx) - 1.0) / (1.0 - sx);
-  };
-  auto h_inv = [sx](double y) {
-    if (sx == 1.0) {
-      return std::exp(y);
-    }
-    return std::pow(1.0 + y * (1.0 - sx), 1.0 / (1.0 - sx));
-  };
-  double h_x0 = h(0.5) - 1.0;  // h(1/2) - f(1)
-  double h_n = h(static_cast<double>(n) + 0.5);
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    double u = h_x0 + NextDouble() * (h_n - h_x0);
-    double x = h_inv(u);
-    int64_t k = static_cast<int64_t>(x + 0.5);
-    if (k < 1) {
-      k = 1;
-    }
-    if (k > n) {
-      k = n;
-    }
-    double kd = static_cast<double>(k);
-    if (u >= h(kd + 0.5) - std::pow(kd, -sx)) {
-      return k;
-    }
-  }
-  // Statistically unreachable; fall back to the mode.
-  return 1;
-}
-
 std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
   BDS_CHECK(k >= 0 && k <= n);
   // Floyd's algorithm: O(k) expected draws, no O(n) scratch.
@@ -169,7 +119,5 @@ std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
   }
   return out;
 }
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace bds

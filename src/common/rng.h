@@ -40,14 +40,6 @@ class Rng {
   // Log-normal: exp(Normal(mu_log, sigma_log)).
   double LogNormal(double mu_log, double sigma_log);
 
-  // Pareto with scale x_m > 0 and shape alpha > 0.
-  double Pareto(double x_m, double alpha);
-
-  // Zipf-distributed rank in [1, n] with exponent s >= 0 (s=0 is uniform).
-  // Uses inverse-CDF over precomputable weights; O(n) per draw is avoided by
-  // rejection-inversion for large n.
-  int64_t Zipf(int64_t n, double s);
-
   // Sample k distinct indices from [0, n) uniformly (Floyd's algorithm).
   std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
 
@@ -60,9 +52,6 @@ class Rng {
       swap(v[i], v[j]);
     }
   }
-
-  // Derive an independent child generator (stable across platforms).
-  Rng Fork();
 
  private:
   uint64_t s_[4];

@@ -56,13 +56,6 @@ inline constexpr SimTime Hours(double h) { return h * 3600.0; }
 // part in 10^6 of a byte/second is far below any quantity we care about.
 inline constexpr double kFluidEpsilon = 1e-6;
 
-inline bool ApproxEqual(double a, double b, double eps = kFluidEpsilon) {
-  double scale = (a < 0 ? -a : a) > (b < 0 ? -b : b) ? (a < 0 ? -a : a) : (b < 0 ? -b : b);
-  double tol = eps * (scale > 1.0 ? scale : 1.0);
-  double d = a - b;
-  return (d < 0 ? -d : d) <= tol;
-}
-
 }  // namespace bds
 
 #endif  // BDS_SRC_COMMON_TYPES_H_

@@ -6,23 +6,15 @@
 
 namespace bds {
 
-AgentMonitor::AgentMonitor(const Topology* topo, DcId controller_dc,
-                           LatencyModel::Options latency_options)
-    : topo_(topo), controller_dc_(controller_dc), latency_(topo, latency_options) {
+AgentMonitor::AgentMonitor(const Topology* topo, DcId controller_dc, uint64_t latency_seed)
+    : topo_(topo), controller_dc_(controller_dc), latency_(topo, latency_seed) {
   BDS_CHECK(topo != nullptr);
   BDS_CHECK(controller_dc >= 0 && controller_dc < topo->num_dcs());
 }
 
-double AgentMonitor::SampleStatusDelay(DcId agent_dc) {
+double AgentMonitor::SampleOneWay(DcId from, DcId to) {
   ++messages_;
-  double d = latency_.SampleOneWay(agent_dc, controller_dc_);
-  one_way_.Add(d);
-  return d;
-}
-
-double AgentMonitor::SamplePushDelay(DcId agent_dc) {
-  ++messages_;
-  double d = latency_.SampleOneWay(controller_dc_, agent_dc);
+  double d = latency_.SampleOneWay(from, to);
   one_way_.Add(d);
   return d;
 }
@@ -35,7 +27,7 @@ double AgentMonitor::SampleFeedbackLoop(const std::vector<DcId>& agent_dcs,
   double worst_out = 0.0;
   for (DcId d : agent_dcs) {
     worst_in = std::max(worst_in, SampleStatusDelay(d));
-    worst_out = std::max(worst_out, SamplePushDelay(d));
+    worst_out = std::max(worst_out, SampleOneWay(controller_dc_, d));  // Decision push.
   }
   double loop = worst_in + algorithm_seconds + worst_out;
   feedback_.Add(loop);

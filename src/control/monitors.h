@@ -22,14 +22,11 @@ namespace bds {
 
 class AgentMonitor {
  public:
-  AgentMonitor(const Topology* topo, DcId controller_dc, LatencyModel::Options latency_options);
+  AgentMonitor(const Topology* topo, DcId controller_dc, uint64_t latency_seed = 7);
 
   // One-way delay of a status report from an agent in `agent_dc` to the
   // controller. Recorded into the delay distribution.
-  double SampleStatusDelay(DcId agent_dc);
-
-  // One-way delay of a decision push from the controller to `agent_dc`.
-  double SamplePushDelay(DcId agent_dc);
+  double SampleStatusDelay(DcId agent_dc) { return SampleOneWay(agent_dc, controller_dc_); }
 
   // Full feedback loop (Fig 11c): slowest status report in, algorithm
   // execution, slowest push out. `agent_dcs` are the DCs with active agents.
@@ -40,6 +37,8 @@ class AgentMonitor {
   int64_t messages_sent() const { return messages_; }
 
  private:
+  double SampleOneWay(DcId from, DcId to);
+
   const Topology* topo_;
   DcId controller_dc_;
   LatencyModel latency_;

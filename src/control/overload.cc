@@ -1,7 +1,8 @@
 #include "src/control/overload.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "src/common/digest.h"
 
 namespace bds {
 
@@ -60,23 +61,15 @@ DegradationRung CycleWatchdog::Observe(int64_t cycle, double cost_seconds) {
 }
 
 uint64_t CycleWatchdog::TransitionDigest() const {
-  uint64_t h = 0x9E3779B97F4A7C15ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 31;
-  };
-  mix(static_cast<uint64_t>(transitions_.size()));
+  Digest d;
+  d.Mix(static_cast<uint64_t>(transitions_.size()));
   for (const RungTransition& t : transitions_) {
-    mix(static_cast<uint64_t>(t.cycle));
-    mix(static_cast<uint64_t>(t.from));
-    mix(static_cast<uint64_t>(t.to));
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(t.modeled_cost));
-    std::memcpy(&bits, &t.modeled_cost, sizeof(bits));
-    mix(bits);
+    d.Mix(static_cast<uint64_t>(t.cycle));
+    d.Mix(static_cast<uint64_t>(t.from));
+    d.Mix(static_cast<uint64_t>(t.to));
+    d.MixDouble(t.modeled_cost);
   }
-  return h;
+  return d.h;
 }
 
 }  // namespace bds

@@ -41,6 +41,7 @@ class ControllerReplicaSet {
   int MasterIndex(SimTime t);
 
   int num_replicas() const { return static_cast<int>(alive_.size()); }
+  bool alive(int idx) const { return alive_[static_cast<size_t>(idx)]; }
   int64_t elections() const { return elections_; }
 
  private:

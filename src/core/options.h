@@ -35,7 +35,6 @@ struct BdsOptions {
   int controller_replicas = 3;
   // Charge the control-plane feedback loop against each cycle (Fig 12c).
   bool model_decision_latency = false;
-  int fallback_visibility = 3;  // Decentralized-fallback source visibility.
 
   // Check hard invariants (link rates within faulted capacity) every cycle
   // and record the worst violation in the report. Off by default; the chaos

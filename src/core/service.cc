@@ -4,6 +4,9 @@
 
 namespace bds {
 
+// Source holders a receiver on the decentralized fallback can see.
+constexpr int kFallbackVisibility = 3;
+
 ControllerOptions ToControllerOptions(const BdsOptions& options) {
   ControllerOptions c;
   c.algorithm.cycle_length = options.cycle_length;
@@ -14,13 +17,13 @@ ControllerOptions ToControllerOptions(const BdsOptions& options) {
   c.algorithm.num_shards = options.num_shards;
   c.separation.safety_threshold = options.safety_threshold;
   c.separation.bulk_rate_cap = options.bulk_rate_cap;
-  c.fallback.visibility = options.fallback_visibility;
+  c.fallback.visibility = kFallbackVisibility;
   c.replication.num_replicas = options.controller_replicas;
   c.controller_dc = options.controller_dc;
   c.model_decision_latency = options.model_decision_latency;
   c.validate_invariants = options.validate_invariants;
   c.seed = options.seed;
-  c.latency.seed = options.seed ^ 0x17AB;
+  c.latency_seed = options.seed ^ 0x17AB;
   return c;
 }
 
@@ -67,15 +70,15 @@ Status BdsService::SubmitJob(const MulticastJob& job) {
 }
 
 Status BdsService::InjectServerFailure(ServerId server, SimTime at) {
-  return controller_->ScheduleServerFailure(server, at);
+  return controller_->mutable_script()->ScheduleServerFailure(server, at);
 }
 
 Status BdsService::InjectServerRecovery(ServerId server, SimTime at) {
-  return controller_->ScheduleServerRecovery(server, at);
+  return controller_->mutable_script()->ScheduleServerRecovery(server, at);
 }
 
 Status BdsService::InjectControllerOutage(SimTime from, SimTime to) {
-  return controller_->ScheduleControllerOutage(from, to);
+  return controller_->mutable_script()->ScheduleControllerOutage(from, to);
 }
 
 StatusOr<ChaosPlan> BdsService::InstallChaos(uint64_t seed, const ChaosOptions& options) {
@@ -83,12 +86,13 @@ StatusOr<ChaosPlan> BdsService::InstallChaos(uint64_t seed, const ChaosOptions& 
   if (!plan.ok()) {
     return plan.status();
   }
+  EventScript* script = controller_->mutable_script();
   for (const auto& [from, to] : plan->controller_outages) {
-    BDS_RETURN_IF_ERROR(controller_->ScheduleControllerOutage(from, to));
+    BDS_RETURN_IF_ERROR(script->ScheduleControllerOutage(from, to));
   }
   for (const ChaosPlan::ReplicaFailureEvent& e : plan->replica_failures) {
-    BDS_RETURN_IF_ERROR(controller_->ScheduleReplicaFailure(e.replica, e.fail_at));
-    BDS_RETURN_IF_ERROR(controller_->ScheduleReplicaRecovery(e.replica, e.recover_at));
+    BDS_RETURN_IF_ERROR(script->ScheduleReplicaFailure(e.replica, e.fail_at));
+    BDS_RETURN_IF_ERROR(script->ScheduleReplicaRecovery(e.replica, e.recover_at));
   }
   return plan;
 }
@@ -111,16 +115,16 @@ StatusOr<SteadyStateReport> BdsService::RunSteadyState(const SteadyStateOptions&
   ArrivalProcess arrivals(std::move(ap));
 
   controller_->ConfigureOverload(options.overload);
-  controller_->ConfigureAdmission(options.admission);
+  controller_->mutable_intake()->ConfigureAdmission(options.admission);
   controller_->ConfigureRetirement(options.retire_completed, options.max_cycle_stats);
   BDS_RETURN_IF_ERROR(controller_->ConfigureTimeseries(options.timeseries));
-  controller_->SetArrivalProcess(&arrivals, options.duration);
+  controller_->mutable_intake()->SetArrivalProcess(&arrivals, options.duration);
 
   const SimTime deadline = options.duration + (options.drain ? options.drain_limit : 0.0);
   auto run = controller_->Run(deadline);
   // The arrival process is stack-local: detach it before any return so the
   // controller never holds a dangling pointer.
-  controller_->SetArrivalProcess(nullptr, 0.0);
+  controller_->mutable_intake()->SetArrivalProcess(nullptr, 0.0);
   next_job_id_ = std::max(next_job_id_, arrivals.next_job_id());
   if (!run.ok()) {
     return run.status();
@@ -129,8 +133,9 @@ StatusOr<SteadyStateReport> BdsService::RunSteadyState(const SteadyStateOptions&
   SteadyStateReport report;
   report.run = std::move(run).value();
   report.jobs_generated = arrivals.generated();
-  report.admission = controller_->admission().stats();
-  report.estimated_service_rate = controller_->admission().estimated_service_rate();
+  const AdmissionController& admission = controller_->intake().admission();
+  report.admission = admission.stats();
+  report.estimated_service_rate = admission.estimated_service_rate();
   report.jobs_completed = report.run.jobs_completed_total;
   report.completion_p50_minutes = ToMinutes(report.run.completion_p50);
   report.completion_p95_minutes = ToMinutes(report.run.completion_p95);
@@ -145,11 +150,6 @@ StatusOr<SteadyStateReport> BdsService::RunSteadyState(const SteadyStateOptions&
   report.rung_cycles = watchdog.rung_cycles();
   report.transitions = watchdog.transitions();
   report.transition_digest = watchdog.TransitionDigest();
-  report.peak_live_pending = report.run.peak_live_pending;
-  report.peak_live_jobs = report.run.peak_live_jobs;
-  report.peak_live_flows = report.run.peak_live_flows;
-  report.retired_jobs = report.run.retired_jobs;
-  report.retired_blocks = report.run.retired_blocks;
   report.live_jobs_at_end = controller_->state().num_live_jobs();
   report.live_pending_at_end = controller_->state().num_pending();
   if (const telemetry::SloTimeseries* ts = controller_->timeseries(); ts != nullptr) {

@@ -1,8 +1,9 @@
 #include "src/core/steady_state.h"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
+
+#include "src/common/digest.h"
 
 namespace bds {
 
@@ -21,19 +22,14 @@ Status ValidateSteadyStateOptions(const SteadyStateOptions& options) {
 }
 
 uint64_t SteadyStateReport::Fingerprint() const {
-  uint64_t h = run.Fingerprint();
-  auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 31;
-  };
-  mix(transition_digest);
-  mix(static_cast<uint64_t>(jobs_generated));
-  mix(static_cast<uint64_t>(admission.offered));
-  mix(static_cast<uint64_t>(admission.accepted));
-  mix(static_cast<uint64_t>(admission.rejected));
-  mix(static_cast<uint64_t>(admission.deferred));
-  return h;
+  Digest d{run.Fingerprint()};
+  d.Mix(transition_digest);
+  d.Mix(static_cast<uint64_t>(jobs_generated));
+  d.Mix(static_cast<uint64_t>(admission.offered));
+  d.Mix(static_cast<uint64_t>(admission.accepted));
+  d.Mix(static_cast<uint64_t>(admission.rejected));
+  d.Mix(static_cast<uint64_t>(admission.deferred));
+  return d.h;
 }
 
 std::string SteadyStateReport::ToString() const {
@@ -67,10 +63,11 @@ std::string SteadyStateReport::ToString() const {
   std::snprintf(buf, sizeof(buf),
                 "memory: peak_pending=%lld peak_jobs=%lld peak_flows=%lld retired_jobs=%lld "
                 "retired_blocks=%lld live_at_end(jobs=%lld pending=%lld)\n",
-                static_cast<long long>(peak_live_pending),
-                static_cast<long long>(peak_live_jobs),
-                static_cast<long long>(peak_live_flows),
-                static_cast<long long>(retired_jobs), static_cast<long long>(retired_blocks),
+                static_cast<long long>(run.peak_live_pending),
+                static_cast<long long>(run.peak_live_jobs),
+                static_cast<long long>(run.peak_live_flows),
+                static_cast<long long>(run.retired_jobs),
+                static_cast<long long>(run.retired_blocks),
                 static_cast<long long>(live_jobs_at_end),
                 static_cast<long long>(live_pending_at_end));
   os << buf;

@@ -75,13 +75,8 @@ struct SteadyStateReport {
   std::vector<RungTransition> transitions;
   uint64_t transition_digest = 0;
 
-  // Bounded-memory evidence: peaks plateau, retired counts grow, and the
-  // live residue at the end is small.
-  int64_t peak_live_pending = 0;
-  int64_t peak_live_jobs = 0;
-  int64_t peak_live_flows = 0;
-  int64_t retired_jobs = 0;
-  int64_t retired_blocks = 0;
+  // Bounded-memory evidence (with run's peaks and retired counts): the live
+  // residue at the end is small.
   int64_t live_jobs_at_end = 0;
   int64_t live_pending_at_end = 0;
 

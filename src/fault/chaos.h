@@ -49,7 +49,7 @@ struct ChaosOptions {
 struct ChaosPlan {
   std::vector<std::pair<SimTime, SimTime>> controller_outages;
   // Per-replica fail/recover events; applied by the caller via
-  // BdsController::ScheduleReplicaFailure/Recovery (like the outages, the
+  // EventScript::ScheduleReplicaFailure/Recovery (like the outages, the
   // injector has no controller handle).
   struct ReplicaFailureEvent {
     int replica = 0;

@@ -155,12 +155,6 @@ bool FaultInjector::DrawPushDropped(ServerId server) {
   return true;
 }
 
-void FaultInjector::NotePushDelivered(ServerId server) {
-  if (control_.push_drop_prob > 0.0) {
-    push_misses_[server] = 0;
-  }
-}
-
 bool FaultInjector::DrawBlockCorrupted() {
   if (data_.corruption_prob <= 0.0) {
     return false;

@@ -117,11 +117,9 @@ class FaultInjector {
   bool DrawReportLost(DcId dc);
 
   // Draws whether the decision push to agent `server` is dropped this
-  // cycle, honouring the retry-escalation bound.
+  // cycle, honouring the retry-escalation bound; a push that goes through
+  // resets the agent's count of consecutive drops.
   bool DrawPushDropped(ServerId server);
-
-  // Resets the consecutive-drop counter for `server` (its push succeeded).
-  void NotePushDelivered(ServerId server);
 
   // Draws whether one delivered block is corrupted.
   bool DrawBlockCorrupted();

@@ -24,14 +24,6 @@ int McfInstance::num_paths() const {
   return n;
 }
 
-double McfResult::CommodityFlow(int c) const {
-  double sum = 0.0;
-  for (double f : flow[static_cast<size_t>(c)]) {
-    sum += f;
-  }
-  return sum;
-}
-
 McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& options) {
   McfResult result;
   result.flow.resize(static_cast<size_t>(instance.num_commodities()));

@@ -47,9 +47,6 @@ struct McfResult {
   double total_flow = 0.0;
   // flow[c][p] = flow on commodity c's p-th path.
   std::vector<std::vector<double>> flow;
-
-  // Total flow of one commodity.
-  double CommodityFlow(int c) const;
 };
 
 // Exact solution via the dense simplex. Exponentially slower than the FPTAS

@@ -1,6 +1,10 @@
 #include "src/scheduler/admission.h"
 
 namespace bds {
+namespace {
+// EWMA weight of the newest cycle's delivered count.
+constexpr double kServiceRateAlpha = 0.2;
+}  // namespace
 
 void AdmissionController::ObserveCycle(int64_t blocks_delivered, bool had_backlog) {
   if (!had_backlog) {
@@ -10,7 +14,7 @@ void AdmissionController::ObserveCycle(int64_t blocks_delivered, bool had_backlo
   if (observed_cycles_ == 0) {
     service_rate_ = x;
   } else {
-    service_rate_ += options_.service_rate_alpha * (x - service_rate_);
+    service_rate_ += kServiceRateAlpha * (x - service_rate_);
   }
   ++observed_cycles_;
 }

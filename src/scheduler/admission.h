@@ -35,10 +35,6 @@ struct AdmissionOptions {
   double max_backlog_cycles = 30.0;
   // Optional absolute bound on outstanding deliveries; <= 0 disables.
   int64_t max_backlog_deliveries = 0;
-  // Bound on the defer queue (jobs); overflowing rejects.
-  int64_t max_deferred_jobs = 256;
-  // EWMA weight of the newest cycle's delivered count.
-  double service_rate_alpha = 0.2;
   // Until this many backlogged cycles have been observed the rate estimate
   // is unreliable, so admission stays optimistic (bounded only by
   // max_backlog_deliveries).

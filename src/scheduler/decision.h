@@ -5,9 +5,9 @@
 #ifndef BDS_SRC_SCHEDULER_DECISION_H_
 #define BDS_SRC_SCHEDULER_DECISION_H_
 
-#include <cstring>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/common/types.h"
 #include "src/topology/path.h"
 
@@ -51,38 +51,27 @@ struct CycleDecision {
   // Wall-clock timings are excluded. Used by the determinism tests: the
   // thread-pool and optimization knobs must not change this value.
   uint64_t Fingerprint() const {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    auto mix = [&h](uint64_t v) {
-      h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      h *= 0xBF58476D1CE4E5B9ULL;
-      h ^= h >> 31;
-    };
-    auto mix_double = [&mix](double v) {
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      std::memcpy(&bits, &v, sizeof(bits));
-      mix(bits);
-    };
-    mix(static_cast<uint64_t>(cycle));
-    mix(static_cast<uint64_t>(scheduled_blocks));
-    mix(static_cast<uint64_t>(merged_subtasks));
-    mix(static_cast<uint64_t>(transfers.size()));
+    Digest d;
+    d.Mix(static_cast<uint64_t>(cycle));
+    d.Mix(static_cast<uint64_t>(scheduled_blocks));
+    d.Mix(static_cast<uint64_t>(merged_subtasks));
+    d.Mix(static_cast<uint64_t>(transfers.size()));
     for (const TransferAssignment& t : transfers) {
-      mix(static_cast<uint64_t>(t.job));
-      mix(static_cast<uint64_t>(t.blocks.size()));
+      d.Mix(static_cast<uint64_t>(t.job));
+      d.Mix(static_cast<uint64_t>(t.blocks.size()));
       for (int64_t b : t.blocks) {
-        mix(static_cast<uint64_t>(b));
+        d.Mix(static_cast<uint64_t>(b));
       }
-      mix_double(t.bytes);
-      mix(static_cast<uint64_t>(t.src_server));
-      mix(static_cast<uint64_t>(t.dst_server));
-      mix(static_cast<uint64_t>(t.path.wan_route_index));
+      d.MixDouble(t.bytes);
+      d.Mix(static_cast<uint64_t>(t.src_server));
+      d.Mix(static_cast<uint64_t>(t.dst_server));
+      d.Mix(static_cast<uint64_t>(t.path.wan_route_index));
       for (LinkId l : t.path.links) {
-        mix(static_cast<uint64_t>(l));
+        d.Mix(static_cast<uint64_t>(l));
       }
-      mix_double(t.rate);
+      d.MixDouble(t.rate);
     }
-    return h;
+    return d.h;
   }
 };
 

@@ -4,20 +4,15 @@
 
 namespace bds {
 
-LatencyModel::LatencyModel(const Topology* topo) : LatencyModel(topo, Options()) {}
-
-LatencyModel::LatencyModel(const Topology* topo, Options options)
-    : topo_(topo), options_(options), rng_(options.seed) {
+LatencyModel::LatencyModel(const Topology* topo, uint64_t seed) : topo_(topo), rng_(seed) {
   BDS_CHECK(topo != nullptr);
 }
 
 double LatencyModel::SampleOneWay(DcId a, DcId b) {
   double base = (a == b) ? 0.0 : topo_->DcLatency(a, b);
   // Median multiplier 1.0: lognormal with mu = 0.
-  double jitter = rng_.LogNormal(0.0, options_.jitter_sigma);
-  return base * jitter + options_.processing_overhead;
+  double jitter = rng_.LogNormal(0.0, kJitterSigma);
+  return base * jitter + kProcessingOverhead;
 }
-
-double LatencyModel::SampleRtt(DcId a, DcId b) { return SampleOneWay(a, b) + SampleOneWay(b, a); }
 
 }  // namespace bds

@@ -16,28 +16,20 @@ namespace bds {
 
 class LatencyModel {
  public:
-  struct Options {
-    // Multiplicative lognormal jitter: exp(N(mu, sigma)). mu is chosen so the
-    // median multiplier is ~1.
-    double jitter_sigma = 0.35;
-    // Additive processing overhead per message (serialization, HTTP POST).
-    double processing_overhead = 0.002;  // 2 ms
-    uint64_t seed = 7;
-  };
+  // Multiplicative lognormal jitter: exp(N(mu, sigma)). mu is chosen so the
+  // median multiplier is ~1.
+  static constexpr double kJitterSigma = 0.35;
+  // Additive processing overhead per message (serialization, HTTP POST).
+  static constexpr double kProcessingOverhead = 0.002;  // 2 ms
 
-  explicit LatencyModel(const Topology* topo);
-  LatencyModel(const Topology* topo, Options options);
+  explicit LatencyModel(const Topology* topo, uint64_t seed = 7);
 
   // One-way delay for a message between DCs `a` and `b` (seconds). Delays
   // within the same DC are just the processing overhead plus small jitter.
   double SampleOneWay(DcId a, DcId b);
 
-  // Round trip: two independent one-way samples.
-  double SampleRtt(DcId a, DcId b);
-
  private:
   const Topology* topo_;
-  Options options_;
   Rng rng_;
 };
 

@@ -143,12 +143,8 @@ SloTimeseries::SloTimeseries(const TimeseriesOptions& options) : options_(option
 
 void SloTimeseries::SetTrackedLinks(const std::vector<LinkId>& links) {
   series_.resize(first_link_series_);
-  tracked_links_.clear();
+  tracked_links_ = links;
   for (LinkId l : links) {
-    if (static_cast<int>(tracked_links_.size()) >= options_.max_tracked_links) {
-      break;
-    }
-    tracked_links_.push_back(l);
     series_.emplace_back("link_util_" + std::to_string(l), RingSeries(options_.capacity));
   }
 }

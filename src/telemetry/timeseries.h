@@ -76,7 +76,6 @@ struct TimeseriesOptions {
   bool enabled = false;
   SimTime sample_dt = 60.0;  // Simulated seconds between samples.
   size_t capacity = 4096;    // Ring width per series.
-  int max_tracked_links = 4; // WAN links tracked for utilization.
 
   // SLO: completion duration <= slo_minutes is "good"; the service objective
   // is that at least `objective` of completions are good.

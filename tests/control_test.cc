@@ -76,7 +76,7 @@ TEST(AgentMonitorTest, DelaysMatchFig11bScale) {
   gopt.max_latency = 0.050;
   auto topo = BuildGeoTopology(gopt);
   ASSERT_TRUE(topo.ok());
-  AgentMonitor monitor(&*topo, /*controller_dc=*/0, LatencyModel::Options{});
+  AgentMonitor monitor(&*topo, /*controller_dc=*/0);
   for (int i = 0; i < 5000; ++i) {
     DcId dc = static_cast<DcId>(i % 10);
     monitor.SampleStatusDelay(dc);
@@ -93,7 +93,7 @@ TEST(AgentMonitorTest, FeedbackLoopDominatedByWorstAgent) {
   auto topo = BuildFullMesh(3, 1, 1.0, 1.0, 1.0).value();
   topo.SetDcLatency(0, 1, 0.010);
   topo.SetDcLatency(0, 2, 0.100);  // Distant DC dominates.
-  AgentMonitor monitor(&topo, 0, LatencyModel::Options{});
+  AgentMonitor monitor(&topo, 0);
   double loop = monitor.SampleFeedbackLoop({1, 2}, /*algorithm_seconds=*/0.05);
   EXPECT_GT(loop, 0.05 + 2 * 0.05);  // At least algo + ~2x distant one-way.
   EXPECT_EQ(monitor.feedback_delays().count(), 1);

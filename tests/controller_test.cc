@@ -133,7 +133,7 @@ TEST(BdsControllerTest, AllSourceHoldersFailedStopsCleanly) {
   job.arrival_time = 1.0;
   ASSERT_TRUE(controller.SubmitJob(job).ok());
   for (ServerId s : f.topo.ServersIn(0)) {
-    controller.ScheduleServerFailure(s, 0.0);
+    controller.mutable_script()->ScheduleServerFailure(s, 0.0);
   }
   auto report = controller.Run(/*deadline=*/3600.0);
   ASSERT_TRUE(report.ok());

@@ -89,7 +89,7 @@ TEST(McfFptasTest, RespectsDemand) {
   inst.commodities[0].demand = 4.0;
   McfResult r = SolveMcfFptas(inst, 0.05);
   ASSERT_TRUE(r.ok);
-  EXPECT_LE(r.CommodityFlow(0), 4.0 + 1e-9);
+  EXPECT_LE(r.flow[0][0], 4.0 + 1e-9);
   EXPECT_GE(r.total_flow, 4.0 * 0.9);
 }
 

@@ -327,7 +327,7 @@ TEST(WedgeWatchdogTest, PermanentSourceFailureStopsAsWedged) {
   BdsController controller(&f.topo, &f.routing, Defaults());
   ASSERT_TRUE(controller.SubmitJob(MakeJob(0, 0, {1}, MB(8.0)).value()).ok());
   ServerId source = f.topo.dc(0).servers.front();
-  ASSERT_TRUE(controller.ScheduleServerFailure(source, 0.0).ok());
+  ASSERT_TRUE(controller.mutable_script()->ScheduleServerFailure(source, 0.0).ok());
   auto report = controller.Run(/*deadline=*/10'000.0);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->completed);

@@ -163,5 +163,56 @@ TEST(RecoveryTest, FailureAndRecoveryWithinOneCycle) {
   EXPECT_EQ(service->mutable_controller()->state().OwedByServer(victim), 0);
 }
 
+TEST(RecoveryTest, EqualTimeFailureAndRecoveryLeaveEveryServerUp) {
+  // Twenty destination servers each fail and recover at the same instant:
+  // forty queued events at one time. Each recovery must apply after its own
+  // failure, as the script validator replays them, so no server ends the run
+  // failed.
+  BdsOptions options;
+  options.cycle_length = 1.0;
+  Topology topo = BuildFullMesh(3, 10, Gbps(1.0), MBps(20.0), MBps(20.0)).value();
+  auto service = BdsService::Create(std::move(topo), options).value();
+  ASSERT_TRUE(service->CreateJob(0, {1, 2}, MB(120.0)).ok());
+  std::vector<ServerId> victims;
+  for (DcId d : {1, 2}) {
+    for (ServerId s : service->topology().ServersIn(d)) {
+      victims.push_back(s);
+    }
+  }
+  ASSERT_EQ(victims.size(), 20u);
+  for (ServerId s : victims) {
+    ASSERT_TRUE(service->InjectServerFailure(s, 1.0).ok());
+    ASSERT_TRUE(service->InjectServerRecovery(s, 1.0).ok());
+  }
+  auto report = service->Run(Hours(1.0));
+  ASSERT_TRUE(report.ok());
+  for (ServerId s : victims) {
+    EXPECT_FALSE(service->mutable_controller()->state().ServerFailed(s)) << "server " << s;
+  }
+  EXPECT_TRUE(report->completed);
+}
+
+TEST(RecoveryTest, EqualTimeReplicaFailureAndRecoveryLeaveEveryReplicaUp) {
+  // The same for controller replicas: every replica fails and recovers at
+  // one instant, and every one must be alive when the run ends.
+  constexpr int kReplicas = 20;
+  BdsOptions options;
+  options.cycle_length = 1.0;
+  options.controller_replicas = kReplicas;
+  auto service = MakeService(options);
+  ASSERT_TRUE(service->CreateJob(0, {1, 2}, MB(40.0)).ok());
+  EventScript* script = service->mutable_controller()->mutable_script();
+  for (int r = 0; r < kReplicas; ++r) {
+    ASSERT_TRUE(script->ScheduleReplicaFailure(r, 1.0).ok());
+    ASSERT_TRUE(script->ScheduleReplicaRecovery(r, 1.0).ok());
+  }
+  auto report = service->Run(Hours(1.0));
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->completed);
+  for (int r = 0; r < kReplicas; ++r) {
+    EXPECT_TRUE(service->mutable_controller()->script().replicas().alive(r)) << "replica " << r;
+  }
+}
+
 }  // namespace
 }  // namespace bds

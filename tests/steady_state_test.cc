@@ -124,9 +124,9 @@ TEST(SteadyStateSoakTest, DayLongOverloadSoakIsBoundedAndDegradesGracefully) {
   // Bounded memory: nearly everything completed was retired, the live
   // residue is admission-bounded, and per-cycle history was capped even
   // though the full-run counters kept counting.
-  EXPECT_GT(r.retired_jobs, r.jobs_completed * 9 / 10);
-  EXPECT_LE(r.live_pending_at_end, r.peak_live_pending);
-  EXPECT_LT(r.peak_live_jobs, r.admission.accepted);
+  EXPECT_GT(r.run.retired_jobs, r.jobs_completed * 9 / 10);
+  EXPECT_LE(r.live_pending_at_end, r.run.peak_live_pending);
+  EXPECT_LT(r.run.peak_live_jobs, r.admission.accepted);
   EXPECT_LE(static_cast<int64_t>(r.run.cycles.size()), 2048 + 2048 / 2 + 64);
   EXPECT_GT(r.run.total_cycles, static_cast<int64_t>(r.run.cycles.size()));
   EXPECT_GT(r.run.total_cycles, 20'000);  // ~a day of 3 s cycles.

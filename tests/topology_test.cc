@@ -141,12 +141,5 @@ TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(Hours(1.0), 3600.0);
 }
 
-TEST(ApproxEqualTest, RelativeAndAbsolute) {
-  EXPECT_TRUE(ApproxEqual(1.0, 1.0 + 1e-9));
-  EXPECT_TRUE(ApproxEqual(1e12, 1e12 * (1 + 1e-9)));
-  EXPECT_FALSE(ApproxEqual(1.0, 1.1));
-  EXPECT_TRUE(ApproxEqual(0.0, 1e-9));
-}
-
 }  // namespace
 }  // namespace bds
