@@ -340,7 +340,7 @@ OverheadPoint MeasureTelemetryOverhead(bool smoke) {
             telemetry::FlightRecorder::Global().RateChange(it->second, t, old_rate, new_rate);
             return true;
           },
-          fr.options().min_relative_rate_change);
+          telemetry::kFlightMinRelativeRateChange);
     }
     for (size_t i = 0; i < specs.size(); ++i) {
       BDS_CHECK(sim.StartFlow(net.paths[specs[i].path], specs[i].bytes, specs[i].pinned,

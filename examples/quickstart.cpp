@@ -20,7 +20,8 @@
 //
 // With --trace-json the run is recorded and exported as Chrome trace_event
 // JSON — open it in chrome://tracing or https://ui.perfetto.dev, or validate
-// and summarise it with tools/trace_summary.py.
+// and summarise it with tools/trace_summary.py. --verbose also prints the
+// run's metrics table after a traced run (--trace-json or --summary-jsonl).
 //
 // With --flight-recorder the per-transfer lifecycle journal (arrival,
 // admission verdict, per-cycle schedule, rate changepoints, fault hits,
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
   flags.AddDouble("duration", &duration,
                   "steady-state mode: simulated seconds of open-loop arrivals (0 = one-shot)");
   flags.AddDouble("arrival-rate", &arrival_rate, "steady-state mode: jobs per hour");
-  flags.AddBool("verbose", &verbose, "enable info logging");
+  flags.AddBool("verbose", &verbose, "print the metrics table after a traced run");
   flags.AddString("trace-json", &trace_json, "write a Chrome trace_event JSON file here");
   flags.AddString("summary-jsonl", &summary_jsonl, "write a JSONL metrics summary here");
   flags.AddString("flight-recorder", &flight_recorder,
@@ -76,9 +77,6 @@ int main(int argc, char** argv) {
   flags.AddString("slo-json", &slo_json, "steady-state mode: write the SLO time-series here");
   if (!flags.Parse(argc, argv)) {
     return 1;
-  }
-  if (verbose) {
-    bds::SetLogLevel(bds::LogLevel::kInfo);
   }
   const bool tracing = !trace_json.empty() || !summary_jsonl.empty();
   if (tracing) {

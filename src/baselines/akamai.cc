@@ -9,6 +9,15 @@
 
 namespace bds {
 
+namespace {
+
+// Blocks a reflector may have in flight from the source. Order is still
+// sequential (live-streaming constraint), but a small window keeps the
+// stream pipelined across block boundaries.
+constexpr size_t kStreamWindow = 4;
+
+}  // namespace
+
 StatusOr<MulticastRunResult> AkamaiStrategy::Run(const Topology& topo,
                                                  const WanRoutingTable& routing,
                                                  const MulticastJob& job, uint64_t seed,
@@ -22,13 +31,12 @@ StatusOr<MulticastRunResult> AkamaiStrategy::Run(const Topology& topo,
 
   const int64_t num_blocks = job.num_blocks();
 
-  // Reflector sets per destination DC.
+  // Reflector sets per destination DC: ~25 % of the DC's servers (at
+  // least 1).
   std::unordered_map<DcId, std::vector<ServerId>> reflectors;
   for (DcId d : job.dest_dcs) {
     const auto& servers = topo.ServersIn(d);
-    int r = options_.reflectors_per_dc > 0
-                ? options_.reflectors_per_dc
-                : std::max<int>(1, static_cast<int>(servers.size()) / 4);
+    int r = std::max<int>(1, static_cast<int>(servers.size()) / 4);
     r = std::min<int>(r, static_cast<int>(servers.size()));
     reflectors[d].assign(servers.begin(), servers.begin() + r);
   }
@@ -68,11 +76,10 @@ StatusOr<MulticastRunResult> AkamaiStrategy::Run(const Topology& topo,
   };
   std::vector<Stage2> stage2;
 
-  const size_t window = static_cast<size_t>(std::max(1, options_.stream_window));
   auto start_feed_next = [&](size_t feed_idx) -> Status {
     Feed& f = feeds[feed_idx];
-    // Keep up to `window` sequential blocks in flight.
-    while (f.next_start < f.blocks.size() && f.next_start < f.next_finish + window) {
+    // Keep up to kStreamWindow sequential blocks in flight.
+    while (f.next_start < f.blocks.size() && f.next_start < f.next_finish + kStreamWindow) {
       int64_t b = f.blocks[f.next_start];
       const auto& holders = state.Holders(job.id, b);
       BDS_CHECK(!holders.empty());

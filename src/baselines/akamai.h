@@ -17,25 +17,10 @@ namespace bds {
 
 class AkamaiStrategy : public MulticastStrategy {
  public:
-  struct Options {
-    // Reflector servers per destination DC; <= 0 picks ~25 % of the DC's
-    // servers (at least 1).
-    int reflectors_per_dc = 0;
-    // Blocks a reflector may have in flight from the source. Order is still
-    // sequential (live-streaming constraint), but a small window keeps the
-    // stream pipelined across block boundaries.
-    int stream_window = 4;
-  };
-  AkamaiStrategy() : AkamaiStrategy(Options{}) {}
-  explicit AkamaiStrategy(Options options) : options_(options) {}
-
   std::string name() const override { return "akamai"; }
   StatusOr<MulticastRunResult> Run(const Topology& topo, const WanRoutingTable& routing,
                                    const MulticastJob& job, uint64_t seed,
                                    SimTime deadline) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace bds

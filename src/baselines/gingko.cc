@@ -4,6 +4,12 @@
 
 namespace bds {
 
+namespace {
+
+constexpr SimTime kBulletEpoch = 10.0;  // RanSub distribution period.
+
+}  // namespace
+
 StatusOr<MulticastRunResult> RunDecentralized(const Topology& topo,
                                               const WanRoutingTable& routing,
                                               const MulticastJob& job,
@@ -65,7 +71,7 @@ StatusOr<MulticastRunResult> BulletStrategy::Run(const Topology& topo,
   DecentralizedEngine::Options opt;
   opt.visibility = options_.visibility;
   opt.concurrent_downloads = options_.concurrent_downloads;
-  opt.resample_period = options_.epoch;
+  opt.resample_period = kBulletEpoch;
   opt.neighbor_fraction = options_.neighbor_fraction;
   opt.upload_slots = options_.upload_slots;
   opt.seed = seed;

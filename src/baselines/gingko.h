@@ -55,8 +55,7 @@ class BulletStrategy : public MulticastStrategy {
   struct Options {
     int visibility = 4;
     int concurrent_downloads = 3;
-    SimTime epoch = 10.0;  // RanSub distribution period.
-    // RanSub re-draws a fresh random subset every epoch.
+    // RanSub re-draws a fresh random subset every 10 s epoch.
     double neighbor_fraction = 0.15;
     // Bullet serves a few parallel uploads per node.
     int upload_slots = 3;

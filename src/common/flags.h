@@ -4,7 +4,7 @@
 //   int dcs = 10; double size_gb = 70.0; bool verbose = false;
 //   flags.AddInt("dcs", &dcs, "number of destination DCs");
 //   flags.AddDouble("size-gb", &size_gb, "data size in GB");
-//   flags.AddBool("verbose", &verbose, "enable info logging");
+//   flags.AddBool("verbose", &verbose, "print extra output");
 //   if (!flags.Parse(argc, argv)) return 1;  // prints usage on --help / error
 //
 // Accepted syntax: --name=value, --name value, --bool-flag, --no-bool-flag.

@@ -375,7 +375,7 @@ StatusOr<RunReport> BdsController::Run(SimTime deadline) {
           }
           return true;
         },
-        telemetry::FlightRecorder::Global().options().min_relative_rate_change);
+        telemetry::kFlightMinRelativeRateChange);
   }
 
   if (fault_.stale_reports_enabled() && view_ == nullptr) {

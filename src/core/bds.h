@@ -14,7 +14,6 @@
 #include "src/baselines/gingko.h"
 #include "src/baselines/ideal.h"
 #include "src/baselines/strategy.h"
-#include "src/common/logging.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/core/options.h"

@@ -16,14 +16,6 @@ using mcf_internal::FlatMcf;
 using mcf_internal::FlattenMcf;
 using mcf_internal::FptasWorkspace;
 
-int McfInstance::num_paths() const {
-  int n = 0;
-  for (const McfCommodity& c : commodities) {
-    n += static_cast<int>(c.paths.size());
-  }
-  return n;
-}
-
 McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& options) {
   McfResult result;
   result.flow.resize(static_cast<size_t>(instance.num_commodities()));

@@ -39,7 +39,6 @@ struct McfInstance {
 
   int num_links() const { return static_cast<int>(capacities.size()); }
   int num_commodities() const { return static_cast<int>(commodities.size()); }
-  int num_paths() const;
 };
 
 struct McfResult {

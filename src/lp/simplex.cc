@@ -10,6 +10,9 @@ namespace bds {
 
 namespace {
 
+// Pivot, ratio-test and feasibility tolerance.
+constexpr double kEps = 1e-9;
+
 // Full-tableau simplex state. Columns: structural variables first, then
 // slacks/surpluses, then artificials; the last column is the RHS.
 struct Tableau {
@@ -53,7 +56,6 @@ void Pivot(Tableau& t, int prow, int pcol) {
 // Maximizes the objective encoded in t.reduced. Returns the outcome;
 // accumulates pivot count into *iterations.
 LpOutcome RunPhase(Tableau& t, const SimplexOptions& options, int64_t* iterations) {
-  const double eps = options.tolerance;
   // Bland's rule (anti-cycling) kicks in for the last stretch of the budget.
   const int64_t bland_after = options.max_iterations * 9 / 10;
   for (;;) {
@@ -66,13 +68,13 @@ LpOutcome RunPhase(Tableau& t, const SimplexOptions& options, int64_t* iteration
     int pcol = -1;
     if (bland) {
       for (int j = 0; j < t.cols; ++j) {
-        if (t.reduced[j] > eps) {
+        if (t.reduced[j] > kEps) {
           pcol = j;
           break;
         }
       }
     } else {
-      double best = eps;
+      double best = kEps;
       for (int j = 0; j < t.cols; ++j) {
         if (t.reduced[j] > best) {
           best = t.reduced[j];
@@ -88,10 +90,10 @@ LpOutcome RunPhase(Tableau& t, const SimplexOptions& options, int64_t* iteration
     int prow = -1;
     double best_ratio = 0.0;
     for (int i = 0; i < t.rows; ++i) {
-      if (t.a[i][pcol] > eps) {
+      if (t.a[i][pcol] > kEps) {
         double ratio = t.a[i][t.cols] / t.a[i][pcol];
-        if (prow < 0 || ratio < best_ratio - eps ||
-            (ratio < best_ratio + eps && t.basis[i] < t.basis[prow])) {
+        if (prow < 0 || ratio < best_ratio - kEps ||
+            (ratio < best_ratio + kEps && t.basis[i] < t.basis[prow])) {
           prow = i;
           best_ratio = ratio;
         }
@@ -110,7 +112,6 @@ LpOutcome RunPhase(Tableau& t, const SimplexOptions& options, int64_t* iteration
 LpSolution SolveSimplex(const LpProblem& problem, const SimplexOptions& options) {
   LpSolution solution;
   const int n = problem.num_variables();
-  const double eps = options.tolerance;
 
   // Collect rows: user constraints plus upper-bound rows.
   struct Row {
@@ -237,7 +238,7 @@ LpSolution SolveSimplex(const LpProblem& problem, const SimplexOptions& options)
       if (t.basis[static_cast<size_t>(i)] >= first_artificial) {
         int pcol = -1;
         for (int j = 0; j < first_artificial; ++j) {
-          if (std::fabs(t.a[static_cast<size_t>(i)][static_cast<size_t>(j)]) > eps) {
+          if (std::fabs(t.a[static_cast<size_t>(i)][static_cast<size_t>(j)]) > kEps) {
             pcol = j;
             break;
           }

@@ -16,7 +16,6 @@ namespace bds {
 
 struct SimplexOptions {
   int64_t max_iterations = 1'000'000;  // Paper's linprog cap (§6.3.4) is 1e6.
-  double tolerance = 1e-9;
 };
 
 // Solves `problem`; x >= 0 is implicit, upper bounds become extra rows.

@@ -13,11 +13,6 @@ BandwidthSeparator::BandwidthSeparator(const Topology* topo, Options options)
 }
 
 std::vector<Rate> BandwidthSeparator::ResidualCapacities(
-    const std::vector<Rate>& online_rates) const {
-  return ResidualCapacities(online_rates, {});
-}
-
-std::vector<Rate> BandwidthSeparator::ResidualCapacities(
     const std::vector<Rate>& online_rates, const std::vector<double>& fault_factors) const {
   std::vector<Rate> residual(static_cast<size_t>(topo_->num_links()), 0.0);
   for (LinkId l = 0; l < topo_->num_links(); ++l) {

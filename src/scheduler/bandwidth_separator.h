@@ -28,16 +28,16 @@ class BandwidthSeparator {
   BandwidthSeparator(const Topology* topo, Options options);
   explicit BandwidthSeparator(const Topology* topo) : BandwidthSeparator(topo, Options{}) {}
 
-  // Residual bulk capacity per link, given the observed online rates
-  // (indexed by LinkId; missing/short vectors mean zero online traffic).
-  // Server NIC links are not subject to the safety threshold (they carry no
-  // latency-sensitive WAN traffic); WAN links get
-  //   max(0, capacity * threshold - online_rate), capped by bulk_rate_cap.
-  std::vector<Rate> ResidualCapacities(const std::vector<Rate>& online_rates) const;
-
-  // Same, but with per-link fault factors (0 = down, 1 = healthy; from
-  // NetworkSimulator::link_fault_factors): the safety threshold applies to
-  // the *usable* capacity, so the LP routes around dead and degraded links.
+  // Residual bulk capacity per link, given the observed online rates and
+  // per-link fault factors (both indexed by LinkId; missing/short vectors
+  // mean zero online traffic and healthy links). Server NIC links are not
+  // subject to the safety threshold (they carry no latency-sensitive WAN
+  // traffic); WAN links get
+  //   max(0, capacity * factor * threshold - online_rate), capped by
+  //   bulk_rate_cap.
+  // Fault factors (0 = down, 1 = healthy) come from
+  // NetworkSimulator::link_fault_factors: the threshold applies to the
+  // *usable* capacity, so the LP routes around dead and degraded links.
   std::vector<Rate> ResidualCapacities(const std::vector<Rate>& online_rates,
                                        const std::vector<double>& fault_factors) const;
 

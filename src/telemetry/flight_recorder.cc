@@ -1,8 +1,6 @@
 #include "src/telemetry/flight_recorder.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -10,55 +8,10 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/telemetry/json.h"
+
 namespace bds {
 namespace telemetry {
-
-namespace {
-
-void AppendJsonString(std::ostringstream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << *s;
-    }
-  }
-  os << '"';
-}
-
-void AppendJsonDouble(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return UnavailableError("cannot open for writing: " + path);
-  }
-  size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  int close_err = std::fclose(f);
-  if (written != contents.size() || close_err != 0) {
-    return UnavailableError("short write: " + path);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 const char* FlightEventKindName(FlightEventKind kind) {
   switch (kind) {
@@ -337,11 +290,6 @@ int64_t FlightRecorder::num_events() const {
 int64_t FlightRecorder::dropped_events() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->dropped_events;
-}
-
-int64_t FlightRecorder::dropped_transfers() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->dropped_transfers;
 }
 
 int64_t FlightRecorder::evicted_transfers() const {

@@ -81,12 +81,14 @@ struct FlightRecorderOptions {
   // run pays nothing. 16Ki locked appends is ~3 ms; the telemetry_overhead
   // bench gate (<= 1.03x) is what sizes this default.
   int64_t max_rate_events = 16384;
-  // The simulator only reports a changepoint when the new rate differs from
-  // the flow's last *reported* rate by more than this fraction of the larger
-  // of the two; 0-to-nonzero transitions always report, and slow drift
-  // reports once it accumulates past the band. Must be in (0, 1).
-  double min_relative_rate_change = 0.25;
 };
+
+// The rate observer that feeds the recorder (NetworkSimulator::
+// SetRateObserver) only reports a changepoint when the new rate differs from
+// the flow's last *reported* rate by more than this fraction of the larger
+// of the two; 0-to-nonzero transitions always report, and slow drift
+// reports once it accumulates past the band.
+inline constexpr double kFlightMinRelativeRateChange = 0.25;
 
 class FlightRecorder {
  public:
@@ -127,7 +129,6 @@ class FlightRecorder {
   size_t num_transfers() const;
   int64_t num_events() const;
   int64_t dropped_events() const;      // Per-journal cap hits.
-  int64_t dropped_transfers() const;   // New journals refused (table full of live work).
   int64_t evicted_transfers() const;   // Journals evicted to make room.
   int64_t rate_events_dropped() const; // Changepoints past the global budget.
   // Journals sorted by job id (a copy; safe to use after Stop()).

@@ -1,7 +1,6 @@
 #include "src/telemetry/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -436,92 +435,6 @@ std::string MetricsSnapshot::ToString() const {
       os << h.name << ": n=" << h.hist.total() << " mean=" << mean << " max=" << h.max << "\n";
     }
   }
-  return os.str();
-}
-
-namespace {
-
-void AppendJsonString(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-void AppendJsonDouble(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::ToJson() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& c : counters) {
-    if (!first) {
-      os << ",";
-    }
-    first = false;
-    AppendJsonString(os, c.name);
-    os << ":" << c.value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& g : gauges) {
-    if (!first) {
-      os << ",";
-    }
-    first = false;
-    AppendJsonString(os, g.name);
-    os << ":";
-    AppendJsonDouble(os, g.value);
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& h : histograms) {
-    if (!first) {
-      os << ",";
-    }
-    first = false;
-    AppendJsonString(os, h.name);
-    os << ":{\"count\":" << h.hist.total() << ",\"sum\":";
-    AppendJsonDouble(os, h.sum);
-    os << ",\"max\":";
-    AppendJsonDouble(os, h.max);
-    os << ",\"lo\":";
-    AppendJsonDouble(os, h.hist.lo());
-    os << ",\"hi\":";
-    AppendJsonDouble(os, h.hist.hi());
-    os << ",\"bins\":[";
-    for (int b = 0; b < h.hist.bins(); ++b) {
-      if (b > 0) {
-        os << ",";
-      }
-      os << h.hist.BinCount(b);
-    }
-    os << "]}";
-  }
-  os << "}}";
   return os.str();
 }
 

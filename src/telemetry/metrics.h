@@ -90,7 +90,6 @@ struct MetricsSnapshot {
   bool empty() const { return counters.empty() && gauges.empty() && histograms.empty(); }
 
   std::string ToString() const;  // Human-readable table.
-  std::string ToJson() const;    // One JSON object, stable key order.
 };
 
 class MetricsRegistry {

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "src/telemetry/json.h"
 
 namespace bds {
 namespace telemetry {
@@ -11,29 +12,6 @@ namespace telemetry {
 namespace {
 
 constexpr double kEwmaAlpha = 0.2;
-
-void AppendJsonDouble(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return UnavailableError("cannot open for writing: " + path);
-  }
-  size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  int close_err = std::fclose(f);
-  if (written != contents.size() || close_err != 0) {
-    return UnavailableError("short write: " + path);
-  }
-  return Status::Ok();
-}
 
 // Fixed series layout; link_util_* series follow these.
 enum SeriesIndex {

@@ -132,7 +132,6 @@ class SloTimeseries {
   void SampleUpTo(SimTime now, const SloSampleInput& in);
 
   int64_t samples() const { return samples_; }
-  double completion_ewma_seconds() const { return completion_ewma_; }
   double burn_fast() const { return burn_fast_; }  // As of the last sample.
   double burn_slow() const { return burn_slow_; }
   const std::vector<SloAlert>& alerts() const { return alerts_; }
@@ -143,9 +142,6 @@ class SloTimeseries {
   // deferred, select_cpu, solve_cpu, merge_cpu, completion_ewma_s, slo_good,
   // slo_bad, burn_fast, burn_slow, link_util_<id>.
   const RingSeries* series(const std::string& name) const;
-  const std::vector<std::pair<std::string, RingSeries>>& all_series() const {
-    return series_;
-  }
 
   // JSONL: one bds-slo-v1 meta line, one line per series, one per alert.
   Status WriteJsonl(const std::string& path) const;

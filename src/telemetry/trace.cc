@@ -1,11 +1,11 @@
 #include "src/telemetry/trace.h"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <sstream>
 #include <vector>
+
+#include "src/telemetry/json.h"
 
 namespace bds {
 namespace telemetry {
@@ -24,49 +24,6 @@ int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void AppendJsonString(std::ostringstream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << *s;
-    }
-  }
-  os << '"';
-}
-
-void AppendJsonDouble(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return UnavailableError("cannot open for writing: " + path);
-  }
-  size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  int close_err = std::fclose(f);
-  if (written != contents.size() || close_err != 0) {
-    return UnavailableError("short write: " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace

@@ -227,12 +227,4 @@ const std::vector<WanRoute>& WanRoutingTable::Routes(DcId src, DcId dst) const {
   return routes_[Index(src, dst)];
 }
 
-StatusOr<WanRoute> WanRoutingTable::PrimaryRoute(DcId src, DcId dst) const {
-  const auto& routes = Routes(src, dst);
-  if (routes.empty()) {
-    return NotFoundError("PrimaryRoute: unreachable DC pair");
-  }
-  return routes[0];
-}
-
 }  // namespace bds

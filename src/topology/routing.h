@@ -39,9 +39,6 @@ class WanRoutingTable {
   // primary (IP) route.
   const std::vector<WanRoute>& Routes(DcId src, DcId dst) const;
 
-  // Primary route, or error if unreachable.
-  StatusOr<WanRoute> PrimaryRoute(DcId src, DcId dst) const;
-
   bool Reachable(DcId src, DcId dst) const { return !Routes(src, dst).empty(); }
 
   int max_routes_per_pair() const { return k_; }

@@ -8,7 +8,7 @@ namespace bds {
 namespace {
 
 TraceGeneratorOptions ShapeOptions(const ArrivalProcessOptions& options) {
-  TraceGeneratorOptions t = options.trace;
+  TraceGeneratorOptions t;
   t.num_dcs = options.num_dcs;
   t.seed = options.seed ^ 0xA221BA1ULL;
   return t;

@@ -45,9 +45,8 @@ struct ArrivalProcessOptions {
   double burst_fraction = 0.2;
   SimTime mean_burst_seconds = 600.0;
 
-  // Job shape. `trace.num_dcs` and `trace.seed` are overridden from the
-  // fields below; the size/destination CDF anchors are honoured as-is.
-  TraceGeneratorOptions trace;
+  // Job shape: sizes and destination counts follow TraceGenerator's Fig 2
+  // anchors for a deployment of `num_dcs` DCs.
   int num_dcs = 0;  // Required: the deployment's DC count.
   Bytes block_size = MB(2.0);
   double size_scale = 1.0;  // Scales drawn sizes (laptop-scale runs).

@@ -7,6 +7,12 @@
 
 namespace bds {
 
+namespace {
+
+constexpr double kDiurnalPeriod = 86400.0;  // One day.
+
+}  // namespace
+
 BackgroundTrafficModel::BackgroundTrafficModel(const Topology* topo, Options options)
     : topo_(topo), options_(options), noise_rng_(options.seed ^ 0xABCDEF) {
   BDS_CHECK(topo != nullptr);
@@ -14,7 +20,7 @@ BackgroundTrafficModel::BackgroundTrafficModel(const Topology* topo, Options opt
   phase_.reserve(static_cast<size_t>(topo->num_links()));
   amplitude_.reserve(static_cast<size_t>(topo->num_links()));
   for (int l = 0; l < topo->num_links(); ++l) {
-    phase_.push_back(rng.Uniform(0.0, options.period));
+    phase_.push_back(rng.Uniform(0.0, kDiurnalPeriod));
     amplitude_.push_back(rng.Uniform(0.7, 1.3));
   }
 }
@@ -27,7 +33,7 @@ Rate BackgroundTrafficModel::RateAt(LinkId link, SimTime t) {
   }
   double diurnal =
       options_.diurnal_amplitude * amplitude_[static_cast<size_t>(link)] *
-      std::sin(2.0 * M_PI * (t + phase_[static_cast<size_t>(link)]) / options_.period);
+      std::sin(2.0 * M_PI * (t + phase_[static_cast<size_t>(link)]) / kDiurnalPeriod);
   double noise = noise_rng_.Normal(0.0, options_.noise);
   double util = std::clamp(options_.mean_utilization + diurnal + noise, 0.0, 0.98);
   return util * l.capacity;

@@ -27,7 +27,6 @@ class BackgroundTrafficModel {
     double diurnal_amplitude = 0.15;
     // Stddev of per-sample noise (fraction of capacity).
     double noise = 0.03;
-    double period = 86400.0;  // One day.
     uint64_t seed = 99;
   };
 

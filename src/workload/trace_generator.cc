@@ -5,6 +5,23 @@
 
 namespace bds {
 
+namespace {
+
+// Fig 2b size CDF anchors: 10 % of multicast transfers are smaller than
+// kFig2bP10Size (90 % exceed 50 GB) and 40 % smaller than kFig2bP40Size
+// (60 % exceed 1 TB).
+constexpr Bytes kFig2bMinSize = GB(1.0);
+constexpr Bytes kFig2bP10Size = GB(50.0);
+constexpr Bytes kFig2bP40Size = TB(1.0);
+constexpr Bytes kFig2bMaxSize = TB(50.0);
+
+// Fig 2a destination-fraction CDF anchors: 90 % of transfers reach more
+// than kFig2aP10DestFraction of the DCs, 70 % more than kFig2aP30DestFraction.
+constexpr double kFig2aP10DestFraction = 0.6;
+constexpr double kFig2aP30DestFraction = 0.8;
+
+}  // namespace
+
 std::vector<AppProfile> BaiduAppMix() {
   // Table 1 of the paper. Weights approximate each application's share of
   // the transfer count (not published; byte shares are what matter).
@@ -31,14 +48,14 @@ Bytes TraceGenerator::SampleTransferSize() {
   double lo;
   double hi;
   if (u < 0.10) {
-    lo = options_.min_size;
-    hi = options_.p10_size;
+    lo = kFig2bMinSize;
+    hi = kFig2bP10Size;
   } else if (u < 0.40) {
-    lo = options_.p10_size;
-    hi = options_.p40_size;
+    lo = kFig2bP10Size;
+    hi = kFig2bP40Size;
   } else {
-    lo = options_.p40_size;
-    hi = options_.max_size;
+    lo = kFig2bP40Size;
+    hi = kFig2bMaxSize;
   }
   return std::exp(rng_.Uniform(std::log(lo), std::log(hi)));
 }
@@ -49,11 +66,11 @@ int TraceGenerator::SampleDestCount() {
   double u = rng_.NextDouble();
   double f;
   if (u < 0.10) {
-    f = rng_.Uniform(0.1, options_.p10_dest_fraction);
+    f = rng_.Uniform(0.1, kFig2aP10DestFraction);
   } else if (u < 0.30) {
-    f = rng_.Uniform(options_.p10_dest_fraction, options_.p30_dest_fraction);
+    f = rng_.Uniform(kFig2aP10DestFraction, kFig2aP30DestFraction);
   } else {
-    f = rng_.Uniform(options_.p30_dest_fraction, 1.0);
+    f = rng_.Uniform(kFig2aP30DestFraction, 1.0);
   }
   int max_dests = options_.num_dcs - 1;
   // Ceil keeps the CDF anchors one-sided: a draw just above an anchor

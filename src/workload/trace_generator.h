@@ -41,17 +41,6 @@ struct TraceGeneratorOptions {
   int num_transfers = 1265;          // Multicast transfers in the window.
   double duration = 7.0 * 86400.0;   // Seconds (7 days).
   std::vector<AppProfile> app_mix;   // Defaults to BaiduAppMix() when empty.
-
-  // Size CDF anchors (Fig 2b).
-  Bytes min_size = GB(1.0);
-  Bytes p10_size = GB(50.0);   // 10th percentile: 90 % are larger.
-  Bytes p40_size = TB(1.0);    // 40th percentile: 60 % are larger.
-  Bytes max_size = TB(50.0);
-
-  // Destination-fraction CDF anchors (Fig 2a).
-  double p10_dest_fraction = 0.6;  // 90 % of transfers reach more than this.
-  double p30_dest_fraction = 0.8;  // 70 % reach more than this.
-
   uint64_t seed = 2018;
 };
 
@@ -66,7 +55,8 @@ class TraceGenerator {
   // Draws one multicast size from the Fig 2b-calibrated distribution.
   Bytes SampleTransferSize();
 
-  // Draws the number of destination DCs for a multicast transfer.
+  // Draws the number of destination DCs for a multicast transfer from the
+  // Fig 2a-calibrated distribution.
   int SampleDestCount();
 
  private:

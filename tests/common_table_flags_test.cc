@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/common/flags.h"
-#include "src/common/logging.h"
 #include "src/common/table.h"
 
 namespace bds {
@@ -123,135 +119,6 @@ TEST(FlagParserTest, DefaultsSurviveEmptyArgs) {
   p.AddInt("count", &i, "");
   ASSERT_TRUE(RunParser(p, {}));
   EXPECT_EQ(i, 42);
-}
-
-TEST(LoggingTest, ThresholdSuppressesBelowLevel) {
-  SetLogLevel(LogLevel::kError);
-  int64_t before = LogMessageCount();
-  BDS_LOG(INFO) << "suppressed";
-  BDS_LOG(WARNING) << "suppressed";
-  EXPECT_EQ(LogMessageCount(), before);
-  BDS_LOG(ERROR) << "emitted (expected in test output)";
-  EXPECT_EQ(LogMessageCount(), before + 1);
-  SetLogLevel(LogLevel::kWarning);
-}
-
-TEST(LoggingTest, LevelRoundTrip) {
-  LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kDebug);
-  SetLogLevel(prev);
-}
-
-// RAII capture of log output through the pluggable sink.
-class SinkCapture {
- public:
-  SinkCapture() {
-    SetLogSink([this](LogLevel level, const std::string& line) {
-      levels.push_back(level);
-      lines.push_back(line);
-    });
-  }
-  ~SinkCapture() { SetLogSink(nullptr); }
-
-  std::vector<LogLevel> levels;
-  std::vector<std::string> lines;
-};
-
-TEST(LoggingTest, SinkReceivesFormattedLines) {
-  LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-  int64_t before = LogMessageCount();
-  {
-    SinkCapture capture;
-    BDS_LOG(INFO) << "to the sink " << 42;
-    ASSERT_EQ(capture.lines.size(), 1u);
-    EXPECT_EQ(capture.levels[0], LogLevel::kInfo);
-    EXPECT_NE(capture.lines[0].find("to the sink 42"), std::string::npos);
-    // Prefix still present: "[I file:line] ".
-    EXPECT_NE(capture.lines[0].find("[I "), std::string::npos);
-    EXPECT_NE(capture.lines[0].find("common_table_flags_test"), std::string::npos);
-  }
-  // Counting is unaffected by where the message went.
-  EXPECT_EQ(LogMessageCount(), before + 1);
-  SetLogLevel(prev);
-}
-
-TEST(LoggingTest, TimestampsPrefixWhenEnabled) {
-  LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-  {
-    SinkCapture capture;
-    SetLogTimestamps(true);
-    BDS_LOG(INFO) << "stamped";
-    SetLogTimestamps(false);
-    BDS_LOG(INFO) << "bare";
-    ASSERT_EQ(capture.lines.size(), 2u);
-    // "YYYY-MM-DD HH:MM:SS [I ..." — starts with a digit, not '['.
-    EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(capture.lines[0][0])));
-    EXPECT_EQ(capture.lines[1][0], '[');
-  }
-  SetLogLevel(prev);
-}
-
-TEST(LoggingTest, LogEveryNEmitsFirstAndEveryNth) {
-  LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-  int64_t before = LogMessageCount();
-  {
-    SinkCapture capture;
-    for (int i = 0; i < 10; ++i) {
-      BDS_LOG_EVERY_N(INFO, 3) << "tick " << i;
-    }
-    // Iterations 0, 3, 6, 9 emit.
-    ASSERT_EQ(capture.lines.size(), 4u);
-    EXPECT_NE(capture.lines[0].find("tick 0"), std::string::npos);
-    EXPECT_NE(capture.lines[3].find("tick 9"), std::string::npos);
-  }
-  EXPECT_EQ(LogMessageCount(), before + 4);
-  SetLogLevel(prev);
-}
-
-TEST(LoggingTest, LogEveryNRespectsThreshold) {
-  LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  int64_t before = LogMessageCount();
-  for (int i = 0; i < 10; ++i) {
-    BDS_LOG_EVERY_N(INFO, 2) << "suppressed";
-  }
-  EXPECT_EQ(LogMessageCount(), before);
-  SetLogLevel(prev);
-}
-
-TEST(LoggingTest, LogEveryNIsDanglingElseSafe) {
-  LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  int64_t before = LogMessageCount();
-  bool else_taken = false;
-  if (false) {
-    BDS_LOG_EVERY_N(INFO, 1) << "never";
-  } else {
-    else_taken = true;
-  }
-  EXPECT_TRUE(else_taken);
-  EXPECT_EQ(LogMessageCount(), before);
-  SetLogLevel(prev);
-}
-
-TEST(LoggingTest, InitLogLevelFromEnvParses) {
-  LogLevel prev = GetLogLevel();
-  ASSERT_EQ(setenv("BDS_LOG_LEVEL", "debug", 1), 0);
-  EXPECT_TRUE(InitLogLevelFromEnv());
-  EXPECT_EQ(GetLogLevel(), LogLevel::kDebug);
-  ASSERT_EQ(setenv("BDS_LOG_LEVEL", "3", 1), 0);
-  EXPECT_TRUE(InitLogLevelFromEnv());
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  ASSERT_EQ(setenv("BDS_LOG_LEVEL", "not-a-level", 1), 0);
-  EXPECT_FALSE(InitLogLevelFromEnv());
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);  // Unchanged on parse failure.
-  ASSERT_EQ(unsetenv("BDS_LOG_LEVEL"), 0);
-  EXPECT_FALSE(InitLogLevelFromEnv());
-  SetLogLevel(prev);
 }
 
 }  // namespace

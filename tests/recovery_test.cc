@@ -163,6 +163,28 @@ TEST(RecoveryTest, FailureAndRecoveryWithinOneCycle) {
   EXPECT_EQ(service->mutable_controller()->state().OwedByServer(victim), 0);
 }
 
+TEST(RecoveryTest, BlipPurgesBufferedReportsToTheFailedServer) {
+  // With report loss on, the controller schedules from a view that learns
+  // of deliveries from buffered agent reports. Both events of the blip land
+  // between two wake-ups, so the victim's reports from the last cycle are
+  // still buffered when it fails and recovers. The failure re-owes what it
+  // held; were those reports flushed afterwards, the view would believe the
+  // victim still holds the blocks, never reschedule them, and the job would
+  // never complete.
+  auto service = MakeService();
+  ControlPlaneFaultOptions cp;
+  cp.report_loss_prob = 0.2;
+  ASSERT_TRUE(service->mutable_fault_injector()->SetControlPlaneFaults(cp).ok());
+  ASSERT_TRUE(service->CreateJob(0, {1, 2}, MB(120.0)).ok());
+  ServerId victim = service->topology().ServersIn(2)[0];
+  ASSERT_TRUE(service->InjectServerFailure(victim, 3.10).ok());
+  ASSERT_TRUE(service->InjectServerRecovery(victim, 3.60).ok());
+  auto report = service->Run(/*deadline=*/600.0);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->completed);
+  EXPECT_EQ(service->mutable_controller()->state().OwedByServer(victim), 0);
+}
+
 TEST(RecoveryTest, EqualTimeFailureAndRecoveryLeaveEveryServerUp) {
   // Twenty destination servers each fail and recover at the same instant:
   // forty queued events at one time. Each recovery must apply after its own

@@ -295,7 +295,7 @@ TEST(BandwidthSeparatorTest, ThresholdAppliedToWanOnly) {
   BandwidthSeparator::Options opt;
   opt.safety_threshold = 0.8;
   BandwidthSeparator sep(&topo, opt);
-  std::vector<Rate> residual = sep.ResidualCapacities({});
+  std::vector<Rate> residual = sep.ResidualCapacities({}, {});
   for (LinkId l = 0; l < topo.num_links(); ++l) {
     if (topo.link(l).type == LinkType::kWan) {
       EXPECT_DOUBLE_EQ(residual[static_cast<size_t>(l)], Gbps(10.0) * 0.8);
@@ -317,7 +317,7 @@ TEST(BandwidthSeparatorTest, OnlineTrafficSubtracted) {
   }
   std::vector<Rate> online(static_cast<size_t>(topo.num_links()), 0.0);
   online[static_cast<size_t>(wan)] = Gbps(5.0);
-  std::vector<Rate> residual = sep.ResidualCapacities(online);
+  std::vector<Rate> residual = sep.ResidualCapacities(online, {});
   EXPECT_DOUBLE_EQ(residual[static_cast<size_t>(wan)], Gbps(10.0) * 0.8 - Gbps(5.0));
 }
 
@@ -325,7 +325,7 @@ TEST(BandwidthSeparatorTest, OnlineBeyondThresholdMeansZero) {
   Topology topo = BuildFullMesh(2, 1, Gbps(10.0), MBps(20.0), MBps(20.0)).value();
   BandwidthSeparator sep(&topo);
   std::vector<Rate> online(static_cast<size_t>(topo.num_links()), Gbps(9.0));
-  std::vector<Rate> residual = sep.ResidualCapacities(online);
+  std::vector<Rate> residual = sep.ResidualCapacities(online, {});
   for (LinkId l = 0; l < topo.num_links(); ++l) {
     if (topo.link(l).type == LinkType::kWan) {
       EXPECT_DOUBLE_EQ(residual[static_cast<size_t>(l)], 0.0);
@@ -338,7 +338,7 @@ TEST(BandwidthSeparatorTest, BulkRateCapApplies) {
   BandwidthSeparator::Options opt;
   opt.bulk_rate_cap = GBps(10.0);  // Fig 10's 10 GB/s limit.
   BandwidthSeparator sep(&topo, opt);
-  std::vector<Rate> residual = sep.ResidualCapacities({});
+  std::vector<Rate> residual = sep.ResidualCapacities({}, {});
   for (LinkId l = 0; l < topo.num_links(); ++l) {
     if (topo.link(l).type == LinkType::kWan) {
       EXPECT_DOUBLE_EQ(residual[static_cast<size_t>(l)], GBps(10.0));

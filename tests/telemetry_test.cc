@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/parallel.h"
+#include "src/telemetry/json.h"
 
 namespace bds {
 namespace telemetry {
@@ -273,11 +277,31 @@ TEST_F(TelemetryTest, SnapshotToJsonAndToStringAreWellFormedEnough) {
   reg.CounterAdd(reg.RegisterCounter("test.json_counter"), 2);
   reg.GaugeSet(reg.RegisterGauge("test.json_gauge"), 0.5);
   MetricsSnapshot snap = reg.Snapshot();
-  std::string json = snap.ToJson();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("test.json_counter"), std::string::npos);
-  EXPECT_FALSE(snap.ToString().empty());
+  // The snapshot's JSON export is TraceRecorder::WriteRunSummary (tested
+  // above); ToString is the human-readable table.
+  std::string text = snap.ToString();
+  EXPECT_NE(text.find("test.json_counter = 2"), std::string::npos);
+  EXPECT_NE(text.find("test.json_gauge = 0.5"), std::string::npos);
+}
+
+TEST(JsonEncoderTest, NullsNonFiniteEscapesStringsAndRoundTripsDoubles) {
+  std::ostringstream nonfinite;
+  AppendJsonDouble(nonfinite, std::numeric_limits<double>::infinity());
+  nonfinite << ',';
+  AppendJsonDouble(nonfinite, -std::numeric_limits<double>::infinity());
+  nonfinite << ',';
+  AppendJsonDouble(nonfinite, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nonfinite.str(), "null,null,null");
+
+  std::ostringstream str;
+  AppendJsonString(str, "a\"b\\c\nd");
+  EXPECT_EQ(str.str(), "\"a\\\"b\\\\c\\nd\"");
+
+  // %.17g: every double reads back as the same bits.
+  std::ostringstream tenth;
+  AppendJsonDouble(tenth, 0.1);
+  EXPECT_EQ(tenth.str(), "0.10000000000000001");
+  EXPECT_EQ(std::strtod(tenth.str().c_str(), nullptr), 0.1);
 }
 
 }  // namespace
