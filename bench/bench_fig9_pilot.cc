@@ -3,6 +3,7 @@
 //       (paper: 70 TB to 10 DCs; BDS median 35 m vs Gingko ~190 m, ~5x).
 //  9b — mean +/- stddev completion by application size class (L/M/S).
 //  9c — per-day mean completion across a week of transfers (~4x gap).
+// Exits non-zero when a computed shape check (9a, 9c) reads VIOLATED.
 
 #include <cstdio>
 
@@ -41,7 +42,7 @@ MulticastJob MakeFanoutJob(const Setup& setup, Bytes size, JobId id = 0) {
   return MakeJob(id, 0, dests, size, MB(2.0)).value();
 }
 
-void Fig9a(const Setup& setup) {
+bool Fig9a(const Setup& setup) {
   // 70 TB : 10^4 servers in the paper -> 3 GB : 32-server DCs here keeps
   // bytes-per-server-NIC comparable.
   MulticastJob job = MakeFanoutJob(setup, GB(3.0));
@@ -61,12 +62,17 @@ void Fig9a(const Setup& setup) {
   EmpiricalDistribution gd;
   gd.AddAll(g->ServerCompletionMinutes());
   AsciiTable table({"percentile", "BDS (m)", "Gingko (m)"});
+  bool holds = true;
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
+    holds = holds && bd.Quantile(q) <= gd.Quantile(q);
     table.AddRow({AsciiTable::Num(q, 2), AsciiTable::Num(bd.Quantile(q), 1),
                   AsciiTable::Num(gd.Quantile(q), 1)});
   }
   table.Print();
   std::printf("median speedup: %.1fx (paper: ~5x)\n", gd.Median() / bd.Median());
+  std::printf("shape check: BDS at or below Gingko at every printed percentile -> %s\n",
+              holds ? "holds" : "VIOLATED");
+  return holds;
 }
 
 void Fig9b(const Setup& setup) {
@@ -106,12 +112,13 @@ void Fig9b(const Setup& setup) {
               "the speedup here is roughly size-independent (see EXPERIMENTS.md)\n");
 }
 
-void Fig9c(const Setup& setup) {
+bool Fig9c(const Setup& setup) {
   bench::PrintHeader("Figure 9c", "daily mean completion over one week",
                      "one 1.5 GB fan-out per day, varying seed per day (paper: 7-day pilot, ~4x)");
   AsciiTable table({"day", "BDS (m)", "Gingko (m)", "speedup"});
   double total_speedup = 0.0;
   int days = 0;
+  bool holds = true;  // Every day completes under both, BDS strictly faster.
   for (uint64_t day = 1; day <= 7; ++day) {
     MulticastJob job = MakeFanoutJob(setup, GB(1.5));
     BdsStrategy bds;
@@ -120,8 +127,10 @@ void Fig9c(const Setup& setup) {
     double gm =
         bench::RunStrategyMinutes(gingko, setup.topo, setup.routing, job, day, Hours(24.0));
     if (bm <= 0.0 || gm <= 0.0) {
+      holds = false;
       continue;
     }
+    holds = holds && bm < gm;
     total_speedup += gm / bm;
     ++days;
     table.AddRow({std::to_string(day), AsciiTable::Num(bm, 1), AsciiTable::Num(gm, 1),
@@ -131,19 +140,23 @@ void Fig9c(const Setup& setup) {
   if (days > 0) {
     std::printf("mean daily speedup: %.1fx (paper: ~4x)\n", total_speedup / days);
   }
+  std::printf("shape check: BDS faster than Gingko on every day -> %s\n",
+              holds ? "holds" : "VIOLATED");
+  return holds;
 }
 
-void Run() {
+bool Run() {
   Setup setup = MakeSetup(/*num_dcs=*/10, /*servers_per_dc=*/32);
-  Fig9a(setup);
+  const bool cdf = Fig9a(setup);
   Fig9b(setup);
-  Fig9c(setup);
+  const bool daily = Fig9c(setup);
+  return cdf && daily;
 }
 
 }  // namespace
 }  // namespace bds
 
 int main() {
-  bds::Run();
-  return 0;
+  // Non-zero when the figure's shape check fails (ctest label paper-shape).
+  return bds::Run() ? 0 : 1;
 }

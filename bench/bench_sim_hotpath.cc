@@ -1,16 +1,18 @@
 // Flow-level simulator hot-path benchmark: drain time of N concurrent flows
-// under the incremental event loop vs the full-reallocation reference.
+// under NetworkSimulator's incremental event loop vs ReferenceSimulator
+// (tests/oracles.h), the straightforward loop the parity suite checks it
+// against.
 //
 // The workload models many independent replication jobs in flight at once —
 // the regime the controller simulates at Baidu scale: M disjoint DC-pair
 // clusters (2 DCs, 2 servers each, one WAN link), with flows spread evenly
-// across clusters. Under full reallocation, every flow completion re-solves
-// every cluster; incrementally, only the finished flow's cluster is
-// re-solved and only its flows are touched — the two must stay bit
-// identical, which the benchmark asserts via a completion-record
-// fingerprint before reporting any timing. The timed drain includes the
-// first reallocation, and with it the simulator's one-off locality reorder
-// of the freshly loaded pool.
+// across clusters. The reference re-solves every cluster after every flow
+// completion and scans every flow for the next one; incrementally, only the
+// finished flow's cluster is re-solved and only its flows are touched — the
+// two must stay bit identical, which the benchmark asserts via a
+// completion-record fingerprint before reporting any timing. The timed
+// drain includes the first reallocation, and with it the simulator's
+// one-off locality reorder of the freshly loaded pool.
 //
 //   bench_sim_hotpath --json=BENCH_simulator.json   # full sweep
 //   bench_sim_hotpath --smoke --json=out.json       # reduced scale
@@ -52,21 +54,14 @@
 #include "src/telemetry/telemetry.h"
 #include "src/simulator/network_simulator.h"
 #include "src/topology/topology.h"
+#include "tests/oracles.h"
 
 namespace bds {
 namespace {
 
-struct SweepConfig {
-  const char* name;
-  bool full_reallocation;
-};
-
-// "reference" is the pre-optimization per-event full reallocation; the
-// regression gate normalizes "incremental" by it.
-constexpr SweepConfig kSweepConfigs[] = {
-    {"reference", true},
-    {"incremental", false},
-};
+// "reference" is ReferenceSimulator, "incremental" NetworkSimulator; the
+// regression gate normalizes "incremental" by "reference".
+constexpr const char* kSweepConfigs[] = {"reference", "incremental"};
 
 struct SweepPoint {
   const char* shape = "";  // "clusters" or "bulk".
@@ -236,10 +231,9 @@ struct DrainResult {
   int64_t reallocations = 0;
 };
 
-DrainResult DrainOnce(const ClusterNet& net, const std::vector<FlowSpec>& specs,
-                      bool full_reallocation) {
-  NetworkSimulator sim(&net.topo);
-  sim.set_full_reallocation(full_reallocation);
+template <typename Sim>
+DrainResult DrainOnce(const ClusterNet& net, const std::vector<FlowSpec>& specs) {
+  Sim sim(&net.topo);
   int64_t completed = 0;
   uint64_t fp = 0;
   sim.SetCompletionCallback([&](const FlowRecord& r) {
@@ -308,7 +302,6 @@ OverheadPoint MeasureTelemetryOverhead(bool smoke) {
   // tagged with its transfer as the controller tags its block flows.
   auto drain = [&](bool instrumented) {
     NetworkSimulator sim(&net.topo);
-    sim.set_full_reallocation(false);
     std::unordered_map<int64_t, JobId> jobs;
     if (instrumented) {
       telemetry::MetricsRegistry::Global().Reset();
@@ -423,7 +416,7 @@ SweepResult RunSweep(bool smoke, bool large_only) {
   bench::PrintHeader("Simulator hot path", "drain time of N concurrent flows",
                      "disjoint DC-pair clusters, ~100 flows each, mixed pinned/fair, "
                      "and one all-pinned oversubscribed 2,100-flow bulk component; "
-                     "full per-event reallocation vs incremental (bit-identical, "
+                     "reference event loop vs incremental (bit-identical, "
                      "min over repetitions)");
   std::printf("%10s  %12s  %12s  %12s  %9s  %10s  %12s\n", "flows", "shape", "reference",
               "incremental", "speedup", "events", "comp solves");
@@ -434,7 +427,7 @@ SweepResult RunSweep(bool smoke, bool large_only) {
   // Times both configs on one workload and checks they stay bit identical.
   auto measure = [&](const char* shape, const std::string& label, const ClusterNet& net,
                      const std::vector<FlowSpec>& specs) {
-    (void)DrainOnce(net, specs, /*full_reallocation=*/false);  // Warmup.
+    (void)DrainOnce<NetworkSimulator>(net, specs);  // Warmup.
     const int reps = specs.size() >= 10'000 ? 2 : 3;
     SweepPoint point;
     point.shape = shape;
@@ -445,7 +438,8 @@ SweepResult RunSweep(bool smoke, bool large_only) {
       double best_wall = 0.0;
       double best_cpu = 0.0;
       for (int r = 0; r < reps; ++r) {
-        DrainResult res = DrainOnce(net, specs, kSweepConfigs[ci].full_reallocation);
+        DrainResult res = ci == 0 ? DrainOnce<ReferenceSimulator>(net, specs)
+                                  : DrainOnce<NetworkSimulator>(net, specs);
         if (r == 0 || res.wall < best_wall) {
           best_wall = res.wall;
         }
@@ -459,7 +453,7 @@ SweepResult RunSweep(bool smoke, bool large_only) {
       point.cpu_seconds[ci] = best_cpu;
     }
     BDS_CHECK_MSG(fingerprints[0] == fingerprints[1],
-                  "incremental simulation diverged from full reallocation");
+                  "incremental simulation diverged from the reference");
     std::printf("%10lld  %12s  %9.1f ms  %9.1f ms  %8.2fx  %10lld  %12lld\n",
                 static_cast<long long>(point.flows), label.c_str(), point.seconds[0] * 1e3,
                 point.seconds[1] * 1e3, point.seconds[0] / point.seconds[1],
@@ -492,7 +486,7 @@ SweepResult RunSweep(bool smoke, bool large_only) {
     DrainResult res;
     const int reps = 2;  // First rep doubles as warmup; gate takes the min.
     for (int r = 0; r < reps; ++r) {
-      res = DrainOnce(net, specs, /*full_reallocation=*/false);
+      res = DrainOnce<NetworkSimulator>(net, specs);
       if (r == 0 || res.wall < point.seconds) {
         point.seconds = res.wall;
       }
@@ -528,19 +522,19 @@ void WriteSweepJson(const SweepResult& result, bool smoke, const std::string& pa
   std::fprintf(f, "  \"reference_config\": \"reference\",\n");
   std::fprintf(f, "  \"configs\": [");
   for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-    std::fprintf(f, "%s\"%s\"", ci == 0 ? "" : ", ", kSweepConfigs[ci].name);
+    std::fprintf(f, "%s\"%s\"", ci == 0 ? "" : ", ", kSweepConfigs[ci]);
   }
   std::fprintf(f, "],\n  \"points\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     std::fprintf(f, "    {\"shape\": \"%s\", \"flows\": %lld, \"seconds\": {",
                  points[i].shape, static_cast<long long>(points[i].flows));
     for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-      std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
+      std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci],
                    points[i].seconds[ci]);
     }
     std::fprintf(f, "}, \"cpu_seconds\": {");
     for (size_t ci = 0; ci < std::size(kSweepConfigs); ++ci) {
-      std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci].name,
+      std::fprintf(f, "%s\"%s\": %.6f", ci == 0 ? "" : ", ", kSweepConfigs[ci],
                    points[i].cpu_seconds[ci]);
     }
     std::fprintf(f, "}}%s\n", i + 1 == points.size() ? "" : ",");

@@ -6,9 +6,6 @@
 
 namespace bds {
 
-void FlagParser::AddInt(const std::string& name, int64_t* target, const std::string& help) {
-  flags_.push_back({name, Kind::kInt64, target, help});
-}
 void FlagParser::AddInt(const std::string& name, int* target, const std::string& help) {
   flags_.push_back({name, Kind::kInt, target, help});
 }
@@ -34,14 +31,6 @@ const FlagParser::Flag* FlagParser::Find(const std::string& name) const {
 bool FlagParser::Assign(const Flag& flag, const std::string& value) const {
   char* end = nullptr;
   switch (flag.kind) {
-    case Kind::kInt64: {
-      long long v = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        return false;
-      }
-      *static_cast<int64_t*>(flag.target) = v;
-      return true;
-    }
     case Kind::kInt: {
       long v = std::strtol(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') {

@@ -12,7 +12,6 @@
 #ifndef BDS_SRC_COMMON_FLAGS_H_
 #define BDS_SRC_COMMON_FLAGS_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@ namespace bds {
 
 class FlagParser {
  public:
-  void AddInt(const std::string& name, int64_t* target, const std::string& help);
   void AddInt(const std::string& name, int* target, const std::string& help);
   void AddDouble(const std::string& name, double* target, const std::string& help);
   void AddBool(const std::string& name, bool* target, const std::string& help);
@@ -32,7 +30,7 @@ class FlagParser {
   std::string Usage(const std::string& program) const;
 
  private:
-  enum class Kind { kInt64, kInt, kDouble, kBool, kString };
+  enum class Kind { kInt, kDouble, kBool, kString };
   struct Flag {
     std::string name;
     Kind kind;

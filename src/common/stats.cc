@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/common/status.h"
 
@@ -19,25 +18,6 @@ void RunningStats::Add(double x) {
   double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  int64_t total = count_ + other.count_;
-  double nf = static_cast<double>(count_);
-  double mf = static_cast<double>(other.count_);
-  m2_ += other.m2_ + delta * delta * nf * mf / static_cast<double>(total);
-  mean_ += delta * mf / static_cast<double>(total);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = total;
 }
 
 double RunningStats::variance() const {
@@ -124,12 +104,6 @@ double EmpiricalDistribution::Stddev() const {
     m2 += (s - mean) * (s - mean);
   }
   return std::sqrt(m2 / static_cast<double>(samples_.size()));
-}
-
-double EmpiricalDistribution::Min() const {
-  BDS_CHECK(!samples_.empty());
-  EnsureSorted();
-  return samples_.front();
 }
 
 double EmpiricalDistribution::Max() const {
@@ -230,24 +204,6 @@ double Histogram::Quantile(double q) const {
   // answer is the high edge of the last occupied bin, not hi_ (which can be
   // far above every recorded sample when the top bins are empty).
   return last_occupied >= 0 ? BinHigh(last_occupied) : hi_;
-}
-
-std::string Histogram::ToString(int width) const {
-  std::ostringstream os;
-  int64_t peak = 1;
-  for (int64_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  for (int b = 0; b < bins(); ++b) {
-    int bar = static_cast<int>(static_cast<double>(counts_[static_cast<size_t>(b)]) /
-                               static_cast<double>(peak) * width);
-    os << "[" << BinLow(b) << ", " << BinHigh(b) << ") ";
-    for (int i = 0; i < bar; ++i) {
-      os << '#';
-    }
-    os << " " << counts_[static_cast<size_t>(b)] << "\n";
-  }
-  return os.str();
 }
 
 void TimeSeries::Add(double t, double value) { points_.push_back({t, value}); }

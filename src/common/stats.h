@@ -14,7 +14,6 @@ namespace bds {
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
 
   int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -39,8 +38,8 @@ class EmpiricalDistribution {
   void Add(double x);
   void AddAll(const std::vector<double>& xs);
   // Pools another distribution's samples into this one (sample union, same
-  // result as adding every sample individually). Mirrors RunningStats::Merge:
-  // merging an empty distribution is a no-op, self-merge doubles the sample.
+  // result as adding every sample individually): merging an empty
+  // distribution is a no-op, self-merge doubles the sample.
   void Merge(const EmpiricalDistribution& other);
 
   int64_t count() const { return static_cast<int64_t>(samples_.size()); }
@@ -51,7 +50,6 @@ class EmpiricalDistribution {
   double Median() const { return Quantile(0.5); }
   double Mean() const;
   double Stddev() const;
-  double Min() const;
   double Max() const;
 
   // Empirical CDF value: fraction of samples <= x.
@@ -85,8 +83,8 @@ class Histogram {
   // telemetry registry to rebuild histograms from per-thread shard counts.
   void AddCount(int bin, int64_t n);
   // Adds another histogram's counts bin-by-bin. Both histograms must have
-  // identical [lo, hi) range and bin count. Mirrors RunningStats::Merge:
-  // merging an empty histogram is a no-op, self-merge doubles every bin.
+  // identical [lo, hi) range and bin count. Merging an empty histogram is a
+  // no-op, self-merge doubles every bin.
   void Merge(const Histogram& other);
 
   int64_t BinCount(int bin) const;
@@ -105,8 +103,6 @@ class Histogram {
   int64_t total() const { return total_; }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
-
-  std::string ToString(int width = 40) const;
 
  private:
   double lo_;

@@ -76,16 +76,15 @@ class FlowSoA {
   void MaybeCompactArena();
 
   // Rewrites the pool so that old slot order[i] becomes new slot i, dropping
-  // free slots and dead arena rows (capacity() becomes n == num_live()).
+  // free slots and dead arena rows (the pool shrinks to n == num_live() slots).
   // Callers pass a locality-sorted order so that flows sharing links end up
   // in adjacent slots, turning the component gather's strided reads into
-  // sequential ones. Fills old_to_new (sized to the old capacity, -1 for
+  // sequential ones. Fills old_to_new (sized to the old slot count, -1 for
   // freed slots) so the owner can remap every structure that stores slots.
   // rate_epoch moves with its flow, so completion-heap entries stay valid
   // once their slot field is remapped through old_to_new.
   void CompactAndReorder(const int32_t* order, int32_t n, std::vector<int32_t>* old_to_new);
 
-  int32_t capacity() const { return static_cast<int32_t>(meta.size()); }
   int32_t num_live() const { return num_live_; }
   bool live(int32_t slot) const { return live_[static_cast<size_t>(slot)] != 0; }
 

@@ -23,11 +23,6 @@ NetworkSimulator::NetworkSimulator(const Topology* topo) : topo_(topo) {
   incidence_.Reset(topo->num_links());
 }
 
-void NetworkSimulator::set_full_reallocation(bool on) {
-  BDS_CHECK(soa_.num_live() == 0);  // Mode must be fixed before flows exist.
-  full_realloc_ = on;
-}
-
 void NetworkSimulator::MarkDirty(LinkId link) {
   size_t li = static_cast<size_t>(link);
   if (!link_dirty_[li]) {
@@ -44,7 +39,7 @@ void NetworkSimulator::ReorderSlotsForLocality() {
   }
   // Lay the pool out component by component, ascending flow id within each
   // component (components enumerated by ascending seed link, so the order is
-  // deterministic however live_slots_ is arranged), so a component solve
+  // deterministic however the slots are arranged), so a component solve
   // gathers from a contiguous id-ordered slot range.
   // The solve scratch is free to borrow for the permutation: the starts that
   // trigger a reorder have dropped the retained arrays.
@@ -70,13 +65,6 @@ void NetworkSimulator::ReorderSlotsForLocality() {
     if (s >= 0) {
       s = old_to_new_[static_cast<size_t>(s)];
     }
-  }
-  // New slot numbering is already dense, so the live list is the identity.
-  live_slots_.resize(static_cast<size_t>(n));
-  slot_live_pos_.assign(static_cast<size_t>(n), -1);
-  for (int32_t i = 0; i < n; ++i) {
-    live_slots_[static_cast<size_t>(i)] = i;
-    slot_live_pos_[static_cast<size_t>(i)] = i;
   }
   // Heap entries follow their flow to its new slot; entries whose slot was
   // freed belong to finished flows and are dropped. CompactHeap then culls
@@ -140,11 +128,6 @@ StatusOr<FlowId> NetworkSimulator::StartFlow(std::vector<LinkId> links, Bytes by
   // exactly one entry per start.
   BDS_CHECK(id == id_base_ + static_cast<FlowId>(id_to_slot_.size()));
   id_to_slot_.push_back(slot);
-  if (static_cast<size_t>(slot) >= slot_live_pos_.size()) {
-    slot_live_pos_.resize(static_cast<size_t>(soa_.capacity()), -1);
-  }
-  slot_live_pos_[s] = static_cast<int32_t>(live_slots_.size());
-  live_slots_.push_back(slot);
 
   incidence_.Add(soa_, slot);
   fair_flows_ += !(pinned_rate > 0.0);
@@ -241,8 +224,7 @@ double NetworkSimulator::MaxCapacityViolation() const {
       continue;
     }
     any = true;
-    Rate usable = std::max(0.0, nominal * fault_factor_[i] - background_[i]);
-    worst = std::max(worst, (link_rate_[i] - usable) / nominal);
+    worst = std::max(worst, (link_rate_[i] - usable_capacity_[i]) / nominal);
   }
   // No link with positive capacity means nothing can be violated.
   return any ? worst : 0.0;
@@ -291,12 +273,6 @@ void NetworkSimulator::EraseFlow(int32_t slot) {
   FlowId id = soa_.meta[s].id;
   id_to_slot_[static_cast<size_t>(id - id_base_)] = -1;
   ++dead_ids_;
-  int32_t pos = slot_live_pos_[s];
-  int32_t last = live_slots_.back();
-  live_slots_[static_cast<size_t>(pos)] = last;
-  slot_live_pos_[static_cast<size_t>(last)] = pos;
-  live_slots_.pop_back();
-  slot_live_pos_[s] = -1;
   soa_.Free(slot);
   soa_.MaybeCompactArena();
   MaybeCompactIdMap();
@@ -428,7 +404,7 @@ void NetworkSimulator::ReallocateComponent(LinkId seed) {
   allocator_.AllocateSubset(usable_capacity_, n, comp_off_.data(), comp_links_.data(),
                             comp_pinned_.data(), comp_rate_.data());
   ApplyRates(has_fair);
-  if (full_realloc_ || has_fair) {
+  if (has_fair) {
     return;
   }
   // Retain the arrays. Every link of every member carries the new tag, so a
@@ -507,9 +483,6 @@ void NetworkSimulator::ApplyRates(bool has_fair) {
       link_rate_[static_cast<size_t>(comp_links_[static_cast<size_t>(j)])] += new_rate - old_rate;
     }
   }
-  if (full_realloc_) {
-    return;
-  }
   // Heap pushes. Between solves no member's key changes, and any event that
   // re-solves a component dirties it first, so only members that can surface
   // at the heap top before the next solve need entries:
@@ -522,9 +495,9 @@ void NetworkSimulator::ApplyRates(bool has_fair) {
   //     every member with a positive rate.
   // heap_epoch == rate_epoch means the slot's current-epoch entry (same key,
   // pushed by an earlier solve) is still in the heap; pushing again would
-  // complete the flow twice in one batch. Keys are the same bits as
-  // CompletionKeyAt: the epilogue above already scattered any rate change
-  // back, so the slot columns are current (and still hot).
+  // complete the flow twice in one batch. The epilogue above already
+  // scattered any rate change back, so the slot columns are current (and
+  // still hot).
   auto push = [this](int32_t slot, SimTime key) {
     size_t s = static_cast<size_t>(slot);
     soa_.heap_epoch[s] = soa_.rate_epoch[s];
@@ -589,41 +562,34 @@ void NetworkSimulator::Reallocate() {
   incidence_.BeginEpoch();
   ++telem_reallocations_;
   telem_dirty_links_ += static_cast<int64_t>(dirty_links_.size());
-  if (full_realloc_) {
-    // Reference mode: re-solve every component regardless of dirtiness.
-    for (LinkId l = 0; l < topo_->num_links(); ++l) {
-      ReallocateComponent(l);
+  std::sort(dirty_links_.begin(), dirty_links_.end());
+  // A tag above `fresh` was handed out by a BFS solve in this pass, so its
+  // links are already stamped; `solved` is the retained set's tag once this
+  // pass has re-solved it. Either way the component is done for this pass.
+  const uint64_t fresh = last_ret_gen_;
+  uint64_t solved = 0;
+  for (LinkId l : dirty_links_) {
+    const uint64_t tag = link_ret_gen_[static_cast<size_t>(l)];
+    if (tag != 0 && (tag == solved || tag > fresh)) {
+      continue;
     }
-  } else {
-    std::sort(dirty_links_.begin(), dirty_links_.end());
-    // A tag above `fresh` was handed out by a BFS solve in this pass, so its
-    // links are already stamped; `solved` is the retained set's tag once this
-    // pass has re-solved it. Either way the component is done for this pass.
-    const uint64_t fresh = last_ret_gen_;
-    uint64_t solved = 0;
-    for (LinkId l : dirty_links_) {
-      const uint64_t tag = link_ret_gen_[static_cast<size_t>(l)];
-      if (tag != 0 && (tag == solved || tag > fresh)) {
-        continue;
+    if (tag != 0 && tag == ret_gen_) {
+      // A tagged link's flows are all retained members; a drained one
+      // seeds nothing, as GatherFrom would say.
+      if (!incidence_.at(l).empty()) {
+        ResolveRetained();
+        solved = tag;
       }
-      if (tag != 0 && tag == ret_gen_) {
-        // A tagged link's flows are all retained members; a drained one
-        // seeds nothing, as GatherFrom would say.
-        if (!incidence_.at(l).empty()) {
-          ResolveRetained();
-          solved = tag;
-        }
-        continue;
-      }
-      ReallocateComponent(l);
+      continue;
     }
+    ReallocateComponent(l);
   }
   for (LinkId l : dirty_links_) {
     link_dirty_[static_cast<size_t>(l)] = 0;
   }
   dirty_links_.clear();
   rates_dirty_ = false;
-  if (!full_realloc_ && heap_.size() > 1024 &&
+  if (heap_.size() > 1024 &&
       heap_.size() > 8 * (static_cast<size_t>(soa_.num_live()) + 1)) {
     CompactHeap();
   }
@@ -643,16 +609,6 @@ void NetworkSimulator::CompactHeap() {
 }
 
 SimTime NetworkSimulator::NextCompletionTime() {
-  if (full_realloc_) {
-    SimTime best = kTimeInfinity;
-    for (int32_t slot : live_slots_) {
-      SimTime k = CompletionKeyAt(slot);
-      if (k < best) {
-        best = k;
-      }
-    }
-    return best;
-  }
   while (!heap_.empty()) {
     const CompletionEntry& e = heap_.front();
     if (ValidEntry(e)) {
@@ -666,26 +622,18 @@ SimTime NetworkSimulator::NextCompletionTime() {
 
 void NetworkSimulator::CompleteBatch(SimTime t) {
   batch_.clear();
-  if (full_realloc_) {
-    for (int32_t slot : live_slots_) {
-      if (CompletionKeyAt(slot) == t) {
-        batch_.emplace_back(soa_.meta[static_cast<size_t>(slot)].id, slot);
-      }
+  // Every flow completing at t is its component's argmin, so its last
+  // component solve pushed exactly one current-epoch entry for it; popping
+  // the key == t prefix (skipping stale entries) yields exactly the batch.
+  while (!heap_.empty() && heap_.front().key <= t) {
+    CompletionEntry e = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
+    heap_.pop_back();
+    if (!ValidEntry(e)) {
+      continue;
     }
-  } else {
-    // Every flow completing at t is its component's argmin, so its last
-    // component solve pushed exactly one current-epoch entry for it; popping
-    // the key == t prefix (skipping stale entries) yields exactly the batch.
-    while (!heap_.empty() && heap_.front().key <= t) {
-      CompletionEntry e = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-      heap_.pop_back();
-      if (!ValidEntry(e)) {
-        continue;
-      }
-      BDS_CHECK(e.key == t);  // A live completion earlier than now_ is a bug.
-      batch_.emplace_back(e.id, e.slot);
-    }
+    BDS_CHECK(e.key == t);  // A live completion earlier than now_ is a bug.
+    batch_.emplace_back(e.id, e.slot);
   }
   std::sort(batch_.begin(), batch_.end());  // Ids are unique: sorts by id.
   BDS_CHECK(!batch_.empty());

@@ -52,10 +52,11 @@
 //     "Retained component").
 // Completed flows leave the simulator only through the completion callback;
 // no history is kept.
-// set_full_reallocation(true) re-solves every component at every event and
-// scans instead of using the heap — the reference path the parity suite
-// (tests/simulator_incremental_parity_test.cc) checks bit-identical results
-// against, and the "reference" config of bench/bench_sim_hotpath.cc.
+// The parity suite (tests/simulator_incremental_parity_test.cc) checks this
+// loop bit for bit against ReferenceSimulator (tests/oracles.h), which shares
+// no code with it: it keeps Flow objects, re-solves every component after any
+// change and scans for the next completion. bench/bench_sim_hotpath.cc times
+// it as the "reference" config.
 
 #ifndef BDS_SRC_SIMULATOR_NETWORK_SIMULATOR_H_
 #define BDS_SRC_SIMULATOR_NETWORK_SIMULATOR_H_
@@ -176,13 +177,7 @@ class NetworkSimulator {
 
   const Topology& topology() const { return *topo_; }
 
-  // --- Hot-path instrumentation / reference mode. ---
-
-  // Full-reallocation reference mode: every event re-solves every component
-  // and the next completion is found by scanning, exactly reproducing what
-  // the incremental path must compute. Must be set before any flow starts.
-  void set_full_reallocation(bool on);
-  bool full_reallocation() const { return full_realloc_; }
+  // --- Hot-path instrumentation. ---
 
   int64_t num_reallocations() const { return num_reallocations_; }
   // Component solves that re-used the retained arrays (a subset of
@@ -207,16 +202,6 @@ class NetworkSimulator {
     }
   };
 
-  // Projected completion time of the flow in `slot` (zero-crossing of
-  // remaining bytes); pure function of the slot's anchor state, so heap
-  // entries and scans compute identical bits.
-  SimTime CompletionKeyAt(int32_t slot) const {
-    size_t s = static_cast<size_t>(slot);
-    return soa_.current_rate[s] > 0.0
-               ? soa_.anchor_time[s] + soa_.remaining[s] / soa_.current_rate[s]
-               : kTimeInfinity;
-  }
-
   // -1 when the id is not an active flow. O(1): ids are sequential, so the
   // map is a dense array over the [oldest active, newest] id window.
   int32_t SlotOf(FlowId id) const {
@@ -237,19 +222,19 @@ class NetworkSimulator {
   void MarkDirty(LinkId link);
   // Physically reorders the SoA pool so flows sharing a first link occupy
   // adjacent slots (and compacts away freed slots), then remaps every
-  // slot-bearing structure (incidence rows, id map, live list, completion
-  // heap). Slot numbering is unobservable — solves are canonicalized by flow
+  // slot-bearing structure (incidence rows, id map, completion heap). Slot
+  // numbering is unobservable — solves are canonicalized by flow
   // id — so results are bit-identical; only memory layout changes. Reallocate
   // runs it after a bulk load, where round-robin submission would otherwise
   // leave each component's flows strided across the pool.
   void ReorderSlotsForLocality();
-  // Reorders the pool after a bulk load, then re-solves dirty components (all
-  // components in full mode), updating anchors, epochs, per-link rates, and
-  // the completion heap for every flow whose rate actually changed.
+  // Reorders the pool after a bulk load, then re-solves dirty components,
+  // updating anchors, epochs, per-link rates, and the completion heap for
+  // every flow whose rate actually changed.
   void Reallocate();
   // Gathers the component containing `seed` into the comp_* arrays (members
-  // in ascending id order) and solves it. Outside full mode an all-pinned
-  // component's arrays become the retained ones; any other solve drops them.
+  // in ascending id order) and solves it. An all-pinned component's arrays
+  // become the retained ones; any other solve drops them.
   void ReallocateComponent(LinkId seed);
   // Tombstones the retained members that have departed (slot freed), both in
   // comp_live_ and in the allocator's rows, and re-solves the live ones:
@@ -270,7 +255,7 @@ class NetworkSimulator {
   // runs at its pin and no fair flow is live (the departure then provably
   // changes no other rate), and drops the flow from the incidence index.
   void DetachFlow(int32_t slot);
-  // Releases the slot: id map tombstone, live-list swap-erase, pool free.
+  // Releases the slot: id map tombstone, pool free.
   void EraseFlow(int32_t slot);
   // Slides the id window forward once enough leading tombstones accumulate.
   void MaybeCompactIdMap();
@@ -279,18 +264,15 @@ class NetworkSimulator {
   const Topology* topo_;
   BandwidthAllocator allocator_;
   LinkFlowIndex incidence_;
-  bool full_realloc_ = false;
 
   SimTime now_ = 0.0;
   FlowId next_flow_id_ = 0;
 
-  FlowSoA soa_;                         // Active-flow pool.
-  std::vector<int32_t> live_slots_;     // Dense live-slot list (full-mode scans).
-  std::vector<int32_t> slot_live_pos_;  // slot -> index in live_slots_.
-  FlowId id_base_ = 0;                  // id_to_slot_[0] corresponds to this id.
-  std::vector<int32_t> id_to_slot_;     // -1 = completed/cancelled (tombstone).
-  int64_t dead_ids_ = 0;                // Tombstones currently in id_to_slot_.
-  int64_t id_compact_at_ = 1024;        // Next tombstone count to compact at.
+  FlowSoA soa_;                      // Active-flow pool.
+  FlowId id_base_ = 0;               // id_to_slot_[0] corresponds to this id.
+  std::vector<int32_t> id_to_slot_;  // -1 = completed/cancelled (tombstone).
+  int64_t dead_ids_ = 0;             // Tombstones currently in id_to_slot_.
+  int64_t id_compact_at_ = 1024;     // Next tombstone count to compact at.
 
   int64_t starts_since_realloc_ = 0;  // Reorder trigger (see Reallocate).
   std::vector<int32_t> old_to_new_;   // Reorder scratch.

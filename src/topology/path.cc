@@ -1,31 +1,8 @@
 #include "src/topology/path.h"
 
 #include <algorithm>
-#include <limits>
-#include <sstream>
 
 namespace bds {
-
-Rate ServerPath::BottleneckCapacity(const Topology& topo) const {
-  Rate cap = std::numeric_limits<double>::infinity();
-  for (LinkId l : links) {
-    cap = std::min(cap, topo.link(l).capacity);
-  }
-  return cap;
-}
-
-std::string ServerPath::ToString(const Topology& topo) const {
-  std::ostringstream os;
-  os << "s" << src << "(dc" << topo.server(src).dc << ")";
-  for (LinkId l : links) {
-    const Link& link = topo.link(l);
-    if (link.type == LinkType::kWan) {
-      os << " -> dc" << link.dst_dc;
-    }
-  }
-  os << " -> s" << dst;
-  return os.str();
-}
 
 StatusOr<ServerPath> MakeServerPath(const Topology& topo, const WanRoutingTable& routing,
                                     ServerId src, ServerId dst, int route_index) {

@@ -9,7 +9,6 @@
 #ifndef BDS_SRC_TOPOLOGY_PATH_H_
 #define BDS_SRC_TOPOLOGY_PATH_H_
 
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
@@ -28,11 +27,6 @@ struct ServerPath {
   // Which of the routing table's WAN routes this path uses (0 = primary);
   // -1 for intra-DC paths.
   int wan_route_index = -1;
-
-  // The minimum capacity along this path at build time.
-  Rate BottleneckCapacity(const Topology& topo) const;
-
-  std::string ToString(const Topology& topo) const;
 };
 
 // Builds the ServerPath from `src` to `dst` using `route_index`-th WAN route

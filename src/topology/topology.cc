@@ -4,18 +4,6 @@
 
 namespace bds {
 
-const char* LinkTypeName(LinkType type) {
-  switch (type) {
-    case LinkType::kServerUp:
-      return "server-up";
-    case LinkType::kServerDown:
-      return "server-down";
-    case LinkType::kWan:
-      return "wan";
-  }
-  return "?";
-}
-
 DcId Topology::AddDatacenter(std::string name) {
   DcId id = static_cast<DcId>(dcs_.size());
   dcs_.push_back(Datacenter{id, std::move(name), {}});

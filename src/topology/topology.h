@@ -22,8 +22,6 @@ enum class LinkType {
   kWan,         // Directed inter-DC WAN link.
 };
 
-const char* LinkTypeName(LinkType type);
-
 struct Link {
   LinkId id = kInvalidLink;
   LinkType type = LinkType::kWan;

@@ -39,38 +39,6 @@ TEST(RunningStatsTest, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesCombinedStream) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    double v = std::sin(i) * 10.0;
-    (i % 2 == 0 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a;
-  a.Add(1.0);
-  a.Add(3.0);
-  RunningStats empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-  RunningStats c;
-  c.Merge(a);
-  EXPECT_EQ(c.count(), 2);
-  EXPECT_DOUBLE_EQ(c.mean(), 2.0);
-}
-
 TEST(EmpiricalDistributionTest, QuantilesOfLinearRamp) {
   EmpiricalDistribution d;
   for (int i = 0; i <= 100; ++i) {
@@ -80,7 +48,6 @@ TEST(EmpiricalDistributionTest, QuantilesOfLinearRamp) {
   EXPECT_DOUBLE_EQ(d.Quantile(0.5), 50.0);
   EXPECT_DOUBLE_EQ(d.Quantile(1.0), 100.0);
   EXPECT_DOUBLE_EQ(d.Median(), 50.0);
-  EXPECT_DOUBLE_EQ(d.Min(), 0.0);
   EXPECT_DOUBLE_EQ(d.Max(), 100.0);
 }
 
@@ -152,13 +119,12 @@ TEST(EmpiricalDistributionTest, MergeMatchesCombinedStream) {
   EXPECT_EQ(a.count(), all.count());
   EXPECT_DOUBLE_EQ(a.Median(), all.Median());
   EXPECT_DOUBLE_EQ(a.Quantile(0.9), all.Quantile(0.9));
-  EXPECT_DOUBLE_EQ(a.Min(), all.Min());
+  EXPECT_DOUBLE_EQ(a.Quantile(0.0), all.Quantile(0.0));
   EXPECT_DOUBLE_EQ(a.Max(), all.Max());
 }
 
 TEST(EmpiricalDistributionTest, MergeWithEmpty) {
-  // Mirrors RunningStatsTest.MergeWithEmpty: empty other is a no-op, merging
-  // into an empty distribution copies.
+  // An empty other is a no-op; merging into an empty distribution copies.
   EmpiricalDistribution a;
   a.Add(1.0);
   a.Add(3.0);
@@ -180,7 +146,7 @@ TEST(EmpiricalDistributionTest, MergeWithSelfDoublesSamples) {
   a.Merge(a);
   EXPECT_EQ(a.count(), 4);
   EXPECT_DOUBLE_EQ(a.Median(), 3.0);
-  EXPECT_DOUBLE_EQ(a.Min(), 1.0);
+  EXPECT_DOUBLE_EQ(a.Quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(a.Max(), 5.0);
 
   EmpiricalDistribution empty;
@@ -323,13 +289,6 @@ TEST(HistogramDeathTest, MergeRejectsMismatchedShape) {
   Histogram a(0.0, 10.0, 5);
   Histogram b(0.0, 10.0, 10);
   EXPECT_DEATH(a.Merge(b), "");
-}
-
-TEST(HistogramTest, ToStringDoesNotCrash) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(0.1);
-  h.Add(0.6);
-  EXPECT_FALSE(h.ToString().empty());
 }
 
 TEST(TimeSeriesTest, BasicAccumulation) {

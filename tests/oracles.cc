@@ -260,6 +260,249 @@ void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& 
   }
 }
 
+ReferenceSimulator::ReferenceSimulator(const Topology* topo)
+    : topo_(topo),
+      fault_factor_(static_cast<size_t>(topo->num_links()), 1.0),
+      background_(static_cast<size_t>(topo->num_links()), 0.0),
+      link_rate_(static_cast<size_t>(topo->num_links()), 0.0),
+      link_flows_(static_cast<size_t>(topo->num_links()), 0) {}
+
+StatusOr<FlowId> ReferenceSimulator::StartFlow(std::vector<LinkId> links, Bytes bytes,
+                                               Rate pinned_rate, int64_t tag, int64_t tag2) {
+  if (links.empty()) {
+    return InvalidArgumentError("StartFlow: empty link list");
+  }
+  for (size_t i = 0; i < links.size(); ++i) {
+    if (links[i] < 0 || links[i] >= topo_->num_links()) {
+      return InvalidArgumentError("StartFlow: bad link id");
+    }
+    if (std::find(links.begin(), links.begin() + static_cast<int64_t>(i), links[i]) !=
+        links.begin() + static_cast<int64_t>(i)) {
+      return InvalidArgumentError("StartFlow: path repeats a link");
+    }
+  }
+  if (bytes <= 0.0) {
+    return InvalidArgumentError("StartFlow: bytes must be positive");
+  }
+  if (pinned_rate < 0.0) {
+    return InvalidArgumentError("StartFlow: negative pinned rate");
+  }
+  const FlowId id = next_id_++;
+  Flow f;
+  f.id = id;
+  f.links = std::move(links);
+  f.total_bytes = bytes;
+  f.remaining = bytes;
+  f.anchor_time = now_;
+  f.pinned_rate = pinned_rate;
+  f.start_time = now_;
+  f.tag = tag;
+  f.tag2 = tag2;
+  for (LinkId l : f.links) {
+    ++link_flows_[static_cast<size_t>(l)];
+  }
+  flows_.emplace(id, std::move(f));
+  dirty_ = true;
+  return id;
+}
+
+StatusOr<Bytes> ReferenceSimulator::CancelFlow(FlowId id) {
+  auto it = flows_.find(id);
+  if (it == flows_.end()) {
+    return NotFoundError("CancelFlow: no such active flow");
+  }
+  const Bytes delivered = it->second.total_bytes - it->second.RemainingAt(now_);
+  Detach(it->second);
+  flows_.erase(it);
+  return delivered;
+}
+
+const Flow* ReferenceSimulator::FindFlow(FlowId id) const {
+  auto it = flows_.find(id);
+  return it == flows_.end() ? nullptr : &it->second;
+}
+
+Status ReferenceSimulator::SetLinkFaultFactor(LinkId link, double factor) {
+  if (link < 0 || link >= topo_->num_links()) {
+    return InvalidArgumentError("SetLinkFaultFactor: bad link");
+  }
+  if (factor < 0.0 || factor > 1.0) {
+    return InvalidArgumentError("SetLinkFaultFactor: factor must be in [0, 1]");
+  }
+  fault_factor_[static_cast<size_t>(link)] = factor;
+  dirty_ = true;
+  return Status::Ok();
+}
+
+Status ReferenceSimulator::SetBackgroundRate(LinkId link, Rate rate) {
+  if (link < 0 || link >= topo_->num_links()) {
+    return InvalidArgumentError("SetBackgroundRate: bad link");
+  }
+  if (rate < 0.0) {
+    return InvalidArgumentError("SetBackgroundRate: negative rate");
+  }
+  background_[static_cast<size_t>(link)] = rate;
+  dirty_ = true;
+  return Status::Ok();
+}
+
+std::vector<Rate> ReferenceSimulator::UsableCapacities() const {
+  std::vector<Rate> usable(link_rate_.size());
+  for (size_t l = 0; l < usable.size(); ++l) {
+    usable[l] = std::max(0.0, topo_->link(static_cast<LinkId>(l)).capacity * fault_factor_[l] -
+                                  background_[l]);
+  }
+  return usable;
+}
+
+double ReferenceSimulator::MaxCapacityViolation() const {
+  const std::vector<Rate> usable = UsableCapacities();
+  double worst = -kTimeInfinity;
+  bool any = false;
+  for (size_t l = 0; l < usable.size(); ++l) {
+    const Rate nominal = topo_->link(static_cast<LinkId>(l)).capacity;
+    if (nominal > 0.0) {
+      any = true;
+      worst = std::max(worst, (link_rate_[l] - usable[l]) / nominal);
+    }
+  }
+  return any ? worst : 0.0;
+}
+
+void ReferenceSimulator::Reallocate() {
+  // Union-find over links: flows that share a link are one component.
+  std::vector<size_t> parent(link_rate_.size());
+  for (size_t l = 0; l < parent.size(); ++l) {
+    parent[l] = l;
+  }
+  auto root = [&parent](size_t l) {
+    while (parent[l] != l) {
+      l = parent[l] = parent[parent[l]];
+    }
+    return l;
+  };
+  for (const auto& [id, f] : flows_) {
+    for (LinkId l : f.links) {
+      parent[root(static_cast<size_t>(l))] = root(static_cast<size_t>(f.links[0]));
+    }
+  }
+  std::vector<std::vector<Flow*>> components(parent.size());
+  for (auto& [id, f] : flows_) {
+    components[root(static_cast<size_t>(f.links[0]))].push_back(&f);  // Ascending ids.
+  }
+  const std::vector<Rate> capacities = UsableCapacities();
+  for (const std::vector<Flow*>& members : components) {
+    if (members.empty()) {
+      continue;
+    }
+    std::vector<int32_t> offsets{0};
+    std::vector<LinkId> links;
+    std::vector<Rate> pinned;
+    for (const Flow* f : members) {
+      links.insert(links.end(), f->links.begin(), f->links.end());
+      offsets.push_back(static_cast<int32_t>(links.size()));
+      pinned.push_back(f->pinned_rate);
+    }
+    std::vector<Rate> rate(members.size());
+    allocator_.AllocateSubset(capacities, members.size(), offsets.data(), links.data(),
+                              pinned.data(), rate.data());
+    ++num_reallocations_;
+    for (size_t i = 0; i < members.size(); ++i) {
+      Flow& f = *members[i];
+      if (rate[i] == f.current_rate) {
+        continue;
+      }
+      f.remaining = f.RemainingAt(now_);
+      f.anchor_time = now_;
+      for (LinkId l : f.links) {
+        link_rate_[static_cast<size_t>(l)] += rate[i] - f.current_rate;
+      }
+      f.current_rate = rate[i];
+    }
+  }
+  dirty_ = false;
+}
+
+void ReferenceSimulator::Detach(const Flow& f) {
+  for (LinkId l : f.links) {
+    const size_t li = static_cast<size_t>(l);
+    link_rate_[li] -= f.current_rate;
+    if (--link_flows_[li] == 0) {
+      link_rate_[li] = 0.0;  // No drift survives on a drained link.
+    }
+  }
+  dirty_ = true;
+}
+
+SimTime ReferenceSimulator::NextCompletionTime() const {
+  SimTime best = kTimeInfinity;
+  for (const auto& [id, f] : flows_) {
+    if (f.current_rate > 0.0) {
+      best = std::min(best, f.anchor_time + f.remaining / f.current_rate);
+    }
+  }
+  return best;
+}
+
+void ReferenceSimulator::CompleteBatch(SimTime t) {
+  std::vector<FlowRecord> batch;
+  for (auto it = flows_.begin(); it != flows_.end();) {
+    const Flow& f = it->second;
+    if (f.current_rate > 0.0 && f.anchor_time + f.remaining / f.current_rate == t) {
+      batch.push_back(FlowRecord{f.id, f.total_bytes, f.start_time, t, f.tag, f.tag2});
+      Detach(f);
+      it = flows_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  BDS_CHECK(!batch.empty());
+  ++num_events_;
+  if (on_complete_) {
+    for (const FlowRecord& r : batch) {
+      on_complete_(r);
+    }
+  }
+}
+
+Status ReferenceSimulator::AdvanceTo(SimTime t) {
+  if (t < now_ - kFluidEpsilon) {
+    return InvalidArgumentError("AdvanceTo: time went backwards");
+  }
+  t = std::max(t, now_);
+  for (;;) {
+    if (dirty_) {
+      Reallocate();
+    }
+    const SimTime next = NextCompletionTime();
+    if (next > t) {
+      now_ = t;
+      return Status::Ok();
+    }
+    now_ = next;
+    CompleteBatch(next);
+  }
+}
+
+StatusOr<SimTime> ReferenceSimulator::RunUntilIdle(SimTime deadline) {
+  while (!flows_.empty()) {
+    if (dirty_) {
+      Reallocate();
+    }
+    const SimTime next = NextCompletionTime();
+    if (!std::isfinite(next)) {
+      return InternalError("RunUntilIdle: active flows but no progress (all rates zero)");
+    }
+    if (next > deadline) {
+      BDS_RETURN_IF_ERROR(AdvanceTo(deadline));
+      return now_;
+    }
+    now_ = next;
+    CompleteBatch(next);
+  }
+  return now_;
+}
+
 std::vector<ServerPath> EnumerateServerPaths(const Topology& topo, const WanRoutingTable& routing,
                                              ServerId src, ServerId dst) {
   std::vector<ServerPath> out;

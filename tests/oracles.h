@@ -6,20 +6,26 @@
 #define BDS_TESTS_ORACLES_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/lp/mcf.h"
 #include "src/lp/mcf_internal.h"
+#include "src/simulator/bandwidth_allocator.h"
+#include "src/simulator/flow.h"
 #include "src/topology/path.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
 
 namespace bds {
 
-// A flow as one self-contained object: the input of AllocateReference. The
-// simulator keeps its flows in a struct-of-arrays pool instead (FlowSoA,
-// observed through FlowView).
+// A flow as one self-contained object: the input of AllocateReference and
+// the unit ReferenceSimulator keeps. NetworkSimulator keeps its flows in a
+// struct-of-arrays pool instead (FlowSoA, observed through FlowView).
 struct Flow {
   FlowId id = kInvalidFlow;
   std::vector<LinkId> links;
@@ -85,6 +91,68 @@ void AllocatePinnedReference(const std::vector<Rate>& capacities, size_t n,
 // every flow; completed flows get rate 0. The simulator's per-component
 // rates must agree with it to floating-point reassociation noise.
 void AllocateReference(const std::vector<Rate>& capacities, std::vector<Flow*>& flows);
+
+// NetworkSimulator's event loop in its straightforward form, sharing no code
+// with it: flows are Flow objects kept in id order; after any change every
+// link-connected component is re-solved by BandwidthAllocator::AllocateSubset
+// (members in ascending id order, capacities recomputed from the nominal
+// ones, the fault factors and the background rates); the next completion is
+// found by scanning every flow; completions sharing one instant form one
+// batch whose callbacks fire after the whole batch has left. Rates, anchors,
+// per-link bulk rates and completion times use the same arithmetic as
+// NetworkSimulator (a rate change re-anchors the flow, a link's bulk rate
+// moves by new - old, and a drained link snaps to zero), so the incremental
+// loop must match it bit for bit.
+class ReferenceSimulator {
+ public:
+  explicit ReferenceSimulator(const Topology* topo);
+
+  StatusOr<FlowId> StartFlow(std::vector<LinkId> links, Bytes bytes, Rate pinned_rate = 0.0,
+                             int64_t tag = 0, int64_t tag2 = 0);
+  // Returns the bytes delivered; no completion fires.
+  StatusOr<Bytes> CancelFlow(FlowId id);
+  // nullptr when the flow completed, was cancelled or never existed.
+  const Flow* FindFlow(FlowId id) const;
+  int num_active_flows() const { return static_cast<int>(flows_.size()); }
+
+  Status SetLinkFaultFactor(LinkId link, double factor);
+  Status SetBackgroundRate(LinkId link, Rate rate);
+  double MaxCapacityViolation() const;
+  Rate LinkBulkRate(LinkId link) const { return link_rate_[static_cast<size_t>(link)]; }
+
+  SimTime now() const { return now_; }
+  Status AdvanceTo(SimTime t);
+  StatusOr<SimTime> RunUntilIdle(SimTime deadline = kTimeInfinity);
+
+  void SetCompletionCallback(std::function<void(const FlowRecord&)> cb) {
+    on_complete_ = std::move(cb);
+  }
+  // Component solves, counted as NetworkSimulator::num_reallocations() does.
+  int64_t num_reallocations() const { return num_reallocations_; }
+  int64_t num_completion_events() const { return num_events_; }
+
+ private:
+  // max(0, nominal * fault factor - background) for every link.
+  std::vector<Rate> UsableCapacities() const;
+  void Reallocate();
+  void Detach(const Flow& f);
+  SimTime NextCompletionTime() const;
+  void CompleteBatch(SimTime t);
+
+  const Topology* topo_;
+  BandwidthAllocator allocator_;
+  std::map<FlowId, Flow> flows_;  // Active flows.
+  FlowId next_id_ = 0;
+  SimTime now_ = 0.0;
+  bool dirty_ = false;  // Something changed since the last reallocation.
+  std::vector<double> fault_factor_;
+  std::vector<Rate> background_;
+  std::vector<Rate> link_rate_;   // Bulk rate per link.
+  std::vector<int> link_flows_;   // Active flows per link.
+  std::function<void(const FlowRecord&)> on_complete_;
+  int64_t num_reallocations_ = 0;
+  int64_t num_events_ = 0;
+};
 
 // Enumerates all ServerPaths from `src` to `dst` (one per available WAN
 // route, or the single intra-DC path) by walking the routing table.

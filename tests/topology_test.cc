@@ -122,12 +122,6 @@ TEST(TopologyTest, SummaryMentionsCounts) {
   EXPECT_NE(s.find("1 WAN links"), std::string::npos);
 }
 
-TEST(LinkTypeNameTest, AllNamed) {
-  EXPECT_STREQ(LinkTypeName(LinkType::kServerUp), "server-up");
-  EXPECT_STREQ(LinkTypeName(LinkType::kServerDown), "server-down");
-  EXPECT_STREQ(LinkTypeName(LinkType::kWan), "wan");
-}
-
 TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(MB(2.0), 2e6);
   EXPECT_DOUBLE_EQ(GB(1.0), 1e9);

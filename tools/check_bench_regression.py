@@ -67,7 +67,8 @@ STEADY_METRICS = {
 
 # Only gate (point, config) pairs whose committed relative time shows the
 # optimization had a *strong* edge there (e.g. the incremental simulator at
-# a fraction of the full-reallocation reference). A config near 1.0x of the
+# a fraction of ReferenceSimulator, the simulator's straightforward event
+# loop in tests/oracles.h). A config near 1.0x of the
 # reference (a controller cycle with a sharded selection queue against the
 # unsharded one) has nothing to regress and its ratio is dominated by
 # measurement noise — gating it produces flaky failures, not signal. For the strong-edge configs a real
