@@ -6,7 +6,22 @@ namespace bds {
 
 namespace {
 
-constexpr SimTime kBulletEpoch = 10.0;  // RanSub distribution period.
+// Gingko: each receiver sees 3 holders per request on a fixed overlay of
+// ~1/8 of the participants, pulls one block at a time and re-picks its
+// source only every 24 blocks (chunk/stage granularity, as in the deployed
+// system); a source serves one receiver at a time.
+constexpr int kGingkoVisibility = 3;
+constexpr int kGingkoStickyBlocks = 24;
+constexpr double kGingkoNeighborFraction = 0.125;
+
+// Bullet: RanSub re-draws a fresh random subset of ~15% of the participants
+// every 10 s epoch; a receiver sees 4 holders and runs 3 concurrent
+// fetches, and each node serves 3 parallel uploads.
+constexpr SimTime kBulletEpoch = 10.0;
+constexpr int kBulletVisibility = 4;
+constexpr int kBulletConcurrentDownloads = 3;
+constexpr double kBulletNeighborFraction = 0.15;
+constexpr int kBulletUploadSlots = 3;
 
 }  // namespace
 
@@ -54,12 +69,12 @@ StatusOr<MulticastRunResult> GingkoStrategy::Run(const Topology& topo,
                                                  const MulticastJob& job, uint64_t seed,
                                                  SimTime deadline) {
   DecentralizedEngine::Options opt;
-  opt.visibility = options_.visibility;
-  opt.concurrent_downloads = options_.concurrent_downloads;
+  opt.visibility = kGingkoVisibility;
+  opt.concurrent_downloads = 1;
   opt.resample_period = 0.0;  // Fixed overlay, per-request source choice.
-  opt.sticky_blocks = options_.sticky_blocks;
-  opt.neighbor_fraction = options_.neighbor_fraction;
-  opt.upload_slots = options_.upload_slots;
+  opt.sticky_blocks = kGingkoStickyBlocks;
+  opt.neighbor_fraction = kGingkoNeighborFraction;
+  opt.upload_slots = 1;
   opt.seed = seed;
   return RunDecentralized(topo, routing, job, opt, deadline);
 }
@@ -69,11 +84,11 @@ StatusOr<MulticastRunResult> BulletStrategy::Run(const Topology& topo,
                                                  const MulticastJob& job, uint64_t seed,
                                                  SimTime deadline) {
   DecentralizedEngine::Options opt;
-  opt.visibility = options_.visibility;
-  opt.concurrent_downloads = options_.concurrent_downloads;
+  opt.visibility = kBulletVisibility;
+  opt.concurrent_downloads = kBulletConcurrentDownloads;
   opt.resample_period = kBulletEpoch;
-  opt.neighbor_fraction = options_.neighbor_fraction;
-  opt.upload_slots = options_.upload_slots;
+  opt.neighbor_fraction = kBulletNeighborFraction;
+  opt.upload_slots = kBulletUploadSlots;
   opt.seed = seed;
   return RunDecentralized(topo, routing, job, opt, deadline);
 }

@@ -117,8 +117,7 @@ void CompletionLedger::RecordDelivery(JobId job, ServerId dest_server, SimTime n
   d.Mix(static_cast<uint64_t>(job));
   d.MixDouble(duration);
   report_.completion_digest = d.h;
-  BDS_TELEMETRY_HISTOGRAM("controller.job_completion_minutes", 0.0, 240.0, 96,
-                          ToMinutes(duration));
+  BDS_TELEMETRY_HISTOGRAM("controller.job_completion_minutes", ToMinutes(duration));
   if (retire_completed_) {
     retirable_.push_back(job);
   }

@@ -440,19 +440,8 @@ void NetworkSimulator::ApplyRates(bool has_fair) {
   const size_t n = comp_live_.size();
   ++num_reallocations_;
   ++telem_component_solves_;
-  {
-    // Same bin math as HistogramRecord for the [0, kCompHistMax) x
-    // kCompHistBins layout; n >= 1 so only the upper clamp can hit.
-    const double v = static_cast<double>(n);
-    int bin = static_cast<int>(v * (kCompHistBins / kCompHistMax));
-    bin = bin < kCompHistBins - 1 ? bin : kCompHistBins - 1;
-    ++telem_comp_hist_[bin];
-    ++telem_comp_count_;
-    telem_comp_sum_ += v;
-    if (v > telem_comp_max_) {
-      telem_comp_max_ = v;
-    }
-  }
+  telem_comp_sum_ += static_cast<double>(n);
+  telem_comp_max_ = std::max(telem_comp_max_, static_cast<double>(n));
   for (const int32_t member : comp_live_) {
     const size_t i = static_cast<size_t>(member);
     size_t s = static_cast<size_t>(comp_slots_[i]);
@@ -736,12 +725,9 @@ void NetworkSimulator::PublishTelemetry() {
   const BandwidthAllocator::Work work = allocator_.TakeWork();
   BDS_TELEMETRY_COUNT("sim.pinned_rounds", work.pinned_rounds);
   BDS_TELEMETRY_COUNT("sim.pinned_resum_terms", work.resum_terms);
-  if (telem_comp_count_ > 0) {
-    BDS_TELEMETRY_HISTOGRAM_BULK("sim.component_flows", 0.0, kCompHistMax, kCompHistBins,
-                                 telem_comp_hist_, telem_comp_count_, telem_comp_sum_,
-                                 telem_comp_max_);
-    std::fill(std::begin(telem_comp_hist_), std::end(telem_comp_hist_), int64_t{0});
-    telem_comp_count_ = 0;
+  if (telem_component_solves_ > 0) {
+    BDS_TELEMETRY_HISTOGRAM_BULK("sim.component_flows", telem_component_solves_,
+                                 telem_comp_sum_, telem_comp_max_);
     telem_comp_sum_ = 0.0;
     telem_comp_max_ = 0.0;
   }

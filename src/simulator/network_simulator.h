@@ -336,14 +336,8 @@ class NetworkSimulator {
   int64_t telem_reallocations_ = 0;
   int64_t telem_dirty_links_ = 0;
   int64_t telem_resolves_skipped_ = 0;  // Departures that dirtied no link.
-  // Local accumulator for the sim.component_flows histogram ([0, 1024), 64
-  // bins — the bin math in ReallocateComponent must match this layout),
-  // published via HistogramRecordBulk so a solve costs plain increments
-  // instead of a per-sample shard walk.
-  static constexpr int kCompHistBins = 64;
-  static constexpr double kCompHistMax = 1024.0;
-  int64_t telem_comp_hist_[kCompHistBins] = {};
-  int64_t telem_comp_count_ = 0;
+  // The sim.component_flows histogram's sum and max (its count is
+  // telem_component_solves_), published with HistogramRecordBulk.
   double telem_comp_sum_ = 0.0;
   double telem_comp_max_ = 0.0;
 

@@ -1,16 +1,13 @@
-// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms with handle-based updates.
+// Process-wide metrics registry: named counters, gauges, and histogram
+// summaries (count, sum, max) with handle-based updates.
 //
 // Design (see DESIGN.md "Observability"):
 //  - Registration resolves a name to a dense integer handle once, under a
 //    mutex. Hot-path updates use only the handle — no map lookup, no lock.
-//  - Counters and histograms are sharded per thread: each thread owns a
-//    fixed-capacity block of atomics that only it writes (relaxed stores);
-//    Snapshot() merges all live shards plus the retired totals of exited
-//    threads. This makes updates race-free under ParallelRunner without any
-//    contended cache line.
-//  - Gauges are last-writer-wins and rare, so they live in one central
-//    atomic array.
+//  - Every value lives in one process-wide block of relaxed atomics, so any
+//    thread may write any metric: counters and histogram sums add with
+//    fetch_add, gauges store (last writer wins), and a histogram's max
+//    rises by a compare-exchange loop. Totals are exact at any thread count.
 //  - The registry only observes. It never draws RNG values or changes
 //    control flow, so enabling it cannot perturb a deterministic run.
 //
@@ -22,13 +19,10 @@
 #ifndef BDS_SRC_TELEMETRY_METRICS_H_
 #define BDS_SRC_TELEMETRY_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "src/common/stats.h"
 
 namespace bds {
 namespace telemetry {
@@ -66,19 +60,24 @@ struct MetricsSnapshot {
     double value = 0.0;
   };
   struct HistogramEntry {
+    // The sample count; named `hist.total()` because perfbench/bds_perf.cc reads it so.
+    struct Count {
+      int64_t n = 0;
+      int64_t total() const { return n; }
+    };
     std::string name;
-    Histogram hist;
-    double sum = 0.0;  // Sum of recorded values (pre-clamp), e.g. total ms.
-    double max = 0.0;  // Max recorded value (pre-clamp). Not diffable.
+    Count hist;
+    double sum = 0.0;  // Sum of recorded values, e.g. total ms.
+    double max = 0.0;  // Max recorded value (0 when none is positive). Not diffable.
   };
 
   std::vector<CounterEntry> counters;
   std::vector<GaugeEntry> gauges;
   std::vector<HistogramEntry> histograms;
 
-  // This snapshot minus an earlier one: counters and histogram bin counts
-  // subtract by name; gauges and histogram `max` keep their current values
-  // (a gauge is a level, not a flow, and a max cannot be un-merged).
+  // This snapshot minus an earlier one: counters and histogram counts and
+  // sums subtract by name; gauges and histogram `max` keep their current
+  // values (a gauge is a level, not a flow, and a max cannot be un-merged).
   // Metrics registered after `earlier` was taken pass through unchanged.
   MetricsSnapshot DiffSince(const MetricsSnapshot& earlier) const;
 
@@ -94,68 +93,50 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  // Fixed shard capacities. Registration past these limits returns an
-  // invalid (no-op) handle; update sites keep working, the metric is just
-  // not recorded. Sized with ~4x headroom over current usage.
+  // Fixed capacities. Registration past these limits returns an invalid
+  // (no-op) handle; update sites keep working, the metric is just not
+  // recorded. Sized with ~4x headroom over current usage.
   static constexpr int kMaxCounters = 256;
   static constexpr int kMaxGauges = 64;
   static constexpr int kMaxHistograms = 96;
-  static constexpr int kMaxBins = 128;
 
   static MetricsRegistry& Global();
 
-  // Idempotent by name: re-registering returns the original handle (for
-  // histograms, the original bucket layout wins). Thread-safe.
+  // Idempotent by name: re-registering returns the original handle.
+  // Thread-safe.
   CounterHandle RegisterCounter(std::string_view name);
   GaugeHandle RegisterGauge(std::string_view name);
-  HistogramHandle RegisterHistogram(std::string_view name, double lo, double hi, int bins);
-  // A latency histogram in milliseconds with the standard timer layout
-  // ([0, 1000) ms, 100 bins); BDS_TIMED_SCOPE feeds one of these.
-  HistogramHandle RegisterTimer(std::string_view name);
+  HistogramHandle RegisterHistogram(std::string_view name);
 
-  // Hot-path updates. Invalid handles are ignored. Thread-safe: each thread
-  // writes its own shard.
+  // Hot-path updates. Invalid handles are ignored. Thread-safe.
   void CounterAdd(CounterHandle h, int64_t delta);
   void GaugeSet(GaugeHandle h, double value);
-  void HistogramRecord(HistogramHandle h, double value);
-  // Folds a locally-accumulated histogram into the thread's shard in one
-  // call: bin_counts[0..num_bins) are per-bin increments (bins past the
-  // histogram's layout are ignored), count/sum/max_seen update the summary
-  // fields. This is the histogram analogue of the accumulate-then-publish
-  // counter pattern (telemetry.h): a hot loop records into a plain local
-  // array — the caller computes bins with the same clamp as HistogramRecord
-  // — and publishes once per drive call instead of paying the shard walk
-  // per sample.
-  void HistogramRecordBulk(HistogramHandle h, const int64_t* bin_counts, int num_bins,
-                           int64_t count, double sum, double max_seen);
+  void HistogramRecord(HistogramHandle h, double value) {
+    HistogramRecordBulk(h, 1, value, value);
+  }
+  // Folds `count` samples summing to `sum` with largest value `max_seen`
+  // into the histogram in one call: the histogram analogue of the
+  // accumulate-then-publish counter pattern (telemetry.h), for hot loops
+  // that keep plain locals and publish once per drive call.
+  void HistogramRecordBulk(HistogramHandle h, int64_t count, double sum, double max_seen);
 
-  // Merges every live shard and all retired-thread totals into a snapshot.
-  // Safe to call concurrently with updates (relaxed reads: the snapshot is a
-  // consistent-enough point-in-time view once writer threads are quiescent,
-  // which is when callers take snapshots).
+  // Reads every registered metric. Safe to call concurrently with updates
+  // (relaxed reads: the snapshot is exact once writer threads are
+  // quiescent, which is when callers take snapshots).
   MetricsSnapshot Snapshot() const;
 
-  // Zeroes all counter/histogram shards and gauges. Registered names and
-  // handles survive — only values reset. Callers must ensure no concurrent
-  // updates (tests and run setup only).
+  // Zeroes every value. Registered names and handles survive. Callers must
+  // ensure no concurrent updates (tests and run setup only).
   void Reset();
-
-  // Number of threads whose shards have been folded into retired totals.
-  int64_t retired_threads() const;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Implementation detail, public only so the per-thread shard owner in the
-  // .cc can name them.
-  struct Shard;
+ private:
   struct Impl;
 
- private:
   MetricsRegistry();
   ~MetricsRegistry() = delete;  // Global() object is never destroyed.
-
-  Shard* ShardForThisThread();
 
   Impl* impl_;
 };

@@ -4,9 +4,9 @@
 //
 // Cost model the macros guarantee:
 //  - telemetry disabled (the default): one relaxed atomic load and a branch
-//    per call site. No registration, no shard access, no clock read.
+//    per call site. No registration, no metric write, no clock read.
 //  - telemetry enabled: handle resolution happens once per call site (cached
-//    in a function-local static); each hit is a per-thread shard store.
+//    in a function-local static); each hit is a relaxed atomic update.
 //
 // Hot inner loops should not even pay the branch per iteration: accumulate
 // into plain locals and publish once per call with BDS_TELEMETRY_COUNT.
@@ -86,30 +86,27 @@ class ScopedTimer {
     }                                                                                 \
   } while (0)
 
-// Records `value` into the named histogram with the given fixed-bucket
-// layout ([lo, hi), `bins` buckets; out-of-range clamps to the edge bins).
-#define BDS_TELEMETRY_HISTOGRAM(name, lo, hi, bins, value)                            \
+// Records `value` into the named histogram (count, sum and max).
+#define BDS_TELEMETRY_HISTOGRAM(name, value)                                          \
   do {                                                                                \
     if (::bds::telemetry::Enabled()) {                                                \
       static const ::bds::telemetry::HistogramHandle bds_telemetry_handle =           \
-          ::bds::telemetry::MetricsRegistry::Global().RegisterHistogram(name, (lo),   \
-                                                                        (hi), (bins)); \
+          ::bds::telemetry::MetricsRegistry::Global().RegisterHistogram(name);        \
       ::bds::telemetry::MetricsRegistry::Global().HistogramRecord(bds_telemetry_handle, \
                                                                   (value));           \
     }                                                                                 \
   } while (0)
 
 // Publishes a locally-accumulated histogram (see HistogramRecordBulk): the
-// caller owns the bin array and the count/sum/max scalars and calls this once
-// per drive call, not per sample. Layout args must match the accumulation.
-#define BDS_TELEMETRY_HISTOGRAM_BULK(name, lo, hi, bins, bin_counts, count, sum, max_seen) \
+// caller owns the count/sum/max scalars and calls this once per drive call,
+// not per sample.
+#define BDS_TELEMETRY_HISTOGRAM_BULK(name, count, sum, max_seen)                      \
   do {                                                                                \
     if (::bds::telemetry::Enabled()) {                                                \
       static const ::bds::telemetry::HistogramHandle bds_telemetry_handle =           \
-          ::bds::telemetry::MetricsRegistry::Global().RegisterHistogram(name, (lo),   \
-                                                                        (hi), (bins)); \
+          ::bds::telemetry::MetricsRegistry::Global().RegisterHistogram(name);        \
       ::bds::telemetry::MetricsRegistry::Global().HistogramRecordBulk(                \
-          bds_telemetry_handle, (bin_counts), (bins), (count), (sum), (max_seen));    \
+          bds_telemetry_handle, (count), (sum), (max_seen));                          \
     }                                                                                 \
   } while (0)
 
@@ -119,7 +116,7 @@ class ScopedTimer {
 #define BDS_TIMED_SCOPE(name)                                                         \
   static const ::bds::telemetry::HistogramHandle BDS_TELEMETRY_CONCAT(                \
       bds_timed_scope_handle_, __LINE__) =                                            \
-      ::bds::telemetry::MetricsRegistry::Global().RegisterTimer(name);                \
+      ::bds::telemetry::MetricsRegistry::Global().RegisterHistogram(name);            \
   ::bds::telemetry::ScopedTimer BDS_TELEMETRY_CONCAT(bds_timed_scope_, __LINE__)(     \
       name, BDS_TELEMETRY_CONCAT(bds_timed_scope_handle_, __LINE__))
 

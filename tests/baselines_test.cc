@@ -124,15 +124,21 @@ TEST(StrategyTest, Figure3ChainBeatsDirect) {
 
 TEST(StrategyTest, GingkoSlowerWithLessVisibility) {
   Fixture f(4, 8, MB(160.0));
-  GingkoStrategy::Options narrow;
+  // GingkoStrategy's overlay (gingko.cc) with the visibility varied.
+  DecentralizedEngine::Options narrow;
+  narrow.concurrent_downloads = 1;
+  narrow.sticky_blocks = 24;
+  narrow.neighbor_fraction = 0.125;
+  narrow.upload_slots = 1;
   narrow.visibility = 1;
-  GingkoStrategy::Options wide;
+  DecentralizedEngine::Options wide = narrow;
   wide.visibility = 0;  // Full visibility.
   double narrow_total = 0.0;
   double wide_total = 0.0;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
-    auto rn = GingkoStrategy(narrow).Run(f.topo, f.routing, f.job, seed, kTimeInfinity);
-    auto rw = GingkoStrategy(wide).Run(f.topo, f.routing, f.job, seed, kTimeInfinity);
+    narrow.seed = wide.seed = seed;
+    auto rn = RunDecentralized(f.topo, f.routing, f.job, narrow, kTimeInfinity);
+    auto rw = RunDecentralized(f.topo, f.routing, f.job, wide, kTimeInfinity);
     ASSERT_TRUE(rn.ok() && rw.ok());
     narrow_total += rn->completion_time;
     wide_total += rw->completion_time;

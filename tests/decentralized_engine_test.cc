@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/gingko.h"
 #include "src/topology/builders.h"
 
 namespace bds {
@@ -153,16 +152,6 @@ TEST(DecentralizedEngineTest, HandleServerFailureRequeuesBlocks) {
   }
   // Blocks whose only holder died stay pending; no crash and no wedge spin.
   EXPECT_GE(engine.downloads_started(), 1);
-}
-
-TEST(GingkoDefaultsTest, StrategiesExposeOptionKnobs) {
-  GingkoStrategy::Options g;
-  EXPECT_EQ(g.upload_slots, 1);
-  EXPECT_GT(g.sticky_blocks, 0);
-  EXPECT_GT(g.neighbor_fraction, 0.0);
-  BulletStrategy::Options b;
-  EXPECT_GT(b.upload_slots, g.upload_slots);
-  EXPECT_GT(b.concurrent_downloads, 1);
 }
 
 }  // namespace

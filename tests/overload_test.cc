@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/stats.h"
 #include "src/control/controller.h"
 #include "src/control/overload.h"
 #include "src/core/service.h"
@@ -251,26 +250,6 @@ TEST(AdmissionControllerTest, DisabledAcceptsEverything) {
   AdmissionController ac;  // Default options: disabled.
   ac.ObserveCycle(1, /*had_backlog=*/true);
   EXPECT_EQ(ac.Admit(1'000'000, 1'000'000), AdmissionDecision::kAccept);
-}
-
-// --------------------------------------------------------------------------
-// Histogram quantiles (used by the steady-state completion-time report).
-
-TEST(HistogramQuantileTest, InterpolatesWithinBins) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 10.0 + 1e-9);
-  EXPECT_NEAR(h.Quantile(0.95), 95.0, 10.0 + 1e-9);
-  EXPECT_LE(h.Quantile(0.0), h.Quantile(0.5));
-  EXPECT_LE(h.Quantile(0.5), h.Quantile(1.0));
-  EXPECT_LE(h.Quantile(1.0), 100.0);
-}
-
-TEST(HistogramQuantileTest, EmptyHistogramReturnsZero) {
-  Histogram h(0.0, 10.0, 4);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
 }
 
 // --------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/core/service.h"
+#include "src/simulator/network_simulator.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 #include "src/topology/builders.h"
@@ -210,6 +211,66 @@ TEST(TelemetryDeterminismTest, TelemetrySnapshotExcludedFromFingerprint) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_FALSE(a.telemetry.empty());
   EXPECT_FALSE(b.telemetry.empty());
+}
+
+// The histograms' publish paths, pinned against what was recorded. The
+// simulator publishes `sim.component_flows` from plain per-drive-call
+// accumulators (its count is the `sim.component_solves` counter), so a
+// script with hand-countable solves checks count, sum and max.
+TEST(TelemetryPublishTest, ComponentFlowsSummarizeEverySolve) {
+  Topology topo;
+  DcId a = topo.AddDatacenter("a");
+  DcId b = topo.AddDatacenter("b");
+  const Rate rate = MBps(10.0);
+  const LinkId shared = topo.server(topo.AddServer(a, rate, rate).value()).uplink;
+  const LinkId alone = topo.server(topo.AddServer(b, rate, rate).value()).uplink;
+  telemetry::MetricsRegistry::Global().Reset();
+  telemetry::SetEnabled(true);
+  NetworkSimulator sim(&topo);
+  // Three fair flows share one link (done at 9 s, 11 s, 12 s) and one more
+  // runs alone (done at 5 s). Solves: {3, 1} at the start, then 2 and 1
+  // members as the shared link's flows leave; a drained link solves nothing.
+  for (double mb : {10.0, 20.0, 30.0}) {
+    ASSERT_TRUE(sim.StartFlow({shared}, MB(mb)).ok());
+  }
+  ASSERT_TRUE(sim.StartFlow({alone}, MB(50.0)).ok());
+  ASSERT_TRUE(sim.RunUntilIdle().ok());
+  telemetry::SetEnabled(false);
+  const telemetry::MetricsSnapshot snap = telemetry::MetricsRegistry::Global().Snapshot();
+  const auto* flows = snap.FindHistogram("sim.component_flows");
+  ASSERT_NE(flows, nullptr);
+  EXPECT_EQ(snap.CounterValue("sim.component_solves"), 4);
+  EXPECT_EQ(flows->hist.total(), 4);
+  EXPECT_EQ(flows->sum, 7.0);
+  EXPECT_EQ(flows->max, 3.0);
+}
+
+// Whole-run consistency: one sample per completed job, one per solve.
+TEST(TelemetryPublishTest, JobCompletionMinutesCountCompletedJobs) {
+  telemetry::MetricsRegistry::Global().Reset();
+  telemetry::SetEnabled(true);
+  BdsOptions options;
+  options.cycle_length = 1.0;
+  Topology topo = BuildFullMesh(3, 2, Gbps(1.0), MBps(50.0), MBps(50.0)).value();
+  auto service = BdsService::Create(std::move(topo), options).value();
+  ASSERT_TRUE(service->CreateJob(0, {1, 2}, MB(40.0)).ok());
+  ASSERT_TRUE(service->CreateJob(1, {0}, MB(20.0)).ok());
+  ASSERT_TRUE(service->CreateJob(2, {0, 1}, MB(30.0)).ok());
+  auto report = service->Run(/*deadline=*/Hours(1.0));
+  telemetry::SetEnabled(false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->completed);
+  EXPECT_EQ(report->jobs_completed_total, 3);
+  const telemetry::MetricsSnapshot& snap = report->telemetry;
+  const auto* minutes = snap.FindHistogram("controller.job_completion_minutes");
+  ASSERT_NE(minutes, nullptr);
+  EXPECT_EQ(minutes->hist.total(), report->jobs_completed_total);
+  EXPECT_EQ(minutes->max, ToMinutes(report->job_durations.Max()));
+  const auto* flows = snap.FindHistogram("sim.component_flows");
+  ASSERT_NE(flows, nullptr);
+  EXPECT_GT(flows->hist.total(), 0);
+  EXPECT_EQ(flows->hist.total(), snap.CounterValue("sim.component_solves"));
+  EXPECT_GE(flows->sum, static_cast<double>(flows->hist.total()));
 }
 
 }  // namespace

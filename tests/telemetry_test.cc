@@ -50,17 +50,16 @@ TEST_F(TelemetryTest, RegistrationIsIdempotentByName) {
   CounterHandle a = reg.RegisterCounter("test.dedup");
   CounterHandle b = reg.RegisterCounter("test.dedup");
   EXPECT_EQ(a.id, b.id);
-  HistogramHandle ha = reg.RegisterHistogram("test.dedup_hist", 0.0, 10.0, 5);
-  // Re-registration with a different layout returns the original handle; the
-  // original bucket layout wins.
-  HistogramHandle hb = reg.RegisterHistogram("test.dedup_hist", 0.0, 99.0, 7);
+  HistogramHandle ha = reg.RegisterHistogram("test.dedup_hist");
+  HistogramHandle hb = reg.RegisterHistogram("test.dedup_hist");
   EXPECT_EQ(ha.id, hb.id);
   reg.HistogramRecord(ha, 9.5);
+  reg.HistogramRecord(hb, 0.5);
   MetricsSnapshot snap = reg.Snapshot();
   const auto* entry = snap.FindHistogram("test.dedup_hist");
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->hist.bins(), 5);
-  EXPECT_EQ(entry->hist.BinCount(4), 1);
+  EXPECT_EQ(entry->hist.total(), 2);
+  EXPECT_DOUBLE_EQ(entry->sum, 10.0);
 }
 
 TEST_F(TelemetryTest, InvalidHandleIsNoOp) {
@@ -84,25 +83,29 @@ TEST_F(TelemetryTest, GaugeLastWriterWins) {
 
 TEST_F(TelemetryTest, HistogramRecordsSumAndMax) {
   auto& reg = MetricsRegistry::Global();
-  HistogramHandle h = reg.RegisterHistogram("test.hist", 0.0, 10.0, 10);
+  HistogramHandle h = reg.RegisterHistogram("test.hist");
   reg.HistogramRecord(h, 1.5);
+  reg.HistogramRecord(h, 25.0);
   reg.HistogramRecord(h, 3.5);
-  reg.HistogramRecord(h, 25.0);  // Clamps to the last bin; sum/max keep 25.
   MetricsSnapshot snap = reg.Snapshot();
   const auto* entry = snap.FindHistogram("test.hist");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->hist.total(), 3);
-  EXPECT_EQ(entry->hist.BinCount(1), 1);
-  EXPECT_EQ(entry->hist.BinCount(3), 1);
-  EXPECT_EQ(entry->hist.BinCount(9), 1);
   EXPECT_DOUBLE_EQ(entry->sum, 30.0);
   EXPECT_DOUBLE_EQ(entry->max, 25.0);
+  // A bulk publish folds in a locally accumulated count, sum and max.
+  reg.HistogramRecordBulk(h, 2, 70.0, 40.0);
+  snap = reg.Snapshot();
+  entry = snap.FindHistogram("test.hist");
+  EXPECT_EQ(entry->hist.total(), 5);
+  EXPECT_DOUBLE_EQ(entry->sum, 100.0);
+  EXPECT_DOUBLE_EQ(entry->max, 40.0);
 }
 
 TEST_F(TelemetryTest, DiffSinceSubtractsByName) {
   auto& reg = MetricsRegistry::Global();
   CounterHandle c = reg.RegisterCounter("test.diff_counter");
-  HistogramHandle h = reg.RegisterHistogram("test.diff_hist", 0.0, 10.0, 5);
+  HistogramHandle h = reg.RegisterHistogram("test.diff_hist");
   reg.CounterAdd(c, 10);
   reg.HistogramRecord(h, 1.0);
   MetricsSnapshot before = reg.Snapshot();
@@ -118,8 +121,8 @@ TEST_F(TelemetryTest, DiffSinceSubtractsByName) {
   const auto* entry = diff.FindHistogram("test.diff_hist");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->hist.total(), 2);
-  EXPECT_EQ(entry->hist.BinCount(0), 1);
-  EXPECT_EQ(entry->hist.BinCount(4), 1);
+  EXPECT_DOUBLE_EQ(entry->sum, 10.0);
+  EXPECT_DOUBLE_EQ(entry->max, 9.0);  // A max is not diffable: it stays.
 }
 
 TEST_F(TelemetryTest, ResetZeroesValuesButKeepsHandles) {
@@ -147,7 +150,7 @@ TEST_F(TelemetryTest, MacrosAreNoOpsWhenDisabled) {
 TEST_F(TelemetryTest, ScopedTimerFeedsHistogram) {
   {
     BDS_TIMED_SCOPE("test.scope");
-    // Do a sliver of work; even ~0 ms must land in bin 0.
+    // Do a sliver of work; even ~0 ms is one sample.
     int sink = 0;
     for (int i = 0; i < 1000; ++i) sink += i;
     volatile int keep = sink;
@@ -160,12 +163,13 @@ TEST_F(TelemetryTest, ScopedTimerFeedsHistogram) {
   EXPECT_GE(entry->sum, 0.0);
 }
 
-// Exact counter totals across thread counts: the per-thread shards must lose
-// nothing and double-count nothing, whichever threads the work lands on.
+// Exact totals across thread counts: every worker writes the one shared
+// block, and nothing may be lost or double-counted, whichever threads the
+// work lands on.
 TEST_F(TelemetryTest, ParallelRunnerExactTotals) {
   auto& reg = MetricsRegistry::Global();
   CounterHandle c = reg.RegisterCounter("test.parallel_total");
-  HistogramHandle h = reg.RegisterHistogram("test.parallel_hist", 0.0, 100.0, 10);
+  HistogramHandle h = reg.RegisterHistogram("test.parallel_hist");
   constexpr int kItems = 10000;
   int64_t expected = 0;
   for (int threads : {1, 2, 8}) {
@@ -185,18 +189,19 @@ TEST_F(TelemetryTest, ParallelRunnerExactTotals) {
     const auto* entry = snap.FindHistogram("test.parallel_hist");
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->hist.total(), kItems) << threads << " threads";
+    // Integer-valued samples: the sum is exact in any order.
+    EXPECT_EQ(entry->sum, (kItems / 100) * 4950.0) << threads << " threads";
+    EXPECT_EQ(entry->max, 99.0) << threads << " threads";
   }
 }
 
 TEST_F(TelemetryTest, RetiredThreadTotalsSurviveThreadExit) {
   auto& reg = MetricsRegistry::Global();
   CounterHandle c = reg.RegisterCounter("test.retired");
-  int64_t retired_before = reg.retired_threads();
   {
     std::thread t([&] { reg.CounterAdd(c, 11); });
     t.join();
   }
-  EXPECT_GE(reg.retired_threads(), retired_before + 1);
   EXPECT_EQ(reg.Snapshot().CounterValue("test.retired"), 11);
 }
 
