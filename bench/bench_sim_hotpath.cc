@@ -30,6 +30,10 @@
 //   * large incremental-only points (the reference's O(F) event cost cannot
 //     reach them): 1e5 and 1e6 concurrent flows, recorded under
 //     "large_points" and gated on absolute CPU seconds.
+// The bulk point also records, under "work_points", what one incremental
+// drain of it does: component solves, retained re-solves, phase-1
+// scale-down rounds and re-summed terms. Those counts depend on the code
+// alone, not on the machine, so the gate compares them exactly.
 // --smoke keeps the small flow counts and scales the large family down to
 // 1e5, so it finishes in seconds (`bench-smoke` ctest label); the full sweep
 // runs the 1e6 drain.
@@ -283,9 +287,37 @@ struct OverheadPoint {
   double ratio = 1.0;
 };
 
+// What one incremental drain does, read from the simulator's counters.
+struct WorkPoint {
+  const char* shape = "";
+  int64_t flows = 0;
+  int64_t component_solves = 0;
+  int64_t retained_solves = 0;
+  int64_t pinned_rounds = 0;
+  int64_t pinned_resum_terms = 0;
+};
+
+WorkPoint CountWork(const char* shape, const ClusterNet& net, const std::vector<FlowSpec>& specs) {
+  telemetry::SetEnabled(true);
+  const telemetry::MetricsSnapshot before = telemetry::MetricsRegistry::Global().Snapshot();
+  const DrainResult res = DrainOnce<NetworkSimulator>(net, specs);
+  const telemetry::MetricsSnapshot diff =
+      telemetry::MetricsRegistry::Global().Snapshot().DiffSince(before);
+  telemetry::SetEnabled(false);
+  WorkPoint w;
+  w.shape = shape;
+  w.flows = static_cast<int64_t>(specs.size());
+  w.component_solves = res.reallocations;
+  w.retained_solves = diff.CounterValue("sim.retained_solves");
+  w.pinned_rounds = diff.CounterValue("sim.pinned_rounds");
+  w.pinned_resum_terms = diff.CounterValue("sim.pinned_resum_terms");
+  return w;
+}
+
 struct SweepResult {
   std::vector<SweepPoint> points;
   std::vector<LargePoint> large;
+  std::vector<WorkPoint> work;
   OverheadPoint overhead;
 };
 
@@ -467,7 +499,18 @@ SweepResult RunSweep(bool smoke, bool large_only) {
             MakeWorkload(num_flows, clusters));
   }
   if (!large_only) {
-    measure("bulk", "bulk", BuildBulkNet(), MakeBulkWorkload());
+    const ClusterNet net = BuildBulkNet();
+    const std::vector<FlowSpec> specs = MakeBulkWorkload();
+    measure("bulk", "bulk", net, specs);
+    const WorkPoint w = CountWork("bulk", net, specs);
+    std::printf("%10lld  %12s  work: %lld component solves (%lld retained), %lld pinned "
+                "rounds, %lld re-summed terms\n",
+                static_cast<long long>(w.flows), w.shape,
+                static_cast<long long>(w.component_solves),
+                static_cast<long long>(w.retained_solves),
+                static_cast<long long>(w.pinned_rounds),
+                static_cast<long long>(w.pinned_resum_terms));
+    result.work.push_back(w);
   }
 
   // Large incremental-only family: scales the per-event-O(F) reference
@@ -547,6 +590,20 @@ void WriteSweepJson(const SweepResult& result, bool smoke, const std::string& pa
                  "\"events\": %lld}%s\n",
                  static_cast<long long>(p.flows), p.seconds, p.cpu_seconds,
                  static_cast<long long>(p.events), i + 1 == result.large.size() ? "" : ",");
+  }
+  std::fprintf(f, "  ],\n  \"work_points\": [\n");
+  for (size_t i = 0; i < result.work.size(); ++i) {
+    const WorkPoint& w = result.work[i];
+    std::fprintf(f,
+                 "    {\"shape\": \"%s\", \"flows\": %lld, \"component_solves\": %lld, "
+                 "\"retained_solves\": %lld, \"pinned_rounds\": %lld, "
+                 "\"pinned_resum_terms\": %lld}%s\n",
+                 w.shape, static_cast<long long>(w.flows),
+                 static_cast<long long>(w.component_solves),
+                 static_cast<long long>(w.retained_solves),
+                 static_cast<long long>(w.pinned_rounds),
+                 static_cast<long long>(w.pinned_resum_terms),
+                 i + 1 == result.work.size() ? "" : ",");
   }
   std::fprintf(f,
                "  ],\n  \"telemetry_overhead\": {\"flows\": %lld, "

@@ -7,10 +7,11 @@
 //  * SolveMcfSimplex — exact LP, used as ground truth and as the slow
 //    baseline;
 //  * SolveMcfFptas   — the Garg–Könemann / Fleischer width-independent FPTAS
-//    the paper adopts ([17,18] in §4.4), returning a (1-eps)-optimal flow in
-//    time independent of the number of commodities. It is the controller's
-//    one routing driver, for every shard and thread count: one solve per
-//    cycle, single-threaded, from a cold start.
+//    the paper adopts ([17,18] in §4.4), returning a feasible flow in time
+//    independent of the number of commodities (near-optimal, but see its
+//    comment for what is guaranteed). It is the controller's one routing
+//    driver, for every shard and thread count: one solve per cycle,
+//    single-threaded, from a cold start.
 
 #ifndef BDS_SRC_LP_MCF_H_
 #define BDS_SRC_LP_MCF_H_
@@ -52,8 +53,16 @@ struct McfResult {
 // as instances grow; intended for verification and Fig 13a's baseline curve.
 McfResult SolveMcfSimplex(const McfInstance& instance, const SimplexOptions& options = {});
 
-// Garg–Könemann FPTAS: total flow >= (1 - epsilon) * optimum, capacities and
-// demands respected exactly. epsilon in (0, 0.5].
+// Garg–Könemann FPTAS, epsilon in (0, 0.5]. Feasibility is exact: every
+// capacity and demand is respected (FinalizeFptas divides by the worst
+// utilization, then tops each path up with its slack). Optimality is not
+// guaranteed: the textbook total flow >= (1 - epsilon) * optimum assumes
+// capacities normalized to at most 1, where the phase ladder's start
+// delta * (longest path) matches the initial lengths delta / capacity. On
+// the byte rates the controller passes, those lengths start far below the
+// ladder, and some solves fall short of the bound: of 2,931 sampled seed-1
+// thin_diurnal solves at epsilon = 0.1, 45 returned under 0.9x the simplex
+// optimum, the worst 0.853x (ROADMAP item 3).
 //
 // The default solver runs Fleischer's phase structure over a flat CSR form
 // with incrementally maintained lower bounds: path links, per-link weight

@@ -175,6 +175,7 @@ FptasWorkspace::FptasWorkspace(const FlatMcf& flat, double epsilon) {
   const int32_t pad_zero = static_cast<int32_t>(num_edges);
   const int32_t pad_inf = static_cast<int32_t>(num_edges) + 1;
   com_record.assign(num_commodities, -1);
+  packed.reserve(num_commodities);
   for (size_t c = 0; c < num_commodities; ++c) {
     const int32_t pcount = cp_off[c + 1] - cp_off[c];
     if (pcount == 0) {
@@ -262,14 +263,21 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double 
     r.flow[0] = r.flow[1] = r.flow[2] = 0.0;
   }
 
-  // cached_min: 0.0 understates any real length and forces a first fresh
+  // The commodities still in play, in commodity order, each with what a
+  // visit reads first: its cached minimum path length and where its scan
+  // starts (a packed record index, or ~c for commodity c's CSR scan). A
+  // minimum of 0.0 understates any real length and forces a first fresh
   // scan (still a valid lower bound afterwards — lengths only grow).
-  std::vector<double> cached_min(ws.num_commodities, 0.0);
-  std::vector<int32_t> active;
+  struct Active {
+    double min_len;
+    int32_t ref;
+  };
+  std::vector<Active> active;
   active.reserve(ws.num_commodities);
   for (size_t c = 0; c < ws.num_commodities; ++c) {
     if (cp_off[c] != cp_off[c + 1]) {
-      active.push_back(static_cast<int32_t>(c));
+      const int32_t rec = ws.com_record[c];
+      active.push_back({0.0, rec >= 0 ? rec : ~static_cast<int32_t>(c)});
     }
   }
 
@@ -280,25 +288,23 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double 
     const double threshold = std::min(1.0, alpha * (1.0 + epsilon));
     size_t out = 0;
     for (size_t k = 0; k < active.size(); ++k) {
-      const int32_t c = active[k];
-      const size_t cs = static_cast<size_t>(c);
-      if (cached_min[cs] >= threshold) {
+      Active e = active[k];
+      if (e.min_len >= threshold) {
         // Provably nothing to push: the cached minimum understates the
         // current one. Retire the commodity if even thresholds of 1 are
         // out of reach.
         ++stats.bound_skips;
-        if (cached_min[cs] < 1.0) {
-          active[out++] = c;
+        if (e.min_len < 1.0) {
+          active[out++] = e;
         }
         continue;
       }
       bool retired = false;
-      const int32_t rec = ws.com_record[cs];
-      if (rec >= 0) {
+      if (e.ref >= 0) {
         // Packed scan: the nine slot lengths once, path sums in link order
         // (pads add +0.0 or make a missing path +inf), then a first-wins
         // strict-< argmin — the bits of the plain scan below.
-        PackedCommodity& r = ws.packed[static_cast<size_t>(rec)];
+        PackedCommodity& r = ws.packed[static_cast<size_t>(e.ref)];
         double* L = length.data();
         for (;;) {
           const double h0 = L[r.first], h1 = L[r.penult], h2 = r.len_last;
@@ -324,7 +330,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double 
           best = s2 < m ? 2 : best;
           m = s2 < m ? s2 : m;
           if (m >= threshold) {
-            cached_min[cs] = m;
+            e.min_len = m;
             retired = m >= 1.0;
             break;
           }
@@ -347,13 +353,14 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double 
           // Every path ends on the demand edge, so its length bounds the
           // new minimum from below and can prove the rescan futile.
           if (r.len_last >= threshold) {
-            cached_min[cs] = r.len_last;
+            e.min_len = r.len_last;
             retired = r.len_last >= 1.0;
             ++stats.bound_skips;
             break;
           }
         }
       } else {
+        const int32_t c = ~e.ref;
         for (;;) {
           // Fresh scan of the commodity's paths, in path then link order —
           // the exact operation sequence (and so the exact doubles) of the
@@ -372,7 +379,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double 
             }
           }
           if (m >= threshold) {
-            cached_min[cs] = m;
+            e.min_len = m;
             retired = m >= 1.0;
             break;
           }
@@ -387,7 +394,7 @@ FptasLoopStats RunFptasPushLoop(const FlatMcf& flat, FptasWorkspace& ws, double 
         }
       }
       if (!retired) {
-        active[out++] = c;
+        active[out++] = e;
       }
       if (pushes >= max_pushes) {
         for (size_t k2 = k + 1; k2 < active.size(); ++k2) {

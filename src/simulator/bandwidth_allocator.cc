@@ -26,6 +26,7 @@ void BandwidthAllocator::EnsureScratch(size_t num_links) {
     link_saturated_.resize(num_links, 0);
     link_row_.resize(num_links, 0);
     over_mark_.resize(num_links, 0);
+    link_seen_.resize(num_links, 0);
   }
 }
 
@@ -59,8 +60,10 @@ void BandwidthAllocator::AllocateSubset(const std::vector<Rate>& capacities, siz
       link_row_[l] = static_cast<int32_t>(used_links_.size());
       if (rows_.size() == used_links_.size()) {
         rows_.emplace_back();
+        row_links_.emplace_back();
       }
       rows_[used_links_.size()].clear();
+      row_links_[used_links_.size()].clear();
       used_links_.push_back(l);
     }
   };
@@ -186,19 +189,22 @@ void BandwidthAllocator::ScaleDown(size_t round_cap, const int32_t* offsets, con
       }
     }
     // Scale the worst link's flows, then re-sum the oversubscribed links
-    // they cross. Every row lists its flows in ascending index order, the
-    // order of the first pass, so each re-sum reproduces a full recompute's
-    // bits.
+    // they cross, in the order a walk over the flows' paths first meets
+    // them. Every row lists its flows in ascending index order, the order of
+    // the first pass, so each re-sum reproduces a full recompute's bits.
     ++work_.pinned_rounds;
-    resum_.clear();
-    for (int32_t fi : rows_[static_cast<size_t>(link_row_[worst_link])]) {
+    const size_t row = static_cast<size_t>(link_row_[worst_link]);
+    for (int32_t fi : rows_[row]) {
       rate[fi] *= worst_factor;
-      for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
-        size_t l = static_cast<size_t>(links[i]);
-        if (over_mark_[l] == 1) {
-          over_mark_[l] = 2;
-          resum_.push_back(l);
-        }
+    }
+    if (row_links_[row].empty()) {
+      BuildRowLinks(row, offsets, links);
+    }
+    resum_.clear();
+    for (int32_t l : row_links_[row]) {
+      if (over_mark_[static_cast<size_t>(l)] == 1) {
+        over_mark_[static_cast<size_t>(l)] = 2;
+        resum_.push_back(static_cast<size_t>(l));
       }
     }
     for (size_t l : resum_) {
@@ -221,12 +227,28 @@ void BandwidthAllocator::ScaleDown(size_t round_cap, const int32_t* offsets, con
   over_.clear();
 }
 
+void BandwidthAllocator::BuildRowLinks(size_t row, const int32_t* offsets, const LinkId* links) {
+  ++seen_gen_;
+  std::vector<int32_t>& out = row_links_[row];
+  out.clear();
+  for (int32_t fi : rows_[row]) {
+    for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
+      const size_t l = static_cast<size_t>(links[i]);
+      if (link_seen_[l] != seen_gen_) {
+        link_seen_[l] = seen_gen_;
+        out.push_back(links[i]);
+      }
+    }
+  }
+}
+
 void BandwidthAllocator::Depart(int32_t fi, const int32_t* offsets, const LinkId* links) {
   departed_[static_cast<size_t>(fi)] = 1;
   for (int32_t i = offsets[fi]; i < offsets[fi + 1]; ++i) {
     const size_t l = static_cast<size_t>(links[i]);
     stale_[l] = 1;
     --row_live_[l];
+    row_links_[static_cast<size_t>(link_row_[l])].clear();  // Rebuilt before its next scaling.
   }
 }
 

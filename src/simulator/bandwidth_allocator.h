@@ -22,13 +22,16 @@
 // order) and its row (the pinned flows crossing it, ascending), then collects
 // the links over capacity. Every scale-down round then re-sums, row by row,
 // the links of that set that the scaled flows cross, which gives the bits of
-// a full recompute; a link leaves the set once it fits. Loads never rise
-// within a call (rates only shrink, and rounded addition is monotone), so a
-// link outside the set stays within capacity and needs no work. The worst
-// link is the lexicographic minimum of (factor, link id), and phase 2 only
-// takes minima over links and updates each link on its own, so neither
-// phase depends on the order in which the component's links were first
-// touched: the solver never sorts them. tests/oracles.cc keeps the
+// a full recompute; a link leaves the set once it fits. It finds them in a
+// per-row list of the distinct links the row's members cross, listed when
+// the row is first scaled and again only after a member leaves it, so a row
+// scaled in many re-solves walks its members' paths once, not every time.
+// Loads never rise within a call (rates only shrink, and rounded addition is
+// monotone), so a link outside the set stays within capacity and needs no
+// work. The worst link is the lexicographic minimum of (factor, link id),
+// and phase 2 only takes minima over links and updates each link on its
+// own, so neither phase depends on the order in which the component's links
+// were first touched: the solver never sorts them. tests/oracles.cc keeps the
 // full-recompute, sorted-link phase 1 as the bitwise reference
 // (AllocatePinnedReference).
 //
@@ -104,6 +107,10 @@ class BandwidthAllocator {
   // Phase 1's scale-down rounds over over_, at most `round_cap` of them (see
   // the file comment); empties over_ and clears its marks.
   void ScaleDown(size_t round_cap, const int32_t* offsets, const LinkId* links, Rate* rate);
+  // Fills row_links_[row] with the distinct links its members' paths cross,
+  // in the order a walk over those paths first meets them. The row must
+  // hold no departed member.
+  void BuildRowLinks(size_t row, const int32_t* offsets, const LinkId* links);
 
   // Generation-stamped per-link state (valid when link_gen_[l] == gen_).
   uint64_t gen_ = 0;
@@ -129,6 +136,13 @@ class BandwidthAllocator {
   // their capacity across calls.
   std::vector<std::vector<int32_t>> rows_;
   std::vector<char> departed_;  // Per flow of the last AllocateSubset call.
+  // Per row, the distinct links its members cross (BuildRowLinks), built
+  // the first time the row is scaled; empty until then. A departure empties
+  // the lists of the rows it leaves, whose members no longer reach all of
+  // those links, so each is rebuilt before its next scaling.
+  std::vector<std::vector<int32_t>> row_links_;
+  std::vector<uint64_t> link_seen_;  // BuildRowLinks' dedup stamp per link.
+  uint64_t seen_gen_ = 0;
 
   // Per-call flow scratch (indices into the flat arrays being solved).
   std::vector<int32_t> pinned_;

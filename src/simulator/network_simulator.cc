@@ -433,43 +433,73 @@ void NetworkSimulator::ResolveRetained() {
   ++telem_retained_solves_;
   allocator_.ResolveRetained(usable_capacity_, comp_slots_.size(), comp_off_.data(),
                              comp_links_.data(), comp_pinned_.data(), comp_rate_.data());
-  ApplyRates(/*has_fair=*/false);
+  ApplyRetainedRates();
 }
 
-void NetworkSimulator::ApplyRates(bool has_fair) {
+void NetworkSimulator::CountSolve() {
   const size_t n = comp_live_.size();
   ++num_reallocations_;
   ++telem_component_solves_;
   telem_comp_sum_ += static_cast<double>(n);
   telem_comp_max_ = std::max(telem_comp_max_, static_cast<double>(n));
-  for (const int32_t member : comp_live_) {
-    const size_t i = static_cast<size_t>(member);
-    size_t s = static_cast<size_t>(comp_slots_[i]);
-    Rate new_rate = comp_rate_[i];
-    Rate old_rate = soa_.current_rate[s];
-    if (new_rate == old_rate) {
-      continue;  // Bitwise unchanged: anchor, epoch, and heap entry stay valid.
-    }
-    Bytes left = soa_.remaining[s] - old_rate * (now_ - soa_.anchor_time[s]);
-    soa_.remaining[s] = left > 0.0 ? left : 0.0;
-    soa_.anchor_time[s] = now_;
-    soa_.current_rate[s] = new_rate;
-    ++soa_.rate_epoch[s];
-    if (rate_observer_) {
-      // Band check against the last reported rate: with keep = 1 - rel and
-      // rates >= 0, |new - last| > rel * max(new, last) is exactly
-      // new*keep > last (rose past the band) or new < last*keep (fell past
-      // it). Two multiply-compares — no fabs/max — and both-zero never fires.
-      const Rate last = soa_.reported_rate[s];
-      if (new_rate * rate_observer_keep_ > last || new_rate < last * rate_observer_keep_) {
-        soa_.reported_rate[s] = new_rate;
-        if (!rate_observer_(soa_.tag[s], soa_.tag2[s], now_, last, new_rate)) {
-          rate_observer_ = nullptr;  // Observer declined further changepoints.
-        }
+}
+
+void NetworkSimulator::MoveRate(size_t i, Rate old_rate, Rate new_rate) {
+  const size_t s = static_cast<size_t>(comp_slots_[i]);
+  Bytes left = soa_.remaining[s] - old_rate * (now_ - soa_.anchor_time[s]);
+  soa_.remaining[s] = left > 0.0 ? left : 0.0;
+  soa_.anchor_time[s] = now_;
+  soa_.current_rate[s] = new_rate;
+  ++soa_.rate_epoch[s];
+  if (rate_observer_) {
+    // Band check against the last reported rate: with keep = 1 - rel and
+    // rates >= 0, |new - last| > rel * max(new, last) is exactly
+    // new*keep > last (rose past the band) or new < last*keep (fell past
+    // it). Two multiply-compares — no fabs/max — and both-zero never fires.
+    const Rate last = soa_.reported_rate[s];
+    if (new_rate * rate_observer_keep_ > last || new_rate < last * rate_observer_keep_) {
+      soa_.reported_rate[s] = new_rate;
+      if (!rate_observer_(soa_.tag[s], soa_.tag2[s], now_, last, new_rate)) {
+        rate_observer_ = nullptr;  // Observer declined further changepoints.
       }
     }
-    for (int32_t j = comp_off_[i]; j < comp_off_[i + 1]; ++j) {
-      link_rate_[static_cast<size_t>(comp_links_[static_cast<size_t>(j)])] += new_rate - old_rate;
+  }
+  for (int32_t j = comp_off_[i]; j < comp_off_[i + 1]; ++j) {
+    link_rate_[static_cast<size_t>(comp_links_[static_cast<size_t>(j)])] += new_rate - old_rate;
+  }
+}
+
+void NetworkSimulator::PushEntry(int32_t slot, SimTime key) {
+  const size_t s = static_cast<size_t>(slot);
+  soa_.heap_epoch[s] = soa_.rate_epoch[s];
+  heap_.push_back(CompletionEntry{key, soa_.meta[s].id, slot, soa_.rate_epoch[s]});
+  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+}
+
+void NetworkSimulator::PushPinnedMember(size_t i) {
+  // heap_epoch == rate_epoch means the slot's current-epoch entry (same key,
+  // pushed by an earlier solve) is still in the heap; pushing again would
+  // complete the flow twice in one batch. Only members that get an entry
+  // need a key.
+  const size_t s = static_cast<size_t>(comp_slots_[i]);
+  if (!(comp_rate_[i] > 0.0) || soa_.heap_epoch[s] == soa_.rate_epoch[s]) {
+    return;
+  }
+  const SimTime key = soa_.anchor_time[s] + soa_.remaining[s] / comp_rate_[i];
+  if (key != kTimeInfinity) {
+    PushEntry(comp_slots_[i], key);
+  }
+}
+
+void NetworkSimulator::ApplyRates(bool has_fair) {
+  CountSolve();
+  const size_t n = comp_slots_.size();  // A fresh solve: every member is live.
+  for (size_t i = 0; i < n; ++i) {
+    // A rate whose bits did not move keeps its anchor, epoch and heap entry.
+    const Rate new_rate = comp_rate_[i];
+    const Rate old_rate = soa_.current_rate[static_cast<size_t>(comp_slots_[i])];
+    if (new_rate != old_rate) {
+      MoveRate(i, old_rate, new_rate);
     }
   }
   // Heap pushes. Between solves no member's key changes, and any event that
@@ -482,34 +512,16 @@ void NetworkSimulator::ApplyRates(bool has_fair) {
   //   * An all-pinned component may lose members without a re-solve (see
   //     DetachFlow), after which any member can be the next to finish: push
   //     every member with a positive rate.
-  // heap_epoch == rate_epoch means the slot's current-epoch entry (same key,
-  // pushed by an earlier solve) is still in the heap; pushing again would
-  // complete the flow twice in one batch. The epilogue above already
-  // scattered any rate change back, so the slot columns are current (and
-  // still hot).
-  auto push = [this](int32_t slot, SimTime key) {
-    size_t s = static_cast<size_t>(slot);
-    soa_.heap_epoch[s] = soa_.rate_epoch[s];
-    heap_.push_back(CompletionEntry{key, soa_.meta[s].id, slot, soa_.rate_epoch[s]});
-    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-  };
+  // The loop above already scattered any rate change back, so the slot
+  // columns are current (and still hot).
   if (!has_fair) {
-    // Only members that get an entry need a key.
-    for (const int32_t member : comp_live_) {
-      const size_t i = static_cast<size_t>(member);
-      const size_t s = static_cast<size_t>(comp_slots_[i]);
-      if (!(comp_rate_[i] > 0.0) || soa_.heap_epoch[s] == soa_.rate_epoch[s]) {
-        continue;
-      }
-      const SimTime key = soa_.anchor_time[s] + soa_.remaining[s] / comp_rate_[i];
-      if (key != kTimeInfinity) {
-        push(comp_slots_[i], key);
-      }
+    for (size_t i = 0; i < n; ++i) {
+      PushPinnedMember(i);
     }
+    // The arrays are about to be retained: mirror the rates just applied.
+    comp_applied_.assign(comp_rate_.begin(), comp_rate_.end());
     return;
   }
-  // A component with a fair flow is never retained, so its members are
-  // exactly 0..n-1.
   comp_keys_.resize(n);
   SimTime best = kTimeInfinity;
   for (size_t i = 0; i < n; ++i) {
@@ -527,8 +539,29 @@ void NetworkSimulator::ApplyRates(bool has_fair) {
   for (size_t i = 0; i < n; ++i) {
     size_t s = static_cast<size_t>(comp_slots_[i]);
     if (comp_keys_[i] == best && soa_.heap_epoch[s] != soa_.rate_epoch[s]) {
-      push(comp_slots_[i], best);
+      PushEntry(comp_slots_[i], best);
     }
+  }
+}
+
+void NetworkSimulator::ApplyRetainedRates() {
+  CountSolve();
+  // comp_applied_[i] is the rate member i's slot carries, so a member whose
+  // bits did not move keeps its anchor, epoch and heap entry without a
+  // look at its slot. Every member that moved is scattered and pushed, in
+  // ascending member order, as the fresh epilogue would: the last solve of
+  // these arrays pushed every live member with a positive rate and a finite
+  // key, and nothing but a solve moves a member's rate, anchor or epoch.
+  for (const int32_t member : comp_live_) {
+    const size_t i = static_cast<size_t>(member);
+    const Rate new_rate = comp_rate_[i];
+    const Rate old_rate = comp_applied_[i];
+    if (new_rate == old_rate) {
+      continue;
+    }
+    comp_applied_[i] = new_rate;
+    MoveRate(i, old_rate, new_rate);
+    PushPinnedMember(i);
   }
 }
 

@@ -49,7 +49,9 @@
 //     gather or pass over their paths; a row is re-summed only when a
 //     member left it and its old load no longer proves it fits. Split parts
 //     are solved together, which phase 1 decomposes exactly (DESIGN.md §10,
-//     "Retained component").
+//     "Retained component"). The re-solve's epilogue compares the new rates
+//     with a component-local copy of the applied ones and touches only the
+//     slots of members whose bits moved ("Rate mirror" there).
 // Completed flows leave the simulator only through the completion callback;
 // no history is kept.
 // The parity suite (tests/simulator_incremental_parity_test.cc) checks this
@@ -240,9 +242,23 @@ class NetworkSimulator {
   // comp_live_ and in the allocator's rows, and re-solves the live ones:
   // every current component those members form.
   void ResolveRetained();
-  // Scatters the solved rates of the comp_live_ members back and pushes heap
-  // entries (see the file comment for the two push policies).
+  // Scatters a fresh solve's rates back and pushes heap entries (see the
+  // file comment for the two push policies); after an all-pinned solve it
+  // fills comp_applied_.
   void ApplyRates(bool has_fair);
+  // A retained re-solve's epilogue: compares comp_rate_ against
+  // comp_applied_ and touches the slots, links and heap of the live members
+  // whose bits moved, and only those.
+  void ApplyRetainedRates();
+  // Per-solve counters, over the comp_live_ members.
+  void CountSolve();
+  // Re-anchors member i's slot at now_ from old_rate to new_rate, bumps its
+  // epoch, tells the rate observer and moves its links' bulk rates.
+  void MoveRate(size_t i, Rate old_rate, Rate new_rate);
+  void PushEntry(int32_t slot, SimTime key);
+  // Pushes member i of an all-pinned solve when it runs and its slot holds
+  // no current-epoch entry.
+  void PushPinnedMember(size_t i);
   // Earliest projected completion among active flows; kTimeInfinity if none.
   SimTime NextCompletionTime();
   // Completes every flow whose projected completion equals `t` (now_ == t),
@@ -304,6 +320,10 @@ class NetworkSimulator {
   std::vector<LinkId> comp_links_;  // Concatenated component paths.
   std::vector<Rate> comp_pinned_;
   std::vector<Rate> comp_rate_;      // Solver output.
+  // While retained: the rate each member's slot carries (its current_rate),
+  // sequential where the slots are scattered. Departed members' entries are
+  // stale.
+  std::vector<Rate> comp_applied_;
   std::vector<int32_t> comp_live_;   // Indices of the members still live, ascending.
   std::vector<SimTime> comp_keys_;  // Projected completions after the solve.
   // Retained component: when ret_gen_ != 0 the comp_* arrays hold the

@@ -547,6 +547,17 @@ class RetainedTwins {
       ASSERT_EQ(inc_.LinkBulkRate(l), ref_.LinkBulkRate(l)) << "t=" << t << " link " << l;
     }
   }
+  // Advance, returning phase 1's work in the incremental simulator's solves
+  // during the step: its scale-down rounds and re-summed terms.
+  std::pair<int64_t, int64_t> AdvanceCountingPhaseOne(SimTime t) {
+    telemetry::SetEnabled(true);
+    const telemetry::MetricsSnapshot before = telemetry::MetricsRegistry::Global().Snapshot();
+    Advance(t);
+    const telemetry::MetricsSnapshot diff =
+        telemetry::MetricsRegistry::Global().Snapshot().DiffSince(before);
+    telemetry::SetEnabled(false);
+    return {diff.CounterValue("sim.pinned_rounds"), diff.CounterValue("sim.pinned_resum_terms")};
+  }
   Rate RateOf(FlowId id) const {
     const Rate a = inc_.FindFlow(id)->current_rate;
     EXPECT_EQ(a, ref_.FindFlow(id)->current_rate) << "flow " << id;
@@ -824,6 +835,77 @@ TEST(RetainedComponentTest, RoundCapCountsOnlyLinksWithALiveMember) {
   for (FlowId id : all) {
     tw.Cancel(id);
   }
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, DepartureLeavingMostRatesUnchangedMovesOnlyTheRest) {
+  // x0..x4 run at their 7 MB/s pins on link 0 and are solved and retained
+  // first. They are cancelled and y0..y4 started in one step, so the next
+  // pass solves {y0..y4} afresh in the same arrays: y0 and y1 pin 30 on DC2
+  // server 0's uplink (link 8) and run at 20; y2, y3 and y4 run at their
+  // 5 MB/s pins from DC0 server 1 (link 2), y2 into y0's destination NIC
+  // (link 5). Scaled-down y1 finishes, and the retained re-solve moves y0
+  // to its pin and leaves y2..y4's bits as they are, so only y0's slot is
+  // touched. Catches a mirror of the applied rates that the fresh solve
+  // does not refresh: it still holds x's 7s, so the re-solve would move
+  // y2..y4 from 7 to 5 and take 2 MB/s too much off each of their links.
+  RetainedTwins tw;
+  std::vector<FlowId> xs;
+  for (int k = 0; k < 5; ++k) {
+    xs.push_back(tw.Start(tw.Path(0, 0, 1 + k / 2, k % 2), MB(1000.0), MBps(7.0)));
+  }
+  tw.Advance(0.5);
+  ASSERT_EQ(tw.RateOf(xs[0]), MBps(7.0));
+  for (FlowId x : xs) {
+    tw.Cancel(x);
+  }
+  const FlowId y0 = tw.Start(tw.Path(2, 0, 1, 0), MB(1000.0), MBps(30.0));
+  tw.Start(tw.Path(2, 0, 3, 0), MB(20.0), MBps(30.0));  // y1: 1 s at 20.
+  std::vector<FlowId> at_pin;
+  at_pin.push_back(tw.Start(tw.Path(0, 1, 1, 0), MB(1000.0), MBps(5.0)));
+  at_pin.push_back(tw.Start(tw.Path(0, 1, 1, 1), MB(1000.0), MBps(5.0)));
+  at_pin.push_back(tw.Start(tw.Path(0, 1, 3, 1), MB(1000.0), MBps(5.0)));
+  tw.Advance(1.0);
+  ASSERT_NEAR(tw.RateOf(y0), MBps(20.0), 1e-3);
+  ASSERT_EQ(tw.inc().num_retained_solves(), 0);
+  tw.Advance(2.0);  // y1 left scaled down at 1.5 s.
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_EQ(tw.RateOf(y0), MBps(30.0));
+  for (FlowId y : at_pin) {
+    EXPECT_EQ(tw.RateOf(y), MBps(5.0));
+  }
+  tw.Finish();
+}
+
+TEST(RetainedComponentTest, RowThatLostAMemberIsScaledAgainWithTheLiveMembersLinks) {
+  // a, b, c and f pin 20 on link 0 (load 80); c, d and e share c's
+  // destination NIC, link 5, with pins 20, 25 and 25 (load 70). The fresh
+  // solve scales link 0 first (factor 1/2) and lists the links its row
+  // crosses, link 5 among them (through c), then link 5. Scaled-down c
+  // finishes, and the retained re-solve finds link 0 over again (60, factor
+  // 2/3) ahead of link 5 (50, factor 4/5): its row lost c, so the list is
+  // rebuilt without c's links, and the round re-sums link 0 alone (3 terms),
+  // then link 5 (2 terms), as a fresh solve of the live members would.
+  // Catches a row list not rebuilt after a member left: it still reaches
+  // link 5 through c and re-sums it in link 0's round too (7 terms). The
+  // rates stay the same either way, so only the count tells.
+  RetainedTwins tw;
+  tw.Start(tw.Path(0, 0, 2, 0), MB(1000.0), MBps(20.0));  // a.
+  tw.Start(tw.Path(0, 0, 2, 1), MB(1000.0), MBps(20.0));  // b.
+  tw.Start(tw.Path(0, 0, 1, 0), MB(5.0), MBps(20.0));     // c: 0.75 s at 20/3.
+  const FlowId f = tw.Start(tw.Path(0, 0, 3, 0), MB(1000.0), MBps(20.0));
+  const FlowId d = tw.Start(tw.Path(2, 0, 1, 0), MB(1000.0), MBps(25.0));
+  tw.Start(tw.Path(3, 0, 1, 0), MB(1000.0), MBps(25.0));  // e.
+  const std::pair<int64_t, int64_t> fresh = tw.AdvanceCountingPhaseOne(0.5);
+  EXPECT_EQ(fresh.first, 2);
+  EXPECT_EQ(fresh.second, 4 + 3 + 3);
+  ASSERT_NEAR(tw.RateOf(f), MBps(10.0), 1e-3);
+  const std::pair<int64_t, int64_t> retained = tw.AdvanceCountingPhaseOne(1.0);
+  EXPECT_EQ(tw.inc().num_retained_solves(), 1);
+  EXPECT_EQ(retained.first, 2);
+  EXPECT_EQ(retained.second, 3 + 2);
+  EXPECT_NEAR(tw.RateOf(f), MBps(40.0 / 3.0), 1e-3);
+  EXPECT_NEAR(tw.RateOf(d), MBps(20.0), 1e-3);
   tw.Finish();
 }
 

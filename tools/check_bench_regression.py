@@ -20,6 +20,13 @@ counts split only the selection queue — routing is the same single FPTAS
 solve — and so make the same decision at about the same cost) are gated on
 absolute CPU seconds against a generous threshold instead.
 
+Work counters are gated exactly. A simulator baseline's ``work_points``
+record what one drain of a point does (component solves, retained
+re-solves, phase-1 scale-down rounds and re-summed terms). They depend on
+the code, not on the machine, so a fresh run must reproduce every committed
+value: a change that adds simulator work fails on every machine, and a
+change that means to move them updates the baseline in the same commit.
+
 Usage:
   check_bench_regression.py --bench ./bench_fig11_scalability \
       --baseline BENCH_controller.json            # run --smoke, then compare
@@ -230,6 +237,36 @@ def compare_amortized(baseline_data, fresh_data, threshold):
     return 1, failures
 
 
+WORK_COUNTERS = ("component_solves", "retained_solves", "pinned_rounds",
+                 "pinned_resum_terms")
+
+
+def compare_work(baseline_data, fresh_data):
+    """Exact gate on the committed "work_points": every committed (shape,
+    flows) point must be in the fresh run with every counter equal. Returns
+    (compared, failures) where failures is a list of human-readable
+    strings."""
+    base = {(p["shape"], p["flows"]): p for p in baseline_data.get("work_points", [])}
+    if not base:
+        return 0, []
+    fresh = {(p["shape"], p["flows"]): p for p in fresh_data.get("work_points", [])}
+    failures = []
+    print("\nwork points (exact):")
+    for key in sorted(base):
+        if key not in fresh:
+            failures.append(f"{key[0]} {key[1]}: missing from the fresh run")
+            print(f"  {key[0]} {key[1]}: MISSING")
+            continue
+        for counter in WORK_COUNTERS:
+            was, now = base[key].get(counter), fresh[key].get(counter)
+            flag = ""
+            if was != now:
+                failures.append(f"{key[0]} {key[1]} {counter}: {was} -> {now}")
+                flag = "  CHANGED"
+            print(f"  {key[0]} {key[1]} {counter:>20}: {was} -> {now}{flag}")
+    return len(base), failures
+
+
 def run_bench(bench, smoke):
     fd, path = tempfile.mkstemp(suffix=".json", prefix="bench_fresh_")
     os.close(fd)
@@ -416,8 +453,9 @@ def main():
     overhead_compared, overhead_failures = compare_telemetry_overhead(fresh_data)
     amortized_compared, amortized_failures = compare_amortized(
         baseline_data, fresh_data, args.large_threshold)
+    work_compared, work_failures = compare_work(baseline_data, fresh_data)
     if compared == 0 and large_compared == 0 and amortized_compared == 0 \
-            and overhead_compared == 0:
+            and overhead_compared == 0 and work_compared == 0:
         print("error: no gateable configs common to the two files", file=sys.stderr)
         return 2
     if failures:
@@ -442,12 +480,19 @@ def main():
         for flows, off, on, ratio in overhead_failures:
             print(f"  {flows} flows: {off:.3f}s off -> {on:.3f}s all-on "
                   f"({ratio:.3f}x)", file=sys.stderr)
-    if failures or large_failures or amortized_failures or overhead_failures:
+    if work_failures:
+        print(f"\n{len(work_failures)} work counter(s) differ from the committed "
+              "values:", file=sys.stderr)
+        for failure in work_failures:
+            print(f"  {failure}", file=sys.stderr)
+    if failures or large_failures or amortized_failures or overhead_failures \
+            or work_failures:
         return 1
     print(f"\nOK: {compared} configs"
           + (f" + {large_compared} absolute points" if large_compared else "")
           + (f" + {amortized_compared} amortized checks" if amortized_compared else "")
           + (f" + {overhead_compared} overhead check" if overhead_compared else "")
+          + (f" + {work_compared} exact work points" if work_compared else "")
           + f" within tolerance of the committed baseline")
     return 0
 
